@@ -10,8 +10,9 @@ dirac     dump the rest-frame and plane-wave spinor solutions as JSON
 absorber  emit the per-mode energy spectrum of seeded (or file-loaded)
           currents as CSV plus a JSON summary
 
-Exit codes: 0 on success, 1 when an identity check fails its tolerance,
-2 on invalid input (the message names the offending field).
+Exit codes: 0 on success, 1 when an identity check fails its tolerance
+or a numerical routine (quadrature, ARPACK norm) fails, 2 on invalid
+input (the message names the offending field).
 
 All file outputs format floats with ``repr`` and sort JSON keys, so
 repeated runs with the same configuration are byte-identical.
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import absorber, dirac, fock
 from .lattice import LatticeSpec, ValidationError, build_lattice
@@ -488,6 +490,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_RANGE_FLAGS = ("--t-range", "--x-range")
+
+
+def _attach_range_values(argv: list[str]) -> list[str]:
+    """Join ``--t-range START:STOP:COUNT`` into ``--t-range=START:STOP:COUNT``.
+
+    argparse reads a spaced value with a negative start, such as
+    ``-3:3:4``, as an unknown flag.  A range value always contains ``:``
+    and a flag never does, so only such values are attached.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _RANGE_FLAGS and ":" in arg:
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 _HANDLERS = {
     "verify": cmd_verify,
     "kernel": cmd_kernel,
@@ -499,14 +520,15 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_attach_range_values(argv))
     try:
         config = build_run_config(args)
         return _HANDLERS[args.command](config, args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, dirac.DegenerateSolutionError) as exc:
+    except (QuadratureError, dirac.DegenerateSolutionError, ArpackNoConvergence) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
 

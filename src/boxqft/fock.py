@@ -4,7 +4,9 @@ Each momentum mode carries two independent oscillator sectors: quanta
 created by ``a_dag`` and antiquanta created by ``b_dag``.  States are
 sparse maps from occupation tuples to complex amplitudes; operators are
 sums of scaled ladder-factor products that can be applied symbolically
-to states or materialized as (dense or sparse) matrices.
+to states or materialized as sparse CSR matrices built from cached
+Kronecker-product ladder factors.  Matrix norms are spectral norms from
+``svds`` started from a fixed vector, so reruns are bit-identical.
 
 The module serves as an independent cross-check on the kernel mode sums
 in :mod:`boxqft.propagators`: the time-ordered two-point function
@@ -28,6 +30,7 @@ state instead of raising, so tests can assert "no truncation occurred".
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -40,7 +43,6 @@ from .lattice import Lattice, ValidationError, omega
 from .propagators import SpacetimePoint
 
 __all__ = [
-    "DENSE_DIMENSION_LIMIT",
     "FockState",
     "ModeOperator",
     "ModeSpec",
@@ -53,8 +55,6 @@ __all__ = [
     "apply",
     "b_dag",
     "b_op",
-    "basis_index",
-    "basis_occupations",
     "confirmation_inner",
     "field_operator",
     "hamiltonian_operator",
@@ -73,10 +73,6 @@ __all__ = [
     "vev_adjoint_field",
     "vev_field_adjoint",
 ]
-
-#: Largest basis dimension materialized as a dense ndarray; larger
-#: spaces use scipy.sparse matrices.
-DENSE_DIMENSION_LIMIT = 4096
 
 #: Hard cap on basis dimension for matrix materialization (guards
 #: against accidentally requesting a matrix over a huge mode set).
@@ -458,38 +454,34 @@ def time_ordered_vev(spec: ModeSpec, x: SpacetimePoint, y: SpacetimePoint) -> co
 # Matrix materialization
 # ---------------------------------------------------------------------------
 
-def basis_index(spec: ModeSpec, na: tuple[int, ...], nb: tuple[int, ...]) -> int:
-    """Mixed-radix index of an occupation pair (mode 0 least significant)."""
-    base = spec.max_occupation + 1
-    idx = 0
-    for n in reversed(tuple(na) + tuple(nb)):
-        if not 0 <= n < base:
-            raise ValidationError(f"occupation {n} outside [0, {base - 1}]")
-        idx = idx * base + n
-    return idx
+@functools.lru_cache(maxsize=64)
+def _ladder_factor(n_slots: int, ceiling: int, slot: int, dagger: bool) -> sp.csr_matrix:
+    """One ladder operator of one slot as a matrix on the full basis.
+
+    The basis is mixed-radix over the slots ``a_0..a_{m-1}, b_0..b_{m-1}``
+    with slot 0 least significant, so the operator is
+    ``kron(I_left, block, I_right)`` with ``I_right`` of size
+    ``(ceiling+1)^slot``.  Creation from the ceiling has no image (the
+    truncated-space convention).  A factor depends only on the shape of
+    the space, not on momenta or frequencies, so a sweep over masses
+    reuses the cached factors.
+    """
+    base = ceiling + 1
+    # a|n> = sqrt(n)|n-1> sits above the diagonal, a_dag below it.
+    block = sp.diags(np.sqrt(np.arange(1.0, base)), -1 if dagger else 1)
+    left = sp.identity(base ** (n_slots - 1 - slot))
+    right = sp.identity(base**slot)
+    return sp.kron(sp.kron(left, block), right, format="csr")
 
 
-def basis_occupations(spec: ModeSpec, index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Inverse of :func:`basis_index`."""
-    base = spec.max_occupation + 1
-    digits = []
-    rem = index
-    for _ in range(2 * spec.n_modes):
-        rem, d = divmod(rem, base)
-        digits.append(d)
-    if rem:
-        raise ValidationError(f"basis index {index} outside dimension {spec.basis_dim}")
-    m = spec.n_modes
-    return tuple(digits[:m]), tuple(digits[m:])
-
-
-def operator_matrix(op: ModeOperator, spec: ModeSpec):
+def operator_matrix(op: ModeOperator, spec: ModeSpec) -> sp.csr_matrix:
     """Materialize an operator on the truncated occupation basis.
 
-    Returns a dense complex ndarray when the basis dimension is at most
-    ``DENSE_DIMENSION_LIMIT`` and a ``scipy.sparse.csr_matrix``
-    otherwise.  Creation above the ceiling contributes nothing (the
-    truncated-space matrix convention).
+    Returns a complex ``scipy.sparse.csr_matrix``: each term is its
+    coefficient times the product of cached Kronecker-built ladder
+    factors, taken rightmost factor first as :func:`apply` acts, so the
+    entries equal those of the symbolic route.  Creation above the
+    ceiling contributes nothing (the truncated-space matrix convention).
     """
     dim = spec.basis_dim
     if dim > MATRIX_DIMENSION_CAP:
@@ -497,52 +489,49 @@ def operator_matrix(op: ModeOperator, spec: ModeSpec):
             f"basis dimension {dim} exceeds matrix cap {MATRIX_DIMENSION_CAP}; "
             "use a smaller mode set or occupation ceiling"
         )
-    dense = dim <= DENSE_DIMENSION_LIMIT
-    if dense:
-        mat = np.zeros((dim, dim), dtype=complex)
-    else:
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[complex] = []
-    for col in range(dim):
-        na, nb = basis_occupations(spec, col)
-        column_state = FockState(spec, {(na, nb): 1.0 + 0.0j})
-        image = apply(op, column_state)
-        for (ma, mb), amp in image.amplitudes.items():
-            row = basis_index(spec, ma, mb)
-            if dense:
-                mat[row, col] += amp
-            else:
-                rows.append(row)
-                cols.append(col)
-                vals.append(amp)
-    if dense:
-        return mat
-    return sp.csr_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)), shape=(dim, dim)
-    )
+    n_modes = spec.n_modes
+    total = sp.csr_matrix((dim, dim), dtype=complex)
+    for coeff, term in op.terms:
+        if coeff == 0:
+            continue
+        mat = sp.identity(dim, dtype=complex, format="csr") * coeff
+        for sector, mode, dagger in reversed(term):
+            if not 0 <= mode < n_modes:
+                raise ValidationError(
+                    f"mode index {mode} outside mode set of size {n_modes}"
+                )
+            slot = mode if sector == "a" else n_modes + mode
+            factor = _ladder_factor(2 * n_modes, spec.max_occupation, slot, dagger)
+            mat = factor @ mat
+        total = total + mat
+    return total
 
 
 def matrix_norm(mat) -> float:
-    """Operator (spectral) norm of a dense or sparse matrix.
+    """Operator (spectral) norm of a sparse matrix.
 
-    Falls back to the Frobenius norm (an upper bound) if the iterative
-    singular-value solver does not converge on a sparse input.
+    The largest singular value comes from ARPACK ``svds`` started from a
+    fixed vector, so reruns give identical bits.  Matrices with a side
+    shorter than 3, too small for ``svds``, take the exact dense 2-norm.
+    If ``svds`` does not converge, ``ArpackNoConvergence`` propagates.
     """
-    if sp.issparse(mat):
-        if mat.nnz == 0:
-            return 0.0
-        frob = float(np.sqrt((np.abs(mat.data) ** 2).sum()))
-        if min(mat.shape) < 3 or frob == 0.0:
-            return frob
-        try:
-            top = spla.svds(
-                mat.astype(complex), k=1, return_singular_vectors=False, maxiter=5000
-            )
-            return float(top[0])
-        except Exception:
-            return frob
-    return float(np.linalg.norm(np.asarray(mat), 2))
+    mat = sp.csr_matrix(mat, dtype=complex)
+    if mat.count_nonzero() == 0:
+        return 0.0
+    n = min(mat.shape)
+    if n < 3:
+        return float(np.linalg.norm(mat.toarray(), 2))
+    # A fixed generic start vector: ARPACK's default start is random, so
+    # reruns would differ in the last bits.
+    start = np.random.default_rng(0).standard_normal((2, n))
+    top = spla.svds(
+        mat,
+        k=1,
+        v0=start[0] + 1j * start[1],
+        return_singular_vectors=False,
+        maxiter=5000,
+    )
+    return float(top[0])
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from boxqft.fock import (
     FockState,
+    ModeOperator,
     a_dag,
     a_op,
     antiparticle_energy_check,
@@ -14,8 +17,6 @@ from boxqft.fock import (
     apply,
     b_dag,
     b_op,
-    basis_index,
-    basis_occupations,
     confirmation_inner,
     field_operator,
     hamiltonian_operator,
@@ -298,7 +299,64 @@ def test_translation_check_is_second_order(spec3):
     assert 3.6 < coarse / fine < 4.4
 
 
+def test_translation_check_is_second_order_on_wide_window(lattice64_module):
+    spec = mode_spec_from_lattice(lattice64_module, max_occupation=1, half_width=3)
+    assert spec.basis_dim == 1 << 14
+    coarse = translation_generator_check(spec, 0.3, 1.7, 0.1)
+    fine = translation_generator_check(spec, 0.3, 1.7, 0.05)
+    assert 3.6 < coarse / fine < 4.4
+
+
 # --- matrix materialization -------------------------------------------------
+#
+# The column-by-column route below (occupations of each basis index, one
+# symbolic ``apply``, rows read back by index) is the materialization the
+# Kronecker-built ``operator_matrix`` replaced; it stays here as its oracle.
+
+def basis_index(spec, na, nb):
+    """Mixed-radix index of an occupation pair (mode 0 least significant)."""
+    base = spec.max_occupation + 1
+    idx = 0
+    for n in reversed(tuple(na) + tuple(nb)):
+        assert 0 <= n < base
+        idx = idx * base + n
+    return idx
+
+
+def basis_occupations(spec, index):
+    """Inverse of :func:`basis_index`."""
+    base = spec.max_occupation + 1
+    digits = []
+    for _ in range(2 * spec.n_modes):
+        index, d = divmod(index, base)
+        digits.append(d)
+    assert index == 0
+    m = spec.n_modes
+    return tuple(digits[:m]), tuple(digits[m:])
+
+
+def column_matrix(op, spec):
+    """Dense matrix of ``op`` built by applying it to every basis state."""
+    mat = np.zeros((spec.basis_dim, spec.basis_dim), dtype=complex)
+    for col in range(spec.basis_dim):
+        na, nb = basis_occupations(spec, col)
+        image = apply(op, FockState(spec, {(na, nb): 1.0 + 0.0j}))
+        for (ma, mb), amp in image.amplitudes.items():
+            mat[basis_index(spec, ma, mb), col] += amp
+    return mat
+
+
+def random_mode_operator(rng, n_modes, n_terms=4, max_factors=3):
+    terms = []
+    for _ in range(n_terms):
+        factors = tuple(
+            (str(rng.choice(["a", "b"])), int(rng.integers(n_modes)), bool(rng.integers(2)))
+            for _ in range(int(rng.integers(0, max_factors + 1)))
+        )
+        coeff = complex(rng.standard_normal(), rng.standard_normal())
+        terms.append((coeff, factors))
+    return ModeOperator(tuple(terms))
+
 
 def test_basis_index_round_trip():
     spec = make_mode_spec([0.0, TWO_PI_OVER_L], 1.0, L, 1)
@@ -310,17 +368,72 @@ def test_basis_index_round_trip():
     assert len(seen) == spec.basis_dim
 
 
+SPACE_SHAPES = [(m, c) for c in (1, 2, 3) for m in (1, 2, 3) if (m, c) != (3, 3)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(("n_modes", "ceiling"), SPACE_SHAPES)
+def test_kronecker_matrix_matches_column_apply_oracle(n_modes, ceiling, seed):
+    rng = np.random.default_rng([seed, n_modes, ceiling])
+    spec = make_mode_spec(TWO_PI_OVER_L * np.arange(n_modes), 1.0, L, ceiling)
+    op = random_mode_operator(rng, n_modes)
+    mat = operator_matrix(op, spec)
+    assert isinstance(mat, scipy.sparse.csr_matrix)
+    np.testing.assert_array_equal(mat.toarray(), column_matrix(op, spec))
+
+
+def test_kronecker_matrix_truncates_above_ceiling():
+    spec = make_mode_spec([0.0, TWO_PI_OVER_L], 1.0, L, 1)
+    pushed = a_dag(1) @ a_dag(1) + b_dag(0) @ b_dag(0) @ b_op(0)
+    oracle = column_matrix(pushed, spec)
+    assert not oracle.any()  # every column truncates
+    assert operator_matrix(pushed, spec).nnz == 0
+    mixed = 0.5j * (a_dag(0) @ a_dag(0) @ a_op(0)) + a_dag(0) @ b_dag(1)
+    np.testing.assert_array_equal(
+        operator_matrix(mixed, spec).toarray(), column_matrix(mixed, spec)
+    )
+
+
+def test_operator_matrix_rejects_mode_outside_set(spec3):
+    with pytest.raises(ValidationError, match="mode index"):
+        operator_matrix(a_dag(0) @ b_op(5), spec3)
+
+
 def test_dense_and_sparse_matrix_paths():
-    small = make_mode_spec([0.0], 1.0, L, 1)  # dim 4 -> dense
-    dense = operator_matrix(a_dag(0), small)
-    assert isinstance(dense, np.ndarray)
-    assert matrix_norm(dense) == pytest.approx(1.0)
+    # dimensions that once took separate dense and sparse paths: both CSR now
+    small = make_mode_spec([0.0], 1.0, L, 1)  # dim 4
+    small_mat = operator_matrix(a_dag(0), small)
+    assert isinstance(small_mat, scipy.sparse.csr_matrix)
+    assert matrix_norm(small_mat) == pytest.approx(1.0)
 
     momenta = [TWO_PI_OVER_L * n for n in range(-3, 4)]
-    big = make_mode_spec(momenta, 1.0, L, 1)  # dim 2^14 -> sparse
-    sparse = operator_matrix(a_dag(0), big)
-    assert scipy.sparse.issparse(sparse)
-    assert matrix_norm(sparse) == pytest.approx(1.0)
+    big = make_mode_spec(momenta, 1.0, L, 1)  # dim 2^14
+    big_mat = operator_matrix(a_dag(0), big)
+    assert isinstance(big_mat, scipy.sparse.csr_matrix)
+    assert matrix_norm(big_mat) == pytest.approx(1.0)
+
+
+def test_matrix_norm_is_reproducible_and_matches_dense():
+    spec = make_mode_spec([0.0, TWO_PI_OVER_L], 1.0, L, 2)
+    mat = operator_matrix(field_operator(spec, 0.4, 2.3) @ a_dag(1), spec)
+    first = matrix_norm(mat)
+    assert matrix_norm(mat) == first
+    assert first == pytest.approx(np.linalg.norm(mat.toarray(), 2), rel=1e-13)
+
+
+def test_matrix_norm_of_tiny_matrix_is_exact():
+    mat = scipy.sparse.csr_matrix(np.array([[3.0, 0.0], [4.0, 0.0]]))
+    assert matrix_norm(mat) == 5.0
+
+
+def test_matrix_norm_nonconvergence_propagates(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", no_convergence)
+    spec = make_mode_spec([0.0], 1.0, L, 2)
+    with pytest.raises(ArpackNoConvergence):
+        matrix_norm(operator_matrix(a_dag(0), spec))
 
 
 def test_matrix_norm_of_zero_operator():
@@ -332,7 +445,7 @@ def test_matrix_norm_of_zero_operator():
 def test_number_operator_matrix_spectrum():
     spec = make_mode_spec([0.0], 1.0, L, 3)
     n_mat = operator_matrix(a_dag(0) @ a_op(0), spec)
-    eigenvalues = np.linalg.eigvalsh(n_mat)
+    eigenvalues = np.linalg.eigvalsh(n_mat.toarray())
     # occupations 0..3 in both species: eigenvalues are 0,1,2,3
     assert set(np.round(eigenvalues).astype(int)) == {0, 1, 2, 3}
     assert matrix_norm(n_mat) == pytest.approx(3.0)

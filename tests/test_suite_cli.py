@@ -2,6 +2,8 @@
 import json
 
 import pytest
+import scipy.sparse.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from boxqft.cli import (
     build_run_config,
@@ -171,6 +173,18 @@ def test_kernel_rerun_is_byte_identical(tmp_path):
     assert (tmp_path / "kernel_hadamard.csv").read_bytes() == first
 
 
+def test_kernel_spaced_negative_range_matches_equals_form(tmp_path):
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    tail = ["--x-range", "-2:9:4"]
+    assert main(["kernel", "--kind", "feynman", "--t-range", "-3:3:4", *tail,
+                 "--out", str(spaced)]) == 0
+    assert main(["kernel", "--kind", "feynman", "--t-range=-3:3:4", *tail,
+                 "--out", str(joined)]) == 0
+    csv = (spaced / "kernel_feynman.csv").read_bytes()
+    assert csv == (joined / "kernel_feynman.csv").read_bytes()
+    assert len(csv.splitlines()) == 1 + 4 * 4
+
+
 def test_kernel_axis_validation(tmp_path, capsys):
     assert main(["kernel", "--kind", "feynman", "--x", "0",
                  "--out", str(tmp_path)]) == 2
@@ -192,6 +206,16 @@ def test_kernel_step_kind_time_zero(tmp_path, capsys):
 def test_invalid_lattice_input_exits_2(tmp_path, capsys):
     assert main(["verify", "--mass", "0", "--out", str(tmp_path)]) == 2
     assert "mass" in capsys.readouterr().err
+
+
+def test_norm_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", no_convergence)
+    assert main(["verify", "--out", str(tmp_path)]) == 1
+    assert "failure: ARPACK error -1" in capsys.readouterr().err
+    assert not (tmp_path / "verify_report.json").exists()
 
 
 def test_fock_vev_subcommand(tmp_path):
