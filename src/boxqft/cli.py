@@ -34,11 +34,10 @@ from .propagators import (
     KernelKind,
     QuadratureError,
     eval_kernel,
-    kernel_values,
-    make_point,
+    eval_kernel_grid,
     separation,
 )
-from .suite import DEFAULT_TOLERANCES, all_passed, run_all_checks
+from .suite import DEFAULT_TOLERANCES, all_passed, run_all_checks, sample_vev_pairs
 
 __all__ = ["RunConfig", "main", "report_schema_version"]
 
@@ -252,28 +251,13 @@ def cmd_kernel(config: RunConfig, args: argparse.Namespace) -> int:
     lattice = build_lattice(config.lattice_spec())
     out_dir = _ensure_out_dir(config)
     path = out_dir / f"kernel_{kind.value}.csv"
-    rows = 0
     with open(path, "w", newline="") as fh:
         fh.write("kind,t,x,re,im\n")
-        for t in ts:
-            for x in xs:
-                value = complex(
-                    kernel_values(
-                        lattice.momenta,
-                        lattice.frequencies,
-                        lattice.spec.box_length,
-                        kind,
-                        float(t),
-                        float(x),
-                        step_at_zero=args.step_at_zero,
-                    )
-                )
-                fh.write(
-                    f"{kind.value},{float(t)!r},{float(x)!r},"
-                    f"{value.real!r},{value.imag!r}\n"
-                )
-                rows += 1
-    print(f"wrote {rows} rows to {path}")
+        for t in ts.tolist():
+            values = eval_kernel_grid(lattice, kind, t, xs, step_at_zero=args.step_at_zero)
+            for x, value in zip(xs.tolist(), values.tolist()):
+                fh.write(f"{kind.value},{t!r},{x!r},{value.real!r},{value.imag!r}\n")
+    print(f"wrote {ts.size * xs.size} rows to {path}")
     return 0
 
 
@@ -285,15 +269,7 @@ def cmd_fock_vev(config: RunConfig, args: argparse.Namespace) -> int:
     records = []
     worst = 0.0
     truncations = 0
-    for idx in range(args.n_pairs):
-        t1, t2 = rng.uniform(-2.0, 2.0, size=2)
-        while abs(t1 - t2) < 1e-3:
-            t2 = float(rng.uniform(-2.0, 2.0))
-        if (t1 > t2) != (idx % 2 == 0):
-            t1, t2 = t2, t1
-        x1, x2 = rng.uniform(0.0, L, size=2)
-        p_x = make_point(float(t1), float(x1), L)
-        p_y = make_point(float(t2), float(x2), L)
+    for p_x, p_y in sample_vev_pairs(rng, L, args.n_pairs):
         vev, events = fock.time_ordered_vev_detail(mode_spec, p_x, p_y)
         kernel = eval_kernel(lattice, KernelKind.FEYNMAN, separation(p_x, p_y, L))
         diff = abs(vev - kernel)

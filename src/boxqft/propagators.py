@@ -21,7 +21,7 @@ Notes on the conventions:
   -(1/L) sum exp(+i(w t - k x))/(2 w) term for term under k -> -k, and it
   makes the equal-time cancellation D+(0,x) + D-(0,x) = 0 hold termwise.
   On a grid that is *not* closed under negation the two forms differ,
-  which is exactly why eval_kernel rejects such grids.
+  which is exactly why eval_kernel_grid rejects such grids.
 * The factor i customary in front of the Feynman momentum-space kernel is
   absorbed into the kernels themselves: per mode,
   DF = (1/2pi) int dnu exp(-i nu t) * i/(nu^2 - w^2 + i eps) -> exp(-i w |t|)/(2 w),
@@ -29,21 +29,29 @@ Notes on the conventions:
   conventions the Commutator kernel is purely imaginary and the Hadamard
   kernel is purely real, and DF equals the time-ordered vacuum two-point
   function computed in the Fock module with no extra prefactor.
-* Step-function kinds are undefined at t = 0 and eval_kernel rejects that
-  argument rather than assigning a midpoint value.
+* Step-function kinds are undefined at t = 0 and are rejected there
+  unless the continuous extension is requested (``step_at_zero``).
 
-Mode sums are accumulated pairwise over +-k partner modes (ends-inward
-pairing of the sorted grid) to keep cancellation error near machine
-precision.
+Evaluation path.  Every kind is one entry of a coefficient table
+(``_COEFFICIENTS``): the weights of D+ and D- for t > 0, for t < 0 and
+for the t = 0 extension, e.g. Feynman is (1, 0), (0, -1), (1/2, -1/2).
+kernel_values sums D+ and D- at most once per call, each only at the
+points where its weight is nonzero, and combines them by the table.
+eval_kernel_grid is the one validating entry (kind, negation closure,
+reduction of x into [0, L)); eval_kernel, the verify_* routines and the
+CLI go through it.  Mode sums are accumulated pairwise over +-k partner
+modes (ends-inward pairing of the sorted grid) to keep cancellation
+error near machine precision.
 """
 
 from __future__ import annotations
 
 import enum
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import sici
 
 from boxqft.lattice import Lattice, ValidationError, is_negation_closed
@@ -78,20 +86,19 @@ class SpacetimePoint:
     x: float
 
 
-def canonical_x(x: float, box_length: float) -> float:
-    """Reduce x into [0, L).  Uses fmod-based modulo so that the reduced
-    values of x and -x sum to exactly L (needed for exact antisymmetry)."""
-    r = float(np.mod(x, box_length))
-    # np.mod can return L itself when x is a tiny negative number
-    if r >= box_length:
-        r -= box_length
-    return r
+def canonical_x(x, box_length: float):
+    """Reduce x (a scalar or an array) into [0, L).  Uses fmod-based modulo
+    so that the reduced values of x and -x sum to exactly L (needed for
+    exact antisymmetry)."""
+    r = np.mod(x, box_length)
+    # np.mod returns L itself when x is a tiny negative number
+    return r - box_length * (r >= box_length)
 
 
 def make_point(t: float, x: float, box_length: float) -> SpacetimePoint:
     if not box_length > 0:
         raise ValidationError(f"box_length must be positive, got {box_length}")
-    return SpacetimePoint(t=float(t), x=canonical_x(float(x), box_length))
+    return SpacetimePoint(t=float(t), x=float(canonical_x(float(x), box_length)))
 
 
 def separation(a: SpacetimePoint, b: SpacetimePoint, box_length: float) -> SpacetimePoint:
@@ -117,16 +124,30 @@ def _paired_sum(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _wightman_plus_raw(momenta, frequencies, box_length, t, x):
-    """(1/L) sum exp(-i(w t - k x))/(2 w); t, x may be arrays (column shape)."""
-    phases = np.exp(-1j * (np.multiply.outer(t, frequencies) - np.multiply.outer(x, momenta)))
-    return _paired_sum(phases / (2.0 * frequencies)) / box_length
+def _wightman(momenta, frequencies, box_length, sign, t, x):
+    """D+ for sign +1 and D- for sign -1 at the paired 1-D points (t, x):
+    sign (1/L) sum exp(-i sign (w t - sign k x)) / (2 w)."""
+    phases = np.exp(
+        (-1j * sign) * (np.multiply.outer(t, frequencies) - np.multiply.outer(sign * x, momenta))
+    )
+    return _paired_sum(phases / (2.0 * frequencies)) / (sign * box_length)
 
 
-def _wightman_minus_raw(momenta, frequencies, box_length, t, x):
-    """-(1/L) sum exp(+i(w t + k x))/(2 w)."""
-    phases = np.exp(1j * (np.multiply.outer(t, frequencies) + np.multiply.outer(x, momenta)))
-    return -_paired_sum(phases / (2.0 * frequencies)) / box_length
+# Per kind, the (D+, D-) weights for t > 0, for t < 0 and for the
+# continuous t = 0 extension, which a step kind takes only on request
+# (step_at_zero): the equal-time Commutator vanishes, so Retarded,
+# Advanced and TimeSymmetric go to 0, and Feynman goes to the Hadamard
+# value.
+_COEFFICIENTS = {
+    KernelKind.WIGHTMAN_PLUS: ((1.0, 0.0),) * 3,
+    KernelKind.WIGHTMAN_MINUS: ((0.0, 1.0),) * 3,
+    KernelKind.COMMUTATOR: ((1.0, 1.0),) * 3,
+    KernelKind.HADAMARD: ((0.5, -0.5),) * 3,
+    KernelKind.RETARDED: ((1.0, 1.0), (0.0, 0.0), (0.0, 0.0)),
+    KernelKind.ADVANCED: ((0.0, 0.0), (-1.0, -1.0), (0.0, 0.0)),
+    KernelKind.TIME_SYMMETRIC: ((0.5, 0.5), (-0.5, -0.5), (0.0, 0.0)),
+    KernelKind.FEYNMAN: ((1.0, 0.0), (0.0, -1.0), (0.5, -0.5)),
+}
 
 
 def kernel_values(
@@ -138,121 +159,77 @@ def kernel_values(
     x: np.ndarray,
     step_at_zero: bool = False,
 ) -> np.ndarray:
-    """Evaluate a kernel on arrays of (t, x) without grid validation.
+    """Evaluate a kernel on broadcastable arrays of (t, x), without grid
+    validation or reduction of x (eval_kernel_grid does both).
 
-    This is the raw computational core; eval_kernel wraps it with input
-    checking.  With ``step_at_zero`` the step-function kinds are extended
-    to t = 0 by their continuous limits (Retarded, Advanced and
-    TimeSymmetric vanish there because the equal-time Commutator vanishes;
-    Feynman continues to the Hadamard value).  That extension is what the
-    absorber double sums use on their equal-time pairs.
+    One pass: D+ and D- are each summed at most once, and only at the
+    points where the kind's coefficient table gives them a nonzero
+    weight.  With ``step_at_zero`` the step-function kinds take their
+    continuous t = 0 extension (see ``_COEFFICIENTS``), which the
+    absorber double sums use on their equal-time pairs; without it they
+    reject t = 0.
     """
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if kind is KernelKind.WIGHTMAN_PLUS:
-        return _wightman_plus_raw(momenta, frequencies, box_length, t, x)
-    if kind is KernelKind.WIGHTMAN_MINUS:
-        return _wightman_minus_raw(momenta, frequencies, box_length, t, x)
-    if kind is KernelKind.COMMUTATOR:
-        return _wightman_plus_raw(momenta, frequencies, box_length, t, x) + _wightman_minus_raw(
-            momenta, frequencies, box_length, t, x
-        )
-    if kind is KernelKind.HADAMARD:
-        return 0.5 * (
-            _wightman_plus_raw(momenta, frequencies, box_length, t, x)
-            - _wightman_minus_raw(momenta, frequencies, box_length, t, x)
-        )
-    if kind in STEP_FUNCTION_KINDS:
-        if not step_at_zero and np.any(t == 0.0):
-            raise ValidationError(
-                f"t must be nonzero for step-function kernel kind {kind.value!r}"
+    t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    regions = (t > 0.0, t < 0.0, t == 0.0)
+    if kind in STEP_FUNCTION_KINDS and not step_at_zero and np.any(regions[2]):
+        raise ValidationError(f"t must be nonzero for step-function kernel kind {kind.value!r}")
+    rows = _COEFFICIENTS[kind]
+    out = np.zeros(t.shape, dtype=complex)
+    for column, sign in enumerate((1.0, -1.0)):
+        weights = np.zeros(t.shape)
+        for mask, row in zip(regions, rows):
+            weights[mask] = row[column]
+        need = weights != 0.0
+        if need.any():
+            out[need] += weights[need] * _wightman(
+                momenta, frequencies, box_length, sign, t[need], x[need]
             )
-        tb, xb = np.broadcast_arrays(t, x)
-        out = np.zeros(tb.shape, dtype=complex)
-        pos = tb > 0.0
-        neg = tb < 0.0
-        if kind is KernelKind.RETARDED:
-            if np.any(pos):
-                out[pos] = kernel_values(
-                    momenta, frequencies, box_length, KernelKind.COMMUTATOR, tb[pos], xb[pos]
-                )
-        elif kind is KernelKind.ADVANCED:
-            if np.any(neg):
-                out[neg] = -kernel_values(
-                    momenta, frequencies, box_length, KernelKind.COMMUTATOR, tb[neg], xb[neg]
-                )
-        elif kind is KernelKind.TIME_SYMMETRIC:
-            if np.any(pos):
-                out[pos] = 0.5 * kernel_values(
-                    momenta, frequencies, box_length, KernelKind.COMMUTATOR, tb[pos], xb[pos]
-                )
-            if np.any(neg):
-                out[neg] = -0.5 * kernel_values(
-                    momenta, frequencies, box_length, KernelKind.COMMUTATOR, tb[neg], xb[neg]
-                )
-        elif kind is KernelKind.FEYNMAN:
-            if np.any(pos):
-                out[pos] = _wightman_plus_raw(momenta, frequencies, box_length, tb[pos], xb[pos])
-            if np.any(neg):
-                out[neg] = -_wightman_minus_raw(momenta, frequencies, box_length, tb[neg], xb[neg])
-            zero = tb == 0.0
-            if step_at_zero and np.any(zero):
-                out[zero] = kernel_values(
-                    momenta, frequencies, box_length, KernelKind.HADAMARD, tb[zero], xb[zero]
-                )
-        return out
-    raise ValidationError(f"kind must be a KernelKind member, got {kind!r}")
+    return out
 
 
-def eval_kernel(lattice: Lattice, kind: KernelKind, point: SpacetimePoint) -> complex:
-    """Evaluate one kernel at one spacetime separation.
+def eval_kernel_grid(lattice: Lattice, kind: KernelKind, ts, xs, step_at_zero: bool = False) -> np.ndarray:
+    """Evaluate a kernel at broadcastable arrays of times and positions.
 
-    Rejects t = 0 for the step-function kinds and rejects momentum grids
-    that are not closed under k -> -k (the kernels' parity and
-    antisymmetry identities rely on exact partner cancellation).
+    The validating entry to the kernel core: rejects a kind that is not a
+    KernelKind, momentum grids that are not closed under k -> -k (the
+    kernels' parity and antisymmetry identities rely on exact partner
+    cancellation) and, for the step-function kinds, t = 0 unless
+    ``step_at_zero``.  Positions are reduced into [0, L) first.
     """
     if not isinstance(kind, KernelKind):
         raise ValidationError(f"kind must be a KernelKind member, got {kind!r}")
     if not is_negation_closed(lattice.momenta):
         raise ValidationError("lattice momenta must be negation-closed (edge mode excluded)")
-    x = canonical_x(point.x, lattice.spec.box_length)
-    vals = kernel_values(
-        lattice.momenta,
-        lattice.frequencies,
-        lattice.spec.box_length,
-        kind,
-        np.asarray([point.t]),
-        np.asarray([x]),
-    )
-    return complex(vals[0])
-
-
-def eval_kernel_grid(lattice: Lattice, kind: KernelKind, ts, xs, step_at_zero: bool = False) -> np.ndarray:
-    """Vectorised evaluation at paired arrays of times and positions."""
-    if not is_negation_closed(lattice.momenta):
-        raise ValidationError("lattice momenta must be negation-closed (edge mode excluded)")
-    xs = np.asarray([canonical_x(float(v), lattice.spec.box_length) for v in np.atleast_1d(xs)])
+    L = lattice.spec.box_length
+    xs = canonical_x(np.atleast_1d(np.asarray(xs, dtype=float)), L)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    return kernel_values(
-        lattice.momenta, lattice.frequencies, lattice.spec.box_length, kind, ts, xs, step_at_zero
-    )
+    return kernel_values(lattice.momenta, lattice.frequencies, L, kind, ts, xs, step_at_zero)
+
+
+def eval_kernel(lattice: Lattice, kind: KernelKind, point: SpacetimePoint) -> complex:
+    """Evaluate one kernel at one spacetime separation (see eval_kernel_grid)."""
+    return complex(eval_kernel_grid(lattice, kind, point.t, point.x)[0])
 
 
 def verify_decomposition(lattice: Lattice, points: list[SpacetimePoint]) -> float:
     """Max residual of  Feynman = TimeSymmetric + (D+ - D-)/2  over points.
 
-    Every kernel is evaluated through its own code path, so the residual
-    measures the floating-point identity rather than an algebraic rewrite.
-    Points must avoid t = 0 (step-function kinds).
+    All four kinds are combinations of the same D+ and D- sums (see
+    ``_COEFFICIENTS``), so the residual tests the coefficient table and
+    the step masks (it reads 0.0 at the defaults); it is not an
+    independent route to the kernels.  Check 03 (the Fock-space vacuum
+    expectation) and the 50-digit D+ oracle are.  Points must avoid
+    t = 0 (step-function kinds).
     """
-    worst = 0.0
-    for p in points:
-        f = eval_kernel(lattice, KernelKind.FEYNMAN, p)
-        dbar = eval_kernel(lattice, KernelKind.TIME_SYMMETRIC, p)
-        dp = eval_kernel(lattice, KernelKind.WIGHTMAN_PLUS, p)
-        dm = eval_kernel(lattice, KernelKind.WIGHTMAN_MINUS, p)
-        worst = max(worst, abs(f - dbar - 0.5 * (dp - dm)))
-    return worst
+    ts = np.array([p.t for p in points], dtype=float)
+    xs = np.array([p.x for p in points], dtype=float)
+
+    def k(kind):
+        return eval_kernel_grid(lattice, kind, ts, xs)
+
+    f, dbar = k(KernelKind.FEYNMAN), k(KernelKind.TIME_SYMMETRIC)
+    dp, dm = k(KernelKind.WIGHTMAN_PLUS), k(KernelKind.WIGHTMAN_MINUS)
+    return float(np.max(np.abs(f - dbar - 0.5 * (dp - dm)), initial=0.0))
 
 
 def verify_antisymmetry(
@@ -261,17 +238,13 @@ def verify_antisymmetry(
     """Max over pairs (a, b) of |D+(a-b) + D-(b-a)|.
 
     The two sums cancel mode against negated partner mode, so the grid
-    must be negation-closed; eval_kernel enforces that.
+    must be negation-closed; eval_kernel_grid enforces that.
     """
-    worst = 0.0
-    L = lattice.spec.box_length
-    for a, b in pairs:
-        fwd = separation(a, b, L)
-        rev = separation(b, a, L)
-        dp = eval_kernel(lattice, KernelKind.WIGHTMAN_PLUS, fwd)
-        dm = eval_kernel(lattice, KernelKind.WIGHTMAN_MINUS, rev)
-        worst = max(worst, abs(dp + dm))
-    return worst
+    dt = np.array([a.t - b.t for a, b in pairs], dtype=float)
+    dx = np.array([a.x - b.x for a, b in pairs], dtype=float)
+    dp = eval_kernel_grid(lattice, KernelKind.WIGHTMAN_PLUS, dt, dx)
+    dm = eval_kernel_grid(lattice, KernelKind.WIGHTMAN_MINUS, -dt, -dx)
+    return float(np.max(np.abs(dp + dm), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -313,20 +286,16 @@ class FrequencyIntegralSpec:
             raise ValidationError(f"abs_tol must be positive, got {self.abs_tol}")
 
 
-def _quad_segment(fn, a: float, b: float, points=None) -> complex:
+def _quad_segment(fn, a: float, b: float) -> complex:
     """Adaptive quadrature of a complex integrand over [a, b], no checking.
 
     QUADPACK's own error estimate saturates on the eps-narrow pole kinks
     even when the returned value is converged, so callers validate by
     comparing two structurally different segmentations instead.
     """
-    import warnings
-
     kw = dict(limit=800, epsabs=1e-10, epsrel=1e-9)
-    if points is not None:
-        kw["points"] = points
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", IntegrationWarning)
         re = quad(lambda v: fn(v).real, a, b, **kw)[0]
         im = quad(lambda v: fn(v).imag, a, b, **kw)[0]
     return re + 1j * im

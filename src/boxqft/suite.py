@@ -57,6 +57,7 @@ __all__ = [
     "all_passed",
     "run_all_checks",
     "sample_points",
+    "sample_vev_pairs",
 ]
 
 DEFAULT_TOLERANCES: dict[str, float] = {
@@ -159,6 +160,23 @@ def sample_points(
     return points
 
 
+def sample_vev_pairs(rng: np.random.Generator, box_length: float, n: int):
+    """Yield n seeded point pairs (p_x, p_y) for the time-ordered VEV
+    comparison: times in [-2, 2] at least 1e-3 apart, p_x the later of
+    the two on even indices and the earlier on odd ones."""
+    for idx in range(n):
+        t1, t2 = rng.uniform(-2.0, 2.0, size=2)
+        while abs(t1 - t2) < 1e-3:
+            t2 = float(rng.uniform(-2.0, 2.0))
+        if (t1 > t2) != (idx % 2 == 0):
+            t1, t2 = t2, t1
+        x1, x2 = rng.uniform(0.0, box_length, size=2)
+        yield (
+            make_point(float(t1), float(x1), box_length),
+            make_point(float(t2), float(x2), box_length),
+        )
+
+
 def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, stream])
 
@@ -168,12 +186,7 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 def _check_antisymmetry(lattice: Lattice, seed: int) -> float:
     rng = _rng(seed, 1)
     L = lattice.spec.box_length
-    pairs = [
-        (a, b)
-        for a, b in zip(
-            sample_points(rng, L, 1000), sample_points(rng, L, 1000)
-        )
-    ]
+    pairs = list(zip(sample_points(rng, L, 1000), sample_points(rng, L, 1000)))
     return verify_antisymmetry(lattice, pairs)
 
 
@@ -195,20 +208,10 @@ def _check_vev_oracle(base: LatticeSpec, seed: int) -> tuple[float, int]:
     )
     lattice = build_lattice(spec16)
     mode_spec = fock.mode_spec_from_lattice(lattice, max_occupation=1)
-    rng = _rng(seed, 3)
     L = spec16.box_length
     worst = 0.0
     truncations = 0
-    for idx in range(100):
-        t1, t2 = rng.uniform(-2.0, 2.0, size=2)
-        while abs(t1 - t2) < 1e-3:
-            t2 = float(rng.uniform(-2.0, 2.0))
-        want_later_first = idx % 2 == 0
-        if (t1 > t2) != want_later_first:
-            t1, t2 = t2, t1
-        x1, x2 = rng.uniform(0.0, L, size=2)
-        p_x = make_point(float(t1), float(x1), L)
-        p_y = make_point(float(t2), float(x2), L)
+    for p_x, p_y in sample_vev_pairs(_rng(seed, 3), L, 100):
         vev, events = fock.time_ordered_vev_detail(mode_spec, p_x, p_y)
         kernel = eval_kernel(lattice, KernelKind.FEYNMAN, separation(p_x, p_y, L))
         worst = max(worst, abs(vev - kernel))

@@ -1,11 +1,15 @@
 """Regulated frequency-plane representation of the per-mode kernel."""
+import warnings
+
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from boxqft.lattice import ValidationError
 from boxqft.propagators import (
     FrequencyIntegralSpec,
     QuadratureError,
+    _quad_segment,
     frequency_integral_feynman,
     verify_frequency_split,
 )
@@ -89,3 +93,27 @@ def test_unmeetable_quadrature_tolerance_raises():
     )
     with pytest.raises(QuadratureError):
         frequency_integral_feynman(spec)
+
+
+def test_quadrature_passes_integrand_warnings_through():
+    """Only QUADPACK's own IntegrationWarning is silenced; a warning the
+    integrand raises reaches the caller."""
+
+    def noisy(v):
+        warnings.warn("integrand overflow", RuntimeWarning)
+        return complex(v, -v)
+
+    with pytest.warns(RuntimeWarning, match="integrand overflow"):
+        value = _quad_segment(noisy, 0.0, 1.0)
+    assert abs(value - (0.5 - 0.5j)) <= 1e-12
+
+
+def test_quadrature_silences_integration_warning():
+    def wild(v):
+        # sin(1/v)/v oscillates without bound near 0; QUADPACK reports it
+        # with an IntegrationWarning
+        return complex(np.sin(1.0 / v) / v) if v else 0j
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        _quad_segment(wild, -1.0, 1.0)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxqft import propagators
 from boxqft.lattice import Lattice, LatticeSpec, ValidationError, build_lattice
 from boxqft.propagators import (
     STEP_FUNCTION_KINDS,
@@ -17,6 +18,7 @@ from boxqft.propagators import (
     verify_antisymmetry,
     verify_decomposition,
 )
+from boxqft.suite import sample_points
 
 L = 10.0
 
@@ -40,24 +42,97 @@ def test_positive_frequency_kernel_matches_independent_oracle(key, expected):
     assert abs(got - expected) <= 1e-15
 
 
-def _sample_points(rng, n, min_abs_t=0.0):
-    points = []
-    while len(points) < n:
-        t = float(rng.uniform(-2.0, 2.0))
-        if abs(t) < min_abs_t:
-            continue
-        points.append(make_point(t, float(rng.uniform(0.0, L)), L))
-    return points
-
-
 def test_antisymmetry_of_wightman_pair(lattice64, rng):
-    pairs = list(zip(_sample_points(rng, 100), _sample_points(rng, 100)))
+    pairs = list(zip(sample_points(rng, L, 100), sample_points(rng, L, 100)))
     assert verify_antisymmetry(lattice64, pairs) <= 1e-12
 
 
 def test_feynman_decomposition(lattice64, rng):
-    points = _sample_points(rng, 100, min_abs_t=0.05)
+    points = sample_points(rng, L, 100, min_abs_t=0.05)
     assert verify_decomposition(lattice64, points) <= 1e-12
+
+
+def _reference_kernels(n_space, mass, t, x):
+    """Every kind at paired points (t, x) by plain numpy sums, written from
+    the README convention table alone: k_n = 2 pi n / L for
+    n = -(N/2 - 1) .. N/2 - 1, w_n = sqrt(m^2 + k_n^2), x reduced mod L,
+    and step(0) = 1/2, which gives the continuous t = 0 extension."""
+    n = np.arange(-(n_space // 2 - 1), n_space // 2)
+    k = 2.0 * np.pi * n / L
+    w = np.sqrt(mass * mass + k * k)
+    tw = np.multiply.outer(t, w)
+    kx = np.multiply.outer(np.mod(x, L), k)
+    dplus = np.sum(np.exp(-1j * (tw - kx)) / (2.0 * w), axis=-1) / L
+    dminus = -np.sum(np.exp(1j * (tw + kx)) / (2.0 * w), axis=-1) / L
+    commutator = dplus + dminus
+    after, before = np.heaviside(t, 0.5), np.heaviside(-t, 0.5)
+    retarded = after * commutator
+    advanced = -before * commutator
+    return {
+        KernelKind.WIGHTMAN_PLUS: dplus,
+        KernelKind.WIGHTMAN_MINUS: dminus,
+        KernelKind.COMMUTATOR: commutator,
+        KernelKind.HADAMARD: (dplus - dminus) / 2.0,
+        KernelKind.RETARDED: retarded,
+        KernelKind.ADVANCED: advanced,
+        KernelKind.TIME_SYMMETRIC: (retarded + advanced) / 2.0,
+        KernelKind.FEYNMAN: after * dplus - before * dminus,
+    }
+
+
+def test_every_kind_matches_plain_reference(lattice64):
+    """~10^3 seeded points, a tenth of them at t = 0 with the step
+    extension, positions spread over four periods."""
+    rng = np.random.default_rng(2015)
+    t = rng.uniform(-2.0, 2.0, 1000)
+    t[::10] = 0.0
+    x = rng.uniform(-15.0, 25.0, 1000)
+    reference = _reference_kernels(64, 1.0, t, x)
+    # 63 terms of size <= 1/(2 m L) summed in two orders: a few 1e-16
+    for kind in KernelKind:
+        got = eval_kernel_grid(lattice64, kind, t, x, step_at_zero=True)
+        np.testing.assert_allclose(got, reference[kind], rtol=0, atol=1e-14, err_msg=kind.value)
+
+
+@pytest.mark.parametrize("kind", list(KernelKind), ids=lambda k: k.value)
+def test_scalar_and_array_calls_agree_bitwise(lattice64, kind):
+    rng = np.random.default_rng(7)
+    t = rng.uniform(-2.0, 2.0, 40)
+    x = rng.uniform(-15.0, 25.0, 40)
+    grid = eval_kernel_grid(lattice64, kind, t, x)
+    scalar = [eval_kernel(lattice64, kind, make_point(a, b, L)) for a, b in zip(t, x)]
+    np.testing.assert_array_equal(grid, scalar)
+
+
+def test_single_pass_evaluates_each_wightman_function_once(lattice64, monkeypatch):
+    """D+ and D- are each summed once per call, only where the kind gives
+    them a nonzero weight."""
+    calls = []
+    original = propagators._wightman
+
+    def recording(momenta, frequencies, box_length, sign, t, x):
+        calls.append((sign, t.size))
+        return original(momenta, frequencies, box_length, sign, t, x)
+
+    monkeypatch.setattr(propagators, "_wightman", recording)
+    t = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5])
+    x = np.linspace(0.0, 5.0, 6)
+    expected = {
+        KernelKind.WIGHTMAN_PLUS: [(1.0, 6)],
+        KernelKind.WIGHTMAN_MINUS: [(-1.0, 6)],
+        KernelKind.COMMUTATOR: [(1.0, 6), (-1.0, 6)],
+        KernelKind.HADAMARD: [(1.0, 6), (-1.0, 6)],
+        KernelKind.RETARDED: [(1.0, 3), (-1.0, 3)],
+        KernelKind.ADVANCED: [(1.0, 2), (-1.0, 2)],
+        KernelKind.TIME_SYMMETRIC: [(1.0, 5), (-1.0, 5)],
+        KernelKind.FEYNMAN: [(1.0, 4), (-1.0, 3)],
+    }
+    for kind, want in expected.items():
+        calls.clear()
+        propagators.kernel_values(
+            lattice64.momenta, lattice64.frequencies, L, kind, t, x, step_at_zero=True
+        )
+        assert calls == want, kind.value
 
 
 @pytest.mark.parametrize("t", [-1.3, -0.2, 0.4, 1.7])
@@ -157,6 +232,9 @@ def test_point_canonicalization():
     assert make_point(0.5, 12.5, L).x == pytest.approx(2.5)
     assert make_point(0.5, 10.0, L).x == 0.0
     assert canonical_x(-0.25, L) == pytest.approx(9.75)
+    xs = np.array([-1e-20, -0.25, 0.0, 12.5, -31.0, 9.999])
+    np.testing.assert_array_equal(canonical_x(xs, L), [canonical_x(v, L) for v in xs])
+    assert canonical_x(-1e-20, L) == 0.0  # np.mod alone gives L here
 
 
 def test_separation_wraps_position():

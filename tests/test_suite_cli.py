@@ -1,6 +1,7 @@
 """Named-check registry and the command-line front end."""
 import json
 
+import numpy as np
 import pytest
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -19,6 +20,7 @@ from boxqft.suite import (
     CheckResult,
     all_passed,
     run_all_checks,
+    sample_vev_pairs,
 )
 
 EXPECTED_CHECK_NAMES = [
@@ -199,8 +201,23 @@ def test_kernel_step_kind_time_zero(tmp_path, capsys):
     base = ["kernel", "--kind", "retarded", "--t", "0", "--x", "1",
             "--out", str(tmp_path)]
     assert main(base) == 2
-    assert "t = 0" in capsys.readouterr().err or True  # named in stderr
+    assert "t must be nonzero" in capsys.readouterr().err
     assert main(base + ["--step-at-zero"]) == 0
+
+
+@pytest.mark.parametrize("kind", ["dplus", "hadamard", "feynman"])
+def test_kernel_reduces_x_into_the_box(tmp_path, kind):
+    """Positions one period apart give byte-identical kernel values."""
+    def values(x_range, out):
+        assert main(["kernel", f"--kind={kind}", "--t-range=-1.2:1.3:5",
+                     f"--x-range={x_range}", "--out", str(out)]) == 0
+        lines = (out / f"kernel_{kind}.csv").read_text().splitlines()[1:]
+        return [line.split(",")[3:] for line in lines]
+
+    inside = values("0.5:2.5:5", tmp_path / "inside")
+    shifted = values("10.5:12.5:5", tmp_path / "shifted")
+    assert len(inside) == 25
+    assert shifted == inside
 
 
 def test_invalid_lattice_input_exits_2(tmp_path, capsys):
@@ -216,6 +233,16 @@ def test_norm_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):
     assert main(["verify", "--out", str(tmp_path)]) == 1
     assert "failure: ARPACK error -1" in capsys.readouterr().err
     assert not (tmp_path / "verify_report.json").exists()
+
+
+def test_vev_pairs_alternate_time_order():
+    rng = np.random.default_rng(3)
+    pairs = list(sample_vev_pairs(rng, 10.0, 40))
+    assert len(pairs) == 40
+    for idx, (p_x, p_y) in enumerate(pairs):
+        assert (p_x.t > p_y.t) == (idx % 2 == 0)
+        assert abs(p_x.t - p_y.t) >= 1e-3
+        assert 0.0 <= p_x.x < 10.0 and 0.0 <= p_y.x < 10.0
 
 
 def test_fock_vev_subcommand(tmp_path):
