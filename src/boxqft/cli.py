@@ -28,16 +28,16 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from . import absorber, dirac, fock
+from . import absorber, dirac
 from .lattice import LatticeSpec, ValidationError, build_lattice
-from .propagators import (
-    KernelKind,
-    QuadratureError,
-    eval_kernel,
-    eval_kernel_grid,
-    separation,
+from .propagators import KernelKind, QuadratureError, eval_kernel_grid
+from .suite import (
+    DEFAULT_TOLERANCES,
+    all_passed,
+    compare_vev_to_feynman,
+    run_all_checks,
+    sample_vev_pairs,
 )
-from .suite import DEFAULT_TOLERANCES, all_passed, run_all_checks, sample_vev_pairs
 
 __all__ = ["RunConfig", "main", "report_schema_version"]
 
@@ -263,27 +263,20 @@ def cmd_kernel(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_fock_vev(config: RunConfig, args: argparse.Namespace) -> int:
     lattice = build_lattice(config.lattice_spec())
-    mode_spec = fock.mode_spec_from_lattice(lattice, max_occupation=1)
     rng = np.random.default_rng(config.seed)
-    L = config.box_length
-    records = []
-    worst = 0.0
-    truncations = 0
-    for p_x, p_y in sample_vev_pairs(rng, L, args.n_pairs):
-        vev, events = fock.time_ordered_vev_detail(mode_spec, p_x, p_y)
-        kernel = eval_kernel(lattice, KernelKind.FEYNMAN, separation(p_x, p_y, L))
-        diff = abs(vev - kernel)
-        worst = max(worst, diff)
-        truncations += events
-        records.append(
-            {
-                "x": [p_x.t, p_x.x],
-                "y": [p_y.t, p_y.x],
-                "vev": _complex_pair(vev),
-                "i_feynman": _complex_pair(kernel),
-                "abs_diff": float(diff),
-            }
-        )
+    pairs = list(sample_vev_pairs(rng, config.box_length, args.n_pairs))
+    vevs, kernels, diffs, truncations = compare_vev_to_feynman(lattice, pairs)
+    worst = float(np.max(diffs, initial=0.0))
+    records = [
+        {
+            "x": [p_x.t, p_x.x],
+            "y": [p_y.t, p_y.x],
+            "vev": _complex_pair(vev),
+            "i_feynman": _complex_pair(kernel),
+            "abs_diff": float(diff),
+        }
+        for (p_x, p_y), vev, kernel, diff in zip(pairs, vevs, kernels, diffs)
+    ]
     out_dir = _ensure_out_dir(config)
     path = out_dir / "fock_vev.json"
     _write_json(path, records)

@@ -11,6 +11,7 @@ from boxqft.absorber import (
     emitted_spectrum,
     free_field_identity,
     interaction_sum,
+    kernel_difference_table,
     light_tight_check,
     project_light_tight,
     random_current,
@@ -95,6 +96,38 @@ def test_wrong_shape_rejected_by_interaction(lat):
 
 
 # --- double sums ------------------------------------------------------------
+
+def _gather_interaction_sum(a, b, table, lattice):
+    """Oracle: the double sum by gathering an (n_t, n_x, n_x) block of the
+    difference table for every time row of b, O(n_t^2 n_x^2)."""
+    n_t, n_x = lattice.spec.n_time, lattice.spec.n_space
+    idx = np.arange(n_x)
+    jdiff = (idx[:, None] - idx[None, :]) % n_x
+    times = np.arange(n_t)
+    acc = 0.0 + 0.0j
+    for i_prime in range(n_t):
+        rows = table[times - i_prime + n_t - 1]          # (n_t, n_x) over dt
+        gathered = rows[:, jdiff]                        # (n_t, n_x, n_x)
+        field_at_y = np.einsum("ij,ijk->k", a, gathered)
+        acc += field_at_y @ b[i_prime]
+    return complex(acc * (lattice.spec.dt * lattice.dx) ** 2)
+
+
+@pytest.mark.parametrize("n_time,n_space", [(1, 8), (7, 12), (16, 16)])
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_interaction_sum_matches_gather_oracle(n_time, n_space, reverse, kind):
+    """The FFT correlation equals the direct gather to 1e-12 relative."""
+    lattice = build_lattice(LatticeSpec(n_space=n_space, n_time=n_time))
+    table = kernel_difference_table(lattice, kind, reverse)
+    rng = np.random.default_rng([n_time, n_space, int(reverse), list(KernelKind).index(kind)])
+    for _ in range(3):
+        a, b = rng.standard_normal((2, n_time, n_space))
+        value = interaction_sum(
+            CurrentDistribution(a), CurrentDistribution(b), kind, lattice, reverse
+        )
+        assert value == pytest.approx(_gather_interaction_sum(a, b, table, lattice), rel=1e-12)
+
 
 def test_interaction_sum_is_bilinear(lat, currents):
     a, b, c = currents
@@ -183,7 +216,7 @@ def test_spectrum_scales_quadratically(lat, currents):
 
 def test_onshell_cosine_radiates_into_its_own_mode(lat):
     """A current oscillating on one lattice mode deposits energy only in
-    that +/- momentum pair."""
+    that +/- momentum pair, and mostly in the mode it travels along."""
     n = 11  # mode index on the 15-mode grid; k > 0
     k = lat.momenta[n]
     w = lat.frequencies[n]
@@ -191,11 +224,12 @@ def test_onshell_cosine_radiates_into_its_own_mode(lat):
     xx = lat.positions()[None, :]
     current = CurrentDistribution(np.cos(w * tt - k * xx))
     spectrum = emitted_spectrum([current], lat)
-    pair = {n, int(np.argmin(np.abs(lat.momenta + k)))}
-    on_pair = sum(spectrum.energies[i] for i in pair)
+    mirror = int(np.argmin(np.abs(lat.momenta + k)))
+    on_pair = spectrum.energies[n] + spectrum.energies[mirror]
     off_pair = spectrum.total - on_pair
     assert on_pair > 1e-3
     assert off_pair <= 1e-12 * on_pair
+    assert spectrum.energies[n] > 10.0 * spectrum.energies[mirror]
 
 
 def test_spectrum_csv_round_trip_bytes(lat, currents, tmp_path):

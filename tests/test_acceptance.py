@@ -106,6 +106,10 @@ def test_10e_subset_sum_control(results):
     _gate(results, "10e_subset_sum_control")
 
 
+def test_10f_interaction_fft_vs_direct(results):
+    _gate(results, "10f_interaction_fft_vs_direct")
+
+
 # --- command-line wire contract --------------------------------------------
 
 def test_11a_cli_verify_report_contract(tmp_path):
@@ -115,7 +119,7 @@ def test_11a_cli_verify_report_contract(tmp_path):
         code == 0
         and set(report) == {"schema_version", "config", "checks"}
         and report["schema_version"] == "1"
-        and len(report["checks"]) == 18
+        and len(report["checks"]) == 19
         and all(
             set(c) == {"name", "paper_ref", "max_residual", "tolerance", "pass"}
             for c in report["checks"]

@@ -1,11 +1,14 @@
 """Named-check registry and the command-line front end."""
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import boxqft.suite
 from boxqft.cli import (
     build_run_config,
     load_config_file,
@@ -13,12 +16,14 @@ from boxqft.cli import (
     parse_tolerance_overrides,
     report_schema_version,
 )
-from boxqft.lattice import LatticeSpec, ValidationError
+from boxqft.lattice import LatticeSpec, ValidationError, build_lattice
+from boxqft.propagators import KernelKind, QuadratureError, eval_kernel, separation
 from boxqft.suite import (
     DEFAULT_TOLERANCES,
     PAPER_REFS,
     CheckResult,
     all_passed,
+    compare_vev_to_feynman,
     run_all_checks,
     sample_vev_pairs,
 )
@@ -42,6 +47,7 @@ EXPECTED_CHECK_NAMES = [
     "10c_spectrum_nonnegativity",
     "10d_light_tight_projection",
     "10e_subset_sum_control",
+    "10f_interaction_fft_vs_direct",
 ]
 
 
@@ -96,6 +102,22 @@ def test_control_check_uses_exceed_comparison():
     flipped = run_all_checks(LatticeSpec(), seed=42, tolerances=huge)
     record = {r.name: r for r in flipped}["10e_subset_sum_control"]
     assert not record.passed
+
+
+def test_quadrature_failure_is_inf_and_warned(monkeypatch):
+    def failing():
+        raise QuadratureError("segment [0, 1] disagrees by 3e-2")
+
+    monkeypatch.setattr(boxqft.suite, "_check_frequency_integral", failing)
+    with pytest.warns(RuntimeWarning) as caught:
+        results = run_all_checks(LatticeSpec(), seed=42)
+    messages = [str(w.message) for w in caught]
+    assert any(
+        "08a_frequency_integral_target" in m and "disagrees by 3e-2" in m
+        for m in messages
+    )
+    record = {r.name: r for r in results}["08a_frequency_integral_target"]
+    assert record.max_residual == math.inf and not record.passed
 
 
 def test_check_result_is_frozen():
@@ -245,6 +267,18 @@ def test_vev_pairs_alternate_time_order():
         assert 0.0 <= p_x.x < 10.0 and 0.0 <= p_y.x < 10.0
 
 
+def test_vev_comparison_matches_scalar_kernel():
+    lattice = build_lattice(LatticeSpec(n_space=16))
+    pairs = list(sample_vev_pairs(np.random.default_rng(5), 10.0, 8))
+    vevs, kernels, diffs, truncations = compare_vev_to_feynman(lattice, pairs)
+    for (p_x, p_y), vev, kernel, diff in zip(pairs, vevs, kernels, diffs):
+        scalar = eval_kernel(lattice, KernelKind.FEYNMAN, separation(p_x, p_y, 10.0))
+        assert kernel == scalar  # one array call, bit for bit the scalar value
+        assert diff == abs(complex(vev) - scalar)
+    assert truncations == 0
+    assert np.max(diffs) <= 1e-10
+
+
 def test_fock_vev_subcommand(tmp_path):
     code = main(["fock-vev", "--n-space", "16", "--n-pairs", "6",
                  "--out", str(tmp_path)])
@@ -290,6 +324,20 @@ def test_absorber_projection_seals_the_box(tmp_path):
     summary = json.loads((tmp_path / "absorber_summary.json").read_text())
     assert summary["light_tight"]
     assert summary["total"] <= 1e-10
+
+
+@pytest.mark.parametrize("project", [False, True])
+def test_absorber_reaches_128_squared(tmp_path, capsys, project):
+    argv = ["absorber", "--n-space", "128", "--n-time", "128",
+            "--n-currents", "2", "--out", str(tmp_path)]
+    assert main(argv + (["--project"] if project else [])) == 0
+    out = capsys.readouterr().out
+    residuals = re.findall(r"residual = (\S+)$", out, re.M)
+    assert len(residuals) == 2
+    assert all(float(value) <= 1e-10 for value in residuals)
+    summary = json.loads((tmp_path / "absorber_summary.json").read_text())
+    assert summary["n_modes"] == 127
+    assert summary["light_tight"] is project
 
 
 def test_absorber_loads_current_from_csv(tmp_path):
