@@ -28,9 +28,17 @@ Cost.  S depends on the currents only through their cross-correlation,
 which is linear in time and circular in space, so interaction_sum
 computes it with one zero-padded 2-D FFT pair and contracts it with the
 kernel's difference table: O(n_t n_x log(n_t n_x)) per call, against
-O(n_t^2 n_x^2) for the direct double sum.  The emission spectrum takes
-its own route, direct exponential sums at the on-shell frequencies, so
-the Parseval residual compares two independent computations.
+O(n_t^2 n_x^2) for the direct double sum.  The grid positions
+x_j = j L / N put every spatial phase exp(i k_n x_j) on a DFT bin, so the
+difference table is one inverse DFT per time row of per-mode
+coefficients, and the light-tight projection is a two-column fit per
+spatial bin between a forward and an inverse DFT: both are
+O(n_t n_x log n_x), with no points x modes temporaries.  The direct mode
+sums (propagators.kernel_values) and the least-squares projection on
+the flattened on-shell basis stay as the oracles of checks 10g and 10h.
+The emission spectrum takes its own route, direct exponential sums at
+the on-shell frequencies, so the Parseval residual compares two
+independent computations.
 """
 from __future__ import annotations
 
@@ -42,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .lattice import Lattice, LatticeSpec, ValidationError, build_lattice
-from .propagators import KernelKind, kernel_values
+from .propagators import KernelKind, wightman_weights
 
 __all__ = [
     "CurrentDistribution",
@@ -151,24 +159,34 @@ def _check_on_lattice(current: CurrentDistribution, lattice: Lattice, name: str)
 def _difference_table(spec: LatticeSpec, kind: KernelKind) -> np.ndarray:
     """Kernel values on every grid difference: shape (2 n_time - 1, n_space).
 
-    Row r holds time difference (r - (n_time - 1)) * dt; column c holds
-    space difference c * dx (differences reduced modulo the box).  The
-    equal-time row uses the kernels' continuous extension.
+    Row r holds time difference t = (r - (n_time - 1)) * dt; column c
+    holds space difference c * dx (differences reduced modulo the box).
+    The equal-time row uses the kernels' continuous extension.
+
+    Every kind is w+(t) D+ + w-(t) D- with the weights of
+    propagators.wightman_weights, and both sums carry the spatial phase
+    exp(i k_n c dx) = exp(2 pi i n c / N).  So each row is the inverse
+    DFT of the per-mode coefficients
+        w+(t) exp(-i w_n t) / (2 w_n L) - w-(t) exp(+i w_n t) / (2 w_n L)
+    placed on bins n mod N; the excluded edge bin stays zero.
     """
     lattice = build_lattice(spec)
     n_t, n_x = spec.n_time, spec.n_space
-    dts = (np.arange(-(n_t - 1), n_t) * spec.dt)[:, None]
-    dxs = np.arange(n_x) * lattice.dx
-    table = kernel_values(
-        lattice.momenta,
-        lattice.frequencies,
-        spec.box_length,
-        kind,
-        dts,
-        dxs,
-        step_at_zero=True,
-    )
-    table = np.asarray(table, dtype=complex)
+    L = spec.box_length
+    dts = np.arange(-(n_t - 1), n_t) * spec.dt
+    row_kind = np.select([dts > 0.0, dts < 0.0], [0, 1], 2)
+    weights = np.asarray(wightman_weights(kind))[row_kind]      # (2 n_t - 1, 2)
+    frequencies = np.asarray(lattice.frequencies)
+    phases = np.exp(-1j * np.multiply.outer(dts, frequencies))
+    coefficients = (
+        weights[:, :1] * phases - weights[:, 1:] * np.conj(phases)
+    ) / (2.0 * frequencies * L)
+    bins = np.rint(np.asarray(lattice.momenta) * L / (2.0 * np.pi)).astype(int) % n_x
+    spectrum = np.zeros((2 * n_t - 1, n_x), dtype=complex)
+    spectrum[:, bins] = coefficients
+    # norm="forward" puts the 1/N on the forward transform, so the inverse
+    # is the plain sum over bins.
+    table = np.fft.ifft(spectrum, axis=1, norm="forward")
     table.setflags(write=False)
     return table
 
@@ -333,8 +351,6 @@ def emitted_spectrum(
     total = np.zeros((n_t, n_x))
     for idx, current in enumerate(currents):
         _check_on_lattice(current, lattice, f"#{idx}")
-        if np.iscomplexobj(current.samples) and np.any(current.samples.imag != 0):
-            raise ValidationError(f"current #{idx} has nonzero imaginary part")
         total = total + current.samples
     transform = _onshell_transform(lattice, total)
     measure = (lattice.spec.dt * lattice.dx) ** 2
@@ -348,14 +364,15 @@ def emitted_spectrum(
 
 
 def spectrum_consistency_residual(
-    currents: list[CurrentDistribution], lattice: Lattice
+    currents: list[CurrentDistribution], lattice: Lattice, spectrum: EmissionSpectrum
 ) -> float:
-    """|sum_n E_n - S[J, J; D+]|: the mode decomposition against the
-    direct double sum over the total current (discrete Parseval)."""
+    """|sum_n E_n - S[J, J; D+]|: the mode decomposition ``spectrum``
+    (emitted_spectrum of the same currents, built once by the caller)
+    against the direct double sum over the total current (discrete
+    Parseval)."""
     if not currents:
         return 0.0
     total = CurrentDistribution(sum(c.samples for c in currents))
-    spectrum = emitted_spectrum(currents, lattice)
     double_sum = interaction_sum(total, total, KernelKind.WIGHTMAN_PLUS, lattice)
     return abs(spectrum.total - double_sum)
 
@@ -369,33 +386,37 @@ def light_tight_check(
     return emitted_spectrum(currents, lattice).total
 
 
-def _onshell_basis(lattice: Lattice) -> np.ndarray:
-    """Real basis of on-shell grid functions: columns cos(w t - k x) and
-    sin(w t - k x) for every mode, flattened over the grid."""
-    times = lattice.times()
-    positions = lattice.positions()
-    tt = times[:, None, None]
-    xx = positions[None, :, None]
-    ww = np.asarray(lattice.frequencies)[None, None, :]
-    kk = np.asarray(lattice.momenta)[None, None, :]
-    angles = ww * tt - kk * xx                       # (n_t, n_x, modes)
-    flat = angles.reshape(times.size * positions.size, -1)
-    return np.hstack([np.cos(flat), np.sin(flat)])
-
-
 def project_light_tight(
     current: CurrentDistribution, lattice: Lattice
 ) -> CurrentDistribution:
     """Remove every on-shell Fourier component from a current.
 
-    Least-squares projection onto the orthogonal complement of the
-    on-shell cosine/sine grid functions; the residual current has zero
-    overlap with each of them, hence (numerically) zero emission in
-    every mode, while remaining real.
+    The least-squares projection onto the orthogonal complement of the
+    on-shell grid functions cos(w_n t - k_n x) and sin(w_n t - k_n x),
+    taken spatial bin by spatial bin: after a DFT over x, bin n (n >= 0)
+    holds exactly the on-shell time functions exp(+-i w_n t), whose span
+    is that of the real pair cos(w_n t), sin(w_n t), and the Nyquist bin
+    holds none.  Each bin's time series loses its fit on its pair, and an
+    inverse real DFT returns a real current with (numerically) zero
+    emission in every mode.
+
+    A pair direction whose singular value is below eps * max(M, N) times
+    the largest one is dropped: the rank rule of np.linalg.lstsq on the
+    flattened (M, N) = (n_t n_x, 2 modes) basis, whose singular values
+    are the per-bin ones times sqrt(n_x).  So a grid where
+    exp(i w t) = exp(-i w t), e.g. w dt = pi, projects as that fit does.
     """
     _check_on_lattice(current, lattice, "current")
-    basis = _onshell_basis(lattice)
-    flat = current.samples.ravel()
-    coeffs, *_ = np.linalg.lstsq(basis, flat, rcond=None)
-    residual = flat - basis @ coeffs
-    return CurrentDistribution(residual.reshape(current.shape))
+    n_t, n_x = current.shape
+    momenta = np.asarray(lattice.momenta)
+    frequencies = np.asarray(lattice.frequencies)[momenta >= 0.0]   # bins 0 .. N/2 - 1
+    angles = np.multiply.outer(frequencies, lattice.times())
+    pairs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)     # (bins, n_t, 2)
+    u, s, _ = np.linalg.svd(pairs, full_matrices=False)
+    rank_cutoff = np.finfo(float).eps * max(n_t * n_x, 2 * momenta.size) * s.max()
+    u = u * (s > rank_cutoff)[:, None, :]
+    spectrum = np.fft.rfft(current.samples, axis=1)
+    series = spectrum[:, : frequencies.size].T                      # (bins, n_t)
+    fit = np.einsum("btk,bk->bt", u, np.einsum("btk,bt->bk", u, series))
+    spectrum[:, : frequencies.size] -= fit.T
+    return CurrentDistribution(np.fft.irfft(spectrum, n=n_x, axis=1))

@@ -350,8 +350,8 @@ def cmd_absorber(config: RunConfig, args: argparse.Namespace) -> int:
         currents = [absorber.project_light_tight(c, lattice) for c in currents]
 
     free_residual = absorber.free_field_identity(currents, lattice)
-    parseval = absorber.spectrum_consistency_residual(currents, lattice)
     spectrum = absorber.emitted_spectrum(currents, lattice)
+    parseval = absorber.spectrum_consistency_residual(currents, lattice, spectrum)
     light_tight = spectrum.total <= args.abs_tol
 
     out_dir = _ensure_out_dir(config)

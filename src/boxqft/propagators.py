@@ -150,6 +150,12 @@ _COEFFICIENTS = {
 }
 
 
+def wightman_weights(kind: KernelKind):
+    """The kind's (D+, D-) weights for t > 0, for t < 0 and for the
+    continuous t = 0 extension, as kernel_values combines them."""
+    return _COEFFICIENTS[kind]
+
+
 def kernel_values(
     momenta: np.ndarray,
     frequencies: np.ndarray,

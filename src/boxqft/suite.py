@@ -28,6 +28,8 @@ Check names are stable identifiers (report consumers key on them):
 10e subset sums break the double-sum identities (must *exceed* its
     threshold; the one check with reversed comparison)
 10f FFT-correlation double sum equals the dense a.K.b product
+10g DFT-built difference table equals the direct mode sums
+10h spectral light-tight projection equals the least-squares one
 """
 from __future__ import annotations
 
@@ -45,6 +47,7 @@ from .propagators import (
     QuadratureError,
     eval_kernel_grid,
     frequency_integral_feynman,
+    kernel_values,
     make_point,
     separation,
     verify_antisymmetry,
@@ -83,6 +86,8 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "10d_light_tight_projection": 1e-10,
     "10e_subset_sum_control": 1e-6,
     "10f_interaction_fft_vs_direct": 1e-12,
+    "10g_difference_table_fft_vs_modesum": 1e-12,
+    "10h_projection_spectral_vs_lstsq": 1e-12,
 }
 
 #: Stable identity labels carried verbatim into machine-readable reports.
@@ -106,6 +111,8 @@ PAPER_REFS: dict[str, str] = {
     "10d_light_tight_projection": "on-shell-free current emits nothing",
     "10e_subset_sum_control": "subset sums break the double-sum identities",
     "10f_interaction_fft_vs_direct": "fft-correlation double sum equals the dense a.k.b product",
+    "10g_difference_table_fft_vs_modesum": "dft-built difference table equals the direct mode sums",
+    "10h_projection_spectral_vs_lstsq": "spectral light-tight projection equals the least-squares one",
 }
 
 #: Checks whose residual must *exceed* the tolerance (negative controls).
@@ -383,6 +390,8 @@ def _check_absorber(base: LatticeSpec, seed: int) -> dict[str, float]:
         "10d_light_tight_projection": light_tight_total,
         "10e_subset_sum_control": control,
         "10f_interaction_fft_vs_direct": _interaction_fft_vs_direct(currents, lattice),
+        "10g_difference_table_fft_vs_modesum": _difference_table_fft_vs_modesum(lattice),
+        "10h_projection_spectral_vs_lstsq": _projection_spectral_vs_lstsq(currents, lattice),
     }
 
 
@@ -404,6 +413,52 @@ def _interaction_fft_vs_direct(currents, lattice: Lattice) -> float:
                     direct = a.samples.ravel() @ dense @ b.samples.ravel() * measure
                     fft = absorber.interaction_sum(a, b, kind, lattice, reverse)
                     worst = max(worst, abs(fft - direct))
+    return worst
+
+
+def _difference_table_fft_vs_modesum(lattice: Lattice) -> float:
+    """Max over every kind of |DFT-built difference table - direct mode
+    sums at the difference points| (equal-time row by the continuous
+    extension)."""
+    n_t, n_x = lattice.spec.n_time, lattice.spec.n_space
+    dts = (np.arange(-(n_t - 1), n_t) * lattice.spec.dt)[:, None]
+    dxs = np.arange(n_x) * lattice.dx
+    worst = 0.0
+    for kind in KernelKind:
+        direct = kernel_values(
+            lattice.momenta, lattice.frequencies, lattice.spec.box_length,
+            kind, dts, dxs, step_at_zero=True,
+        )
+        table = absorber.kernel_difference_table(lattice, kind)
+        worst = max(worst, float(np.max(np.abs(table - direct))))
+    return worst
+
+
+def _onshell_basis(lattice: Lattice) -> np.ndarray:
+    """Real basis of on-shell grid functions: columns cos(w t - k x) and
+    sin(w t - k x) for every mode, flattened over the grid."""
+    times = lattice.times()
+    positions = lattice.positions()
+    tt = times[:, None, None]
+    xx = positions[None, :, None]
+    ww = np.asarray(lattice.frequencies)[None, None, :]
+    kk = np.asarray(lattice.momenta)[None, None, :]
+    angles = ww * tt - kk * xx                       # (n_t, n_x, modes)
+    flat = angles.reshape(times.size * positions.size, -1)
+    return np.hstack([np.cos(flat), np.sin(flat)])
+
+
+def _projection_spectral_vs_lstsq(currents, lattice: Lattice) -> float:
+    """Max |project_light_tight - least-squares residual on the flattened
+    on-shell basis| over the currents."""
+    basis = _onshell_basis(lattice)
+    worst = 0.0
+    for current in currents:
+        flat = current.samples.ravel()
+        coeffs, *_ = np.linalg.lstsq(basis, flat, rcond=None)
+        oracle = (flat - basis @ coeffs).reshape(current.shape)
+        spectral = absorber.project_light_tight(current, lattice).samples
+        worst = max(worst, float(np.max(np.abs(spectral - oracle))))
     return worst
 
 

@@ -19,6 +19,7 @@ from boxqft.absorber import (
 )
 from boxqft.lattice import LatticeSpec, ValidationError, build_lattice
 from boxqft.propagators import KernelKind, kernel_values
+from boxqft.suite import _onshell_basis, _projection_spectral_vs_lstsq
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +130,28 @@ def test_interaction_sum_matches_gather_oracle(n_time, n_space, reverse, kind):
         assert value == pytest.approx(_gather_interaction_sum(a, b, table, lattice), rel=1e-12)
 
 
+ORACLE_GRIDS = [(1, 2), (1, 8), (7, 12), (16, 16), (64, 64)]
+
+
+@pytest.mark.parametrize("n_time,n_space", ORACLE_GRIDS)
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_difference_table_matches_mode_sums(n_time, n_space, reverse, kind):
+    """The DFT-built table equals the direct mode sums at every grid
+    difference, to 1e-12 of the table's largest entry."""
+    lattice = build_lattice(LatticeSpec(n_space=n_space, n_time=n_time))
+    sign = -1.0 if reverse else 1.0
+    dts = sign * (np.arange(-(n_time - 1), n_time) * lattice.spec.dt)[:, None]
+    dxs = sign * np.arange(n_space) * lattice.dx
+    direct = kernel_values(
+        lattice.momenta, lattice.frequencies, lattice.spec.box_length,
+        kind, dts, dxs, step_at_zero=True,
+    )
+    table = kernel_difference_table(lattice, kind, reverse)
+    assert table.shape == (2 * n_time - 1, n_space)
+    assert np.max(np.abs(table - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
 def test_interaction_sum_is_bilinear(lat, currents):
     a, b, c = currents
     kind = KernelKind.WIGHTMAN_PLUS
@@ -205,7 +228,7 @@ def test_spectrum_nonnegative_and_consistent(lat, currents):
     spectrum = emitted_spectrum(currents, lat)
     assert spectrum.energies.min() >= 0.0
     assert spectrum.energies.shape == (15,)
-    assert spectrum_consistency_residual(currents, lat) <= 1e-12
+    assert spectrum_consistency_residual(currents, lat, spectrum) <= 1e-12
 
 
 def test_spectrum_scales_quadratically(lat, currents):
@@ -257,6 +280,23 @@ def test_projection_is_idempotent(lat, currents):
     assert np.max(np.abs(twice.samples - once.samples)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "n_time,n_space,mass",
+    [(n_t, n_x, 1.0) for n_t, n_x in ORACLE_GRIDS] + [(16, 16, np.pi / 0.1)],
+)
+def test_projection_matches_lstsq_oracle(n_time, n_space, mass):
+    """The per-bin spectral projection equals the least-squares residual
+    on the flattened on-shell basis, including the grid where
+    mass * dt = pi makes exp(i w_0 t) = exp(-i w_0 t) (rank-deficient)."""
+    lattice = build_lattice(LatticeSpec(n_space=n_space, n_time=n_time, mass=mass))
+    if mass * lattice.spec.dt == pytest.approx(np.pi):
+        basis = _onshell_basis(lattice)
+        assert np.linalg.matrix_rank(basis) < basis.shape[1]
+    rng = np.random.default_rng([n_time, n_space])
+    currents = [random_current(lattice, rng) for _ in range(3)]
+    assert _projection_spectral_vs_lstsq(currents, lattice) <= 1e-12
+
+
 def test_projected_current_still_satisfies_identities(lat, currents):
     projected = [project_light_tight(c, lat) for c in currents[:2]]
     assert free_field_identity(projected, lat) <= 1e-11
@@ -264,7 +304,7 @@ def test_projected_current_still_satisfies_identities(lat, currents):
 
 def test_empty_current_list_is_trivially_sealed(lat):
     assert light_tight_check([], lat) == 0.0
-    assert spectrum_consistency_residual([], lat) == 0.0
+    assert spectrum_consistency_residual([], lat, emitted_spectrum([], lat)) == 0.0
 
 
 @settings(max_examples=10, deadline=None)

@@ -110,6 +110,14 @@ def test_10f_interaction_fft_vs_direct(results):
     _gate(results, "10f_interaction_fft_vs_direct")
 
 
+def test_10g_difference_table_fft_vs_modesum(results):
+    _gate(results, "10g_difference_table_fft_vs_modesum")
+
+
+def test_10h_projection_spectral_vs_lstsq(results):
+    _gate(results, "10h_projection_spectral_vs_lstsq")
+
+
 # --- command-line wire contract --------------------------------------------
 
 def test_11a_cli_verify_report_contract(tmp_path):
@@ -119,7 +127,7 @@ def test_11a_cli_verify_report_contract(tmp_path):
         code == 0
         and set(report) == {"schema_version", "config", "checks"}
         and report["schema_version"] == "1"
-        and len(report["checks"]) == 19
+        and len(report["checks"]) == 21
         and all(
             set(c) == {"name", "paper_ref", "max_residual", "tolerance", "pass"}
             for c in report["checks"]

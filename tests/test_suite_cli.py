@@ -48,6 +48,8 @@ EXPECTED_CHECK_NAMES = [
     "10d_light_tight_projection",
     "10e_subset_sum_control",
     "10f_interaction_fft_vs_direct",
+    "10g_difference_table_fft_vs_modesum",
+    "10h_projection_spectral_vs_lstsq",
 ]
 
 
@@ -326,9 +328,8 @@ def test_absorber_projection_seals_the_box(tmp_path):
     assert summary["total"] <= 1e-10
 
 
-@pytest.mark.parametrize("project", [False, True])
-def test_absorber_reaches_128_squared(tmp_path, capsys, project):
-    argv = ["absorber", "--n-space", "128", "--n-time", "128",
+def _run_large_absorber(n, tmp_path, capsys, project):
+    argv = ["absorber", "--n-space", str(n), "--n-time", str(n),
             "--n-currents", "2", "--out", str(tmp_path)]
     assert main(argv + (["--project"] if project else [])) == 0
     out = capsys.readouterr().out
@@ -336,8 +337,18 @@ def test_absorber_reaches_128_squared(tmp_path, capsys, project):
     assert len(residuals) == 2
     assert all(float(value) <= 1e-10 for value in residuals)
     summary = json.loads((tmp_path / "absorber_summary.json").read_text())
-    assert summary["n_modes"] == 127
+    assert summary["n_modes"] == n - 1
     assert summary["light_tight"] is project
+
+
+@pytest.mark.parametrize("project", [False, True])
+def test_absorber_reaches_128_squared(tmp_path, capsys, project):
+    _run_large_absorber(128, tmp_path, capsys, project)
+
+
+@pytest.mark.parametrize("project", [False, True])
+def test_absorber_reaches_256_squared(tmp_path, capsys, project):
+    _run_large_absorber(256, tmp_path, capsys, project)
 
 
 def test_absorber_loads_current_from_csv(tmp_path):
