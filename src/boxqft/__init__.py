@@ -4,92 +4,10 @@ Exact discrete mode sums for the standard family of scalar two-point
 kernels, a truncated Fock-space cross-check of the same objects, spinor
 plane-wave checks, and double-sum emission/absorption identities, all on
 one shared lattice.
+
+Import the submodules (``boxqft.lattice``, ``propagators``, ``fock``,
+``dirac``, ``absorber``, ``suite``, ``cli``); importing the package
+itself loads none of them.
 """
 
-from boxqft.absorber import (
-    CurrentDistribution,
-    EmissionSpectrum,
-    emitted_spectrum,
-    free_field_identity,
-    interaction_sum,
-    light_tight_check,
-    project_light_tight,
-    random_current,
-)
-from boxqft.dirac import (
-    DegenerateSolutionError,
-    DiracSpinorSolution,
-    gamma_matrices,
-    plane_wave_solution,
-    probability_current,
-    rest_frame_solutions,
-)
-from boxqft.fock import (
-    FockState,
-    ModeOperator,
-    ModeSpec,
-    field_operator,
-    make_mode_spec,
-    mode_spec_from_lattice,
-    time_ordered_vev,
-    vacuum,
-)
-from boxqft.lattice import Lattice, LatticeSpec, ValidationError, build_lattice, omega
-from boxqft.propagators import (
-    FrequencyIntegralSpec,
-    KernelKind,
-    QuadratureError,
-    SpacetimePoint,
-    eval_kernel,
-    frequency_integral_feynman,
-    separation,
-    verify_antisymmetry,
-    verify_decomposition,
-    verify_frequency_split,
-)
-from boxqft.suite import CheckResult, run_all_checks
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Lattice",
-    "LatticeSpec",
-    "ValidationError",
-    "build_lattice",
-    "omega",
-    "KernelKind",
-    "SpacetimePoint",
-    "separation",
-    "eval_kernel",
-    "verify_antisymmetry",
-    "verify_decomposition",
-    "FrequencyIntegralSpec",
-    "frequency_integral_feynman",
-    "verify_frequency_split",
-    "QuadratureError",
-    "ModeSpec",
-    "ModeOperator",
-    "FockState",
-    "make_mode_spec",
-    "mode_spec_from_lattice",
-    "vacuum",
-    "field_operator",
-    "time_ordered_vev",
-    "DiracSpinorSolution",
-    "DegenerateSolutionError",
-    "gamma_matrices",
-    "rest_frame_solutions",
-    "plane_wave_solution",
-    "probability_current",
-    "CurrentDistribution",
-    "EmissionSpectrum",
-    "interaction_sum",
-    "free_field_identity",
-    "emitted_spectrum",
-    "light_tight_check",
-    "project_light_tight",
-    "random_current",
-    "CheckResult",
-    "run_all_checks",
-    "__version__",
-]

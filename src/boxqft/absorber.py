@@ -73,7 +73,7 @@ class CurrentDistribution:
     """Real current amplitudes j(t_i, x_j) on the full spacetime grid.
 
     Samples must be real (the emission-positivity argument needs real
-    currents) and are stored read-only.
+    currents) and finite, and are stored read-only.
     """
 
     samples: np.ndarray
@@ -89,6 +89,8 @@ class CurrentDistribution:
             raise ValidationError(
                 f"current samples must be a 2-d (time, space) array, got shape {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise ValidationError("current samples must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
@@ -118,22 +120,38 @@ class CurrentDistribution:
 
 
 def current_from_csv(path: str | Path, n_time: int, n_space: int) -> CurrentDistribution:
-    """Load a current from rows `t_index,x_index,value` onto an empty grid."""
+    """Load a current from rows `t_index,x_index,value` onto an empty grid.
+
+    An unreadable file, a missing header, an index that is not an integer
+    or lies outside the grid, and a value that is not a number each raise
+    a validation error naming ``current`` (and the line, for a row).
+    """
     samples = np.zeros((n_time, n_space))
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"t_index", "x_index", "value"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValidationError(
-                f"current CSV must have header t_index,x_index,value, got {reader.fieldnames}"
-            )
-        for row in reader:
-            i, j = int(row["t_index"]), int(row["x_index"])
-            if not (0 <= i < n_time and 0 <= j < n_space):
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            required = {"t_index", "x_index", "value"}
+            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
                 raise ValidationError(
-                    f"current sample index ({i}, {j}) outside grid ({n_time}, {n_space})"
+                    f"current CSV must have header t_index,x_index,value, got {reader.fieldnames}"
                 )
-            samples[i, j] += float(row["value"])
+            for row in reader:
+                where = f"current line {reader.line_num}"
+                try:
+                    i, j = int(row["t_index"]), int(row["x_index"])
+                    value = float(row["value"])
+                except (TypeError, ValueError) as exc:
+                    raise ValidationError(
+                        f"{where}: expected integer indices and a number, got "
+                        f"{row['t_index']!r}, {row['x_index']!r}, {row['value']!r}"
+                    ) from exc
+                if not (0 <= i < n_time and 0 <= j < n_space):
+                    raise ValidationError(
+                        f"{where}: sample index ({i}, {j}) outside grid ({n_time}, {n_space})"
+                    )
+                samples[i, j] += value
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"current: cannot read {path}: {exc}") from exc
     return CurrentDistribution(samples)
 
 

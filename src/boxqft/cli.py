@@ -262,6 +262,8 @@ def cmd_kernel(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_fock_vev(config: RunConfig, args: argparse.Namespace) -> int:
+    if args.n_pairs < 1:
+        raise ValidationError(f"n_pairs must be >= 1, got {args.n_pairs}")
     lattice = build_lattice(config.lattice_spec())
     rng = np.random.default_rng(config.seed)
     pairs = list(sample_vev_pairs(rng, config.box_length, args.n_pairs))
@@ -334,6 +336,8 @@ def cmd_dirac(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_absorber(config: RunConfig, args: argparse.Namespace) -> int:
+    if args.n_currents < 1:
+        raise ValidationError(f"n_currents must be >= 1, got {args.n_currents}")
     lattice = build_lattice(config.lattice_spec())
     if args.current is not None:
         currents = [

@@ -46,7 +46,6 @@ __all__ = [
     "FockState",
     "ModeOperator",
     "ModeSpec",
-    "MomentumSignResult",
     "OscillatorQuadratures",
     "a_dag",
     "a_op",
@@ -637,36 +636,22 @@ def oscillator_quadratures(
     return OscillatorQuadratures(q, p, mode, t, phase)
 
 
-@dataclass(frozen=True)
-class MomentumSignResult:
-    """Oscillator-momentum matrices under the two phase choices."""
-
-    p_retarded: object
-    p_advanced: object
-    residual: float
-
-
-def momentum_sign_check(spec: ModeSpec, mode: int, t: float) -> MomentumSignResult:
+def momentum_sign_check(spec: ModeSpec, mode: int, t: float) -> float:
     """Verify the structural sign flip of the oscillator momentum.
 
     The advanced-phase momentum at time t is the exact negative of the
     retarded-phase momentum at time -t (the two phase histories traverse
     the same values in opposite time directions).  At t = 0 this reduces
-    to a literal sign flip p_adv = -p_ret.  Returns both matrices at
-    time t together with the matrix-norm residual of
-    ``p_advanced(t) + p_retarded(-t)``, zero up to rounding.
+    to a literal sign flip p_adv = -p_ret.  Returns the matrix-norm
+    residual of ``p_advanced(t) + p_retarded(-t)``, zero up to rounding.
     """
-    p_ret_t = operator_matrix(
-        oscillator_quadratures(spec, mode, t, "retarded").p_operator, spec
-    )
     p_adv_t = operator_matrix(
         oscillator_quadratures(spec, mode, t, "advanced").p_operator, spec
     )
     p_ret_mirror = operator_matrix(
         oscillator_quadratures(spec, mode, -t, "retarded").p_operator, spec
     )
-    residual = matrix_norm(p_adv_t + p_ret_mirror)
-    return MomentumSignResult(p_ret_t, p_adv_t, residual)
+    return matrix_norm(p_adv_t + p_ret_mirror)
 
 
 def reinterpretation_check(spec: ModeSpec, t: float, x: float) -> float:

@@ -13,6 +13,7 @@ below by m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +28,9 @@ class LatticeSpec:
     """Input parameters for :func:`build_lattice`.
 
     n_space    -- number of spatial sites N (even, >= 2)
-    box_length -- spatial period L > 0
-    mass       -- field mass m > 0
-    dt         -- sampling step for the time grid, > 0
+    box_length -- spatial period L > 0, finite
+    mass       -- field mass m > 0, finite
+    dt         -- sampling step for the time grid, > 0, finite
     n_time     -- number of time samples N_t >= 1
     """
 
@@ -88,12 +89,12 @@ def validate_spec(spec: LatticeSpec) -> None:
         raise ValidationError(f"n_space must be >= 2, got {spec.n_space}")
     if spec.n_space % 2 != 0:
         raise ValidationError(f"n_space must be even, got {spec.n_space}")
-    if not spec.box_length > 0:
-        raise ValidationError(f"box_length must be positive, got {spec.box_length}")
-    if not spec.mass > 0:
-        raise ValidationError(f"mass must be positive, got {spec.mass}")
-    if not spec.dt > 0:
-        raise ValidationError(f"dt must be positive, got {spec.dt}")
+    for name in ("box_length", "mass", "dt"):
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
+        if not value > 0:
+            raise ValidationError(f"{name} must be positive, got {value}")
     if not isinstance(spec.n_time, (int, np.integer)) or isinstance(spec.n_time, bool):
         raise ValidationError(f"n_time must be an integer, got {spec.n_time!r}")
     if spec.n_time < 1:

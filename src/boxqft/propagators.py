@@ -197,18 +197,25 @@ def eval_kernel_grid(lattice: Lattice, kind: KernelKind, ts, xs, step_at_zero: b
     """Evaluate a kernel at broadcastable arrays of times and positions.
 
     The validating entry to the kernel core: rejects a kind that is not a
-    KernelKind, momentum grids that are not closed under k -> -k (the
-    kernels' parity and antisymmetry identities rely on exact partner
-    cancellation) and, for the step-function kinds, t = 0 unless
-    ``step_at_zero``.  Positions are reduced into [0, L) first.
+    KernelKind, non-finite times or positions (nan would fall into none
+    of the t > 0, t < 0, t = 0 weight regions and read 0), momentum grids
+    that are not closed under k -> -k (the kernels' parity and
+    antisymmetry identities rely on exact partner cancellation) and, for
+    the step-function kinds, t = 0 unless ``step_at_zero``.  Positions
+    are reduced into [0, L) first.
     """
     if not isinstance(kind, KernelKind):
         raise ValidationError(f"kind must be a KernelKind member, got {kind!r}")
     if not is_negation_closed(lattice.momenta):
         raise ValidationError("lattice momenta must be negation-closed (edge mode excluded)")
-    L = lattice.spec.box_length
-    xs = canonical_x(np.atleast_1d(np.asarray(xs, dtype=float)), L)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    for name, values in (("t", ts), ("x", xs)):
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise ValidationError(f"{name} must be finite, got {values[bad][0]}")
+    L = lattice.spec.box_length
+    xs = canonical_x(xs, L)
     return kernel_values(lattice.momenta, lattice.frequencies, L, kind, ts, xs, step_at_zero)
 
 
@@ -391,10 +398,7 @@ def frequency_integral_feynman(spec: FrequencyIntegralSpec, include_tail: bool =
 
 
 def verify_frequency_split(
-    spec: FrequencyIntegralSpec,
-    window: float = 1e-3,
-    richardson: bool = True,
-    include_tail: bool = True,
+    spec: FrequencyIntegralSpec, window: float = 1e-3
 ) -> tuple[complex, complex, float]:
     """Split the regulated integral into principal-part plus on-shell terms.
 
@@ -430,10 +434,8 @@ def verify_frequency_split(
             acc += _dual_quad(bare, a, b, spec.abs_tol, interior=[0.5 * (a + b)])
         return acc / (2.0 * np.pi)
 
-    pp = 2.0 * pp_at(window / 2.0) - pp_at(window) if richardson else pp_at(window)
-    if include_tail:
-        pp = pp + _tail_completion(w, t, cutoff)
+    pp = 2.0 * pp_at(window / 2.0) - pp_at(window) + _tail_completion(w, t, cutoff)
     delta_part = complex(np.cos(w * t) / (2.0 * w))
-    full = frequency_integral_feynman(spec, include_tail=include_tail)
+    full = frequency_integral_feynman(spec)
     residual = abs(pp + delta_part - full)
     return complex(pp), delta_part, residual

@@ -42,6 +42,14 @@ def test_current_validation():
         CurrentDistribution(np.full((2, 2), 1.0 + 1.0j))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_current_rejects_non_finite_samples(bad):
+    samples = np.zeros((2, 3))
+    samples[1, 2] = bad
+    with pytest.raises(ValidationError, match="current samples must be finite"):
+        CurrentDistribution(samples)
+
+
 def test_current_is_read_only():
     current = CurrentDistribution(np.ones((3, 4)))
     with pytest.raises(ValueError):
@@ -81,6 +89,19 @@ def test_csv_rejects_out_of_range_index(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t_index,x_index,value\n9,0,1.0\n")
     with pytest.raises(ValidationError, match="outside grid"):
+        current_from_csv(path, 4, 4)
+
+
+def test_csv_missing_file_names_current(tmp_path):
+    with pytest.raises(ValidationError, match="current: cannot read"):
+        current_from_csv(tmp_path / "absent.csv", 4, 4)
+
+
+@pytest.mark.parametrize("row", ["1.5,0,1.0", "t,0,1.0", "0,0,abc", "0,0"])
+def test_csv_rejects_malformed_row_naming_its_line(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text("t_index,x_index,value\n0,1,2.0\n" + row + "\n")
+    with pytest.raises(ValidationError, match="current line 3"):
         current_from_csv(path, 4, 4)
 
 

@@ -89,6 +89,13 @@ def test_invalid_spec_names_offending_field(kwargs, field):
         validate_spec(LatticeSpec(**kwargs))
 
 
+@pytest.mark.parametrize("field", ["box_length", "mass", "dt"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_spec_field_rejected(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        validate_spec(LatticeSpec(**{field: value}))
+
+
 def test_negation_closure_detects_asymmetry(lattice64):
     assert is_negation_closed(lattice64.momenta)
     asymmetric = np.append(lattice64.momenta, -2.0 * np.pi * 32 / 10.0)

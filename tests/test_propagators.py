@@ -245,6 +245,17 @@ def test_separation_wraps_position():
     assert d.x == pytest.approx(1.5)  # 1.0 - 9.5 wrapped into [0, L)
 
 
+@pytest.mark.parametrize(
+    ("t", "x", "field"),
+    [(np.nan, 1.0, "t"), (-np.inf, 1.0, "t"), (0.5, np.inf, "x"), (0.5, np.nan, "x")],
+)
+def test_non_finite_points_rejected(lattice64, t, x, field):
+    """nan falls into none of the t > 0, t < 0, t = 0 weight regions and
+    would read 0; inf x has no reduction into [0, L)."""
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        eval_kernel_grid(lattice64, KernelKind.FEYNMAN, [0.5, t], [2.0, x])
+
+
 def test_invalid_kind_rejected(lattice64):
     with pytest.raises(ValidationError, match="kind"):
         eval_kernel(lattice64, "feynman", make_point(0.5, 1.0, L))

@@ -1,13 +1,18 @@
 """Named-check registry and the command-line front end."""
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import boxqft
 import boxqft.suite
 from boxqft.cli import (
     build_run_config,
@@ -20,6 +25,7 @@ from boxqft.lattice import LatticeSpec, ValidationError, build_lattice
 from boxqft.propagators import KernelKind, QuadratureError, eval_kernel, separation
 from boxqft.suite import (
     DEFAULT_TOLERANCES,
+    EXCEED_CHECKS,
     PAPER_REFS,
     CheckResult,
     all_passed,
@@ -28,29 +34,54 @@ from boxqft.suite import (
     sample_vev_pairs,
 )
 
-EXPECTED_CHECK_NAMES = [
-    "01_wightman_antisymmetry",
-    "02_feynman_decomposition",
-    "03_time_ordered_vev_oracle",
-    "03b_vev_truncation_events",
-    "04a_antiparticle_negative_frequency",
-    "04b_antiparticle_energy_positive",
-    "05_momentum_sign_reversal",
-    "06_mode_relabel_reinterpretation",
-    "07_translation_generator_order",
-    "08a_frequency_integral_target",
-    "08b_frequency_split_reassembly",
-    "09a_rest_frame_solutions",
-    "09b_negative_energy_flux_direction",
-    "10a_free_field_conversion",
-    "10b_direction_equivalence",
-    "10c_spectrum_nonnegativity",
-    "10d_light_tight_projection",
-    "10e_subset_sum_control",
-    "10f_interaction_fft_vs_direct",
-    "10g_difference_table_fft_vs_modesum",
-    "10h_projection_spectral_vs_lstsq",
+# Every check's (name, default tolerance, paper ref, must-exceed flag), in
+# report order.  A changed row moves the acceptance gate, so it must show
+# up here as a deliberate edit.
+PINNED_CHECKS = [
+    ("01_wightman_antisymmetry", 1e-12,
+     "wightman-pair antisymmetry under argument exchange", False),
+    ("02_feynman_decomposition", 1e-12,
+     "feynman kernel = time-symmetric + hadamard parts", False),
+    ("03_time_ordered_vev_oracle", 1e-10,
+     "time-ordered vacuum expectation equals the feynman kernel", False),
+    ("03b_vev_truncation_events", 0.0,
+     "two-point functions need no occupation above one", False),
+    ("04a_antiparticle_negative_frequency", 1e-13,
+     "antiquanta creation operator carries negative frequency", False),
+    ("04b_antiparticle_energy_positive", 1e-12,
+     "normal-ordered energy of one antiquantum is positive", False),
+    ("05_momentum_sign_reversal", 1e-13,
+     "advanced-phase oscillator momentum reverses sign", False),
+    ("06_mode_relabel_reinterpretation", 1e-13,
+     "antiquanta relabeling of the field expansion", False),
+    ("07_translation_generator_order", 0.2,
+     "momentum operator generates spatial translations", False),
+    ("08a_frequency_integral_target", 1e-4,
+     "regulated frequency integral reaches the per-mode kernel", False),
+    ("08b_frequency_split_reassembly", 1e-4,
+     "principal-part plus on-shell split reassembles the integral", False),
+    ("09a_rest_frame_solutions", 1e-15,
+     "rest-frame spinor basis with signed energies and unit density", False),
+    ("09b_negative_energy_flux_direction", 0.0,
+     "negative-energy flux runs against the momentum label", False),
+    ("10a_free_field_conversion", 1e-11,
+     "hadamard double sum converts to the positive-frequency form", False),
+    ("10b_direction_equivalence", 1e-11,
+     "full double sum is blind to the kernel argument direction", False),
+    ("10c_spectrum_nonnegativity", 1e-12,
+     "per-mode emission energies are nonnegative", False),
+    ("10d_light_tight_projection", 1e-10,
+     "on-shell-free current emits nothing", False),
+    ("10e_subset_sum_control", 1e-6,
+     "subset sums break the double-sum identities", True),
+    ("10f_interaction_fft_vs_direct", 1e-12,
+     "fft-correlation double sum equals the dense a.k.b product", False),
+    ("10g_difference_table_fft_vs_modesum", 1e-12,
+     "dft-built difference table equals the direct mode sums", False),
+    ("10h_projection_spectral_vs_lstsq", 1e-12,
+     "spectral light-tight projection equals the least-squares one", False),
 ]
+EXPECTED_CHECK_NAMES = [row[0] for row in PINNED_CHECKS]
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +94,14 @@ def results():
 def test_registry_is_complete():
     assert set(DEFAULT_TOLERANCES) == set(EXPECTED_CHECK_NAMES)
     assert set(PAPER_REFS) == set(EXPECTED_CHECK_NAMES)
+
+
+def test_check_table_pinned():
+    declared = [
+        (name, DEFAULT_TOLERANCES[name], PAPER_REFS[name], name in EXCEED_CHECKS)
+        for name in DEFAULT_TOLERANCES
+    ]
+    assert declared == PINNED_CHECKS
 
 
 def test_all_checks_run_in_order_and_pass(results):
@@ -107,10 +146,10 @@ def test_control_check_uses_exceed_comparison():
 
 
 def test_quadrature_failure_is_inf_and_warned(monkeypatch):
-    def failing():
+    def failing(*args, **kwargs):
         raise QuadratureError("segment [0, 1] disagrees by 3e-2")
 
-    monkeypatch.setattr(boxqft.suite, "_check_frequency_integral", failing)
+    monkeypatch.setattr(boxqft.suite, "frequency_integral_feynman", failing)
     with pytest.warns(RuntimeWarning) as caught:
         results = run_all_checks(LatticeSpec(), seed=42)
     messages = [str(w.message) for w in caught]
@@ -126,6 +165,18 @@ def test_check_result_is_frozen():
     result = CheckResult("x", "y", 0.0, 1.0, True)
     with pytest.raises(AttributeError):
         result.passed = False
+
+
+def test_import_boxqft_leaves_scipy_unloaded():
+    """The package imports none of its submodules, so a bare
+    ``import boxqft`` costs no scipy import."""
+    src = str(Path(boxqft.__file__).resolve().parents[1])
+    code = "import sys, boxqft; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 # --- CLI helpers ------------------------------------------------------------
@@ -249,6 +300,26 @@ def test_invalid_lattice_input_exits_2(tmp_path, capsys):
     assert "mass" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["kernel", "--kind", "dplus", "--t", "0.5", "--x", "0", "--box-length", "inf"],
+         "box_length must be finite"),
+        (["absorber", "--n-space", "16", "--n-time", "16", "--dt", "inf"],
+         "dt must be finite"),
+        (["verify", "--mass", "nan"], "mass must be finite"),
+        (["kernel", "--kind", "feynman", "--t", "nan", "--x", "0"], "t must be finite"),
+        (["kernel", "--kind", "dplus", "--t", "0.5", "--x", "inf"], "x must be finite"),
+        (["fock-vev", "--n-pairs", "-3"], "n_pairs must be >= 1"),
+        (["fock-vev", "--n-pairs", "0"], "n_pairs must be >= 1"),
+        (["absorber", "--n-currents", "0"], "n_currents must be >= 1"),
+    ],
+)
+def test_non_finite_or_out_of_range_input_exits_2(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_norm_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
@@ -365,3 +436,22 @@ def test_absorber_loads_current_from_csv(tmp_path):
     assert main(argv) == 0
     summary = json.loads((tmp_path / "absorber_summary.json").read_text())
     assert summary["total"] > 0.0
+
+
+@pytest.mark.parametrize(
+    ("body", "message"),
+    [
+        (None, "current: cannot read"),
+        ("t_index,x_index,value\n0,1.5,2.0\n", "current line 2"),
+        ("t_index,x_index,value\n0,1,2.0\n3,1,two\n", "current line 3"),
+        ("t_index,x_index,value\n0,1,nan\n", "current samples must be finite"),
+    ],
+)
+def test_absorber_bad_current_csv_exits_2(tmp_path, capsys, body, message):
+    source = tmp_path / "current.csv"
+    if body is not None:
+        source.write_text(body)
+    argv = ["absorber", "--n-space", "16", "--n-time", "16",
+            "--current", str(source), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
