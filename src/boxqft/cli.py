@@ -10,9 +10,15 @@ dirac     dump the rest-frame and plane-wave spinor solutions as JSON
 absorber  emit the per-mode energy spectrum of seeded (or file-loaded)
           currents as CSV plus a JSON summary
 
+Every subcommand takes the same shared flags, declared once in
+``_SHARED_FLAGS`` (the lattice fields of :class:`LatticeSpec`, ``seed``
+and ``out``), which a ``--config`` file may also set.  They are merged
+and validated in :func:`build_run_config` before any subcommand runs.
+
 Exit codes: 0 on success, 1 when an identity check fails its tolerance
 or a numerical routine (quadrature, ARPACK norm) fails, 2 on invalid
-input (the message names the offending field).
+input (the message names the offending field).  A run that exits 2
+writes no file.
 
 All file outputs format floats with ``repr`` and sort JSON keys, so
 repeated runs with the same configuration are byte-identical.
@@ -21,15 +27,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import absorber, dirac
-from .lattice import LatticeSpec, ValidationError, build_lattice
+from .lattice import LatticeSpec, ValidationError, build_lattice, validate_spec
 from .propagators import KernelKind, QuadratureError, eval_kernel_grid
 from .suite import (
     DEFAULT_TOLERANCES,
@@ -53,47 +60,30 @@ def report_schema_version() -> str:
 class RunConfig:
     """Resolved run parameters shared by every subcommand."""
 
-    n_space: int = 64
-    box_length: float = 10.0
-    mass: float = 1.0
-    dt: float = 0.1
-    n_time: int = 64
+    spec: LatticeSpec = LatticeSpec()
     seed: int = 42
     out_dir: Path = Path(".")
     tolerances: tuple[tuple[str, float], ...] = ()
 
-    def lattice_spec(self) -> LatticeSpec:
-        return LatticeSpec(
-            n_space=self.n_space,
-            box_length=self.box_length,
-            mass=self.mass,
-            dt=self.dt,
-            n_time=self.n_time,
-        )
-
-    def tolerance_map(self) -> dict[str, float]:
-        return dict(self.tolerances)
-
     def to_record(self) -> dict:
-        return {
-            "n_space": self.n_space,
-            "box_length": self.box_length,
-            "mass": self.mass,
-            "dt": self.dt,
-            "n_time": self.n_time,
-            "seed": self.seed,
-            "tolerances": self.tolerance_map(),
-        }
+        return {**asdict(self.spec), "seed": self.seed, "tolerances": dict(self.tolerances)}
 
 
-_CONFIG_CASTS = {
-    "n_space": int,
-    "box_length": float,
-    "mass": float,
-    "dt": float,
-    "n_time": int,
-    "seed": int,
-    "out": str,
+#: One row per shared flag: config-file key -> help text.  The argparse
+#: flags, the config-file keys and casts, and the merge order (flag > file
+#: > default) all derive from it; lattice defaults and types come from
+#: :class:`LatticeSpec`, the rest from :class:`RunConfig`.
+_SHARED_FLAGS = {
+    "n_space": "even number of spatial points per period",
+    "box_length": "spatial period L > 0",
+    "mass": "field mass m > 0",
+    "dt": "time step > 0",
+    "n_time": "number of time samples >= 1",
+    "seed": "RNG seed >= 0 for all sampling",
+    "out": "output directory",
+}
+_DEFAULTS = {
+    **asdict(LatticeSpec()), "seed": RunConfig.seed, "out": str(RunConfig.out_dir),
 }
 
 
@@ -114,15 +104,22 @@ def load_config_file(path: str | Path) -> dict:
             raise ValidationError(
                 f"config line {lineno}: expected key=value, got {raw_line.strip()!r}"
             )
-        if key not in _CONFIG_CASTS:
+        if key not in _SHARED_FLAGS:
             raise ValidationError(f"config line {lineno}: unknown key {key!r}")
         try:
-            values[key] = _CONFIG_CASTS[key](raw)
+            values[key] = type(_DEFAULTS[key])(raw)
         except ValueError as exc:
             raise ValidationError(
                 f"config line {lineno}: invalid value for {key!r}: {raw!r}"
             ) from exc
     return values
+
+
+def check_threshold(field_name: str, value: float) -> float:
+    """Return ``value`` if it is a usable pass threshold: finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValidationError(f"{field_name} must be finite and >= 0, got {value!r}")
+    return value
 
 
 def parse_tolerance_overrides(entries: list[str] | None) -> dict[str, float]:
@@ -140,7 +137,7 @@ def parse_tolerance_overrides(entries: list[str] | None) -> dict[str, float]:
             raise ValidationError(
                 f"tolerance: invalid value for {name!r}: {raw.strip()!r}"
             ) from exc
-        overrides[name] = value
+        overrides[name] = check_threshold(f"tolerance {name}", value)
     unknown = set(overrides) - set(DEFAULT_TOLERANCES)
     if unknown:
         raise ValidationError(
@@ -150,27 +147,20 @@ def parse_tolerance_overrides(entries: list[str] | None) -> dict[str, float]:
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    """Merge CLI flags over config-file values over defaults."""
+    """Merge CLI flags over config-file values over defaults, and validate
+    every shared input before any subcommand runs."""
     from_file = load_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key: str, default):
-        if flag_value is not None:
-            return flag_value
-        if key in from_file:
-            return from_file[key]
-        return default
-
+    values = {}
+    for key in _SHARED_FLAGS:
+        flag = getattr(args, key)
+        values[key] = from_file.get(key, _DEFAULTS[key]) if flag is None else flag
+    seed, out = values.pop("seed"), values.pop("out")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    spec = LatticeSpec(**values)
+    validate_spec(spec)
     overrides = parse_tolerance_overrides(args.tolerance)
-    return RunConfig(
-        n_space=pick(args.n_space, "n_space", 64),
-        box_length=pick(args.box_length, "box_length", 10.0),
-        mass=pick(args.mass, "mass", 1.0),
-        dt=pick(args.dt, "dt", 0.1),
-        n_time=pick(args.n_time, "n_time", 64),
-        seed=pick(args.seed, "seed", 42),
-        out_dir=Path(pick(args.out, "out", ".")),
-        tolerances=tuple(sorted(overrides.items())),
-    )
+    return RunConfig(spec, seed, Path(out), tuple(sorted(overrides.items())))
 
 
 def _parse_linspace(text: str, field_name: str) -> np.ndarray:
@@ -223,7 +213,7 @@ def _ensure_out_dir(config: RunConfig) -> Path:
 
 def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
     results = run_all_checks(
-        config.lattice_spec(), seed=config.seed, tolerances=config.tolerance_map()
+        config.spec, seed=config.seed, tolerances=dict(config.tolerances)
     )
     for result in results:
         verdict = "PASS" if result.passed else "FAIL"
@@ -248,13 +238,16 @@ def cmd_kernel(config: RunConfig, args: argparse.Namespace) -> int:
     kind = KernelKind(args.kind)
     ts = _axis_values(args.t, args.t_range, "t")
     xs = _axis_values(args.x, args.x_range, "x")
-    lattice = build_lattice(config.lattice_spec())
+    lattice = build_lattice(config.spec)
+    rows = [
+        (t, eval_kernel_grid(lattice, kind, t, xs, step_at_zero=args.step_at_zero))
+        for t in ts.tolist()
+    ]
     out_dir = _ensure_out_dir(config)
     path = out_dir / f"kernel_{kind.value}.csv"
     with open(path, "w", newline="") as fh:
         fh.write("kind,t,x,re,im\n")
-        for t in ts.tolist():
-            values = eval_kernel_grid(lattice, kind, t, xs, step_at_zero=args.step_at_zero)
+        for t, values in rows:
             for x, value in zip(xs.tolist(), values.tolist()):
                 fh.write(f"{kind.value},{t!r},{x!r},{value.real!r},{value.imag!r}\n")
     print(f"wrote {ts.size * xs.size} rows to {path}")
@@ -264,9 +257,10 @@ def cmd_kernel(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_fock_vev(config: RunConfig, args: argparse.Namespace) -> int:
     if args.n_pairs < 1:
         raise ValidationError(f"n_pairs must be >= 1, got {args.n_pairs}")
-    lattice = build_lattice(config.lattice_spec())
+    check_threshold("abs_tol", args.abs_tol)
+    lattice = build_lattice(config.spec)
     rng = np.random.default_rng(config.seed)
-    pairs = list(sample_vev_pairs(rng, config.box_length, args.n_pairs))
+    pairs = list(sample_vev_pairs(rng, config.spec.box_length, args.n_pairs))
     vevs, kernels, diffs, truncations = compare_vev_to_feynman(lattice, pairs)
     worst = float(np.max(diffs, initial=0.0))
     records = [
@@ -314,12 +308,12 @@ def cmd_dirac(config: RunConfig, args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ValidationError(f"p: invalid component in {args.p!r}") from exc
 
-    solutions = list(dirac.rest_frame_solutions(config.mass))
+    solutions = list(dirac.rest_frame_solutions(config.spec.mass))
     if any(momentum):
         for sign in (1, -1):
             for spin in (1, 2):
                 solutions.append(
-                    dirac.plane_wave_solution(momentum, config.mass, sign, spin)
+                    dirac.plane_wave_solution(momentum, config.spec.mass, sign, spin)
                 )
     records = [_spinor_record(sol) for sol in solutions]
     for record in records:
@@ -338,11 +332,12 @@ def cmd_dirac(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_absorber(config: RunConfig, args: argparse.Namespace) -> int:
     if args.n_currents < 1:
         raise ValidationError(f"n_currents must be >= 1, got {args.n_currents}")
-    lattice = build_lattice(config.lattice_spec())
+    check_threshold("abs_tol", args.abs_tol)
+    lattice = build_lattice(config.spec)
     if args.current is not None:
         currents = [
             absorber.current_from_csv(
-                args.current, config.n_time, config.n_space
+                args.current, config.spec.n_time, config.spec.n_space
             )
         ]
     else:
@@ -384,23 +379,13 @@ def cmd_absorber(config: RunConfig, args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n-space", type=int, default=None,
-                        help="spatial points per period (even, default 64)")
-    common.add_argument("--box-length", type=float, default=None,
-                        help="spatial period L (default 10.0)")
-    common.add_argument("--mass", type=float, default=None,
-                        help="field mass m > 0 (default 1.0)")
-    common.add_argument("--dt", type=float, default=None,
-                        help="time step (default 0.1)")
-    common.add_argument("--n-time", type=int, default=None,
-                        help="number of time samples (default 64)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed for all sampling (default 42)")
+    for key, text in _SHARED_FLAGS.items():
+        default = _DEFAULTS[key]
+        common.add_argument("--" + key.replace("_", "-"), type=type(default),
+                            default=None, help=f"{text} (default {default})")
     common.add_argument("--tolerance", action="append", metavar="CHECK=VALUE",
                         default=None,
                         help="override one check tolerance (repeatable)")
-    common.add_argument("--out", type=str, default=None,
-                        help="output directory (default current directory)")
     common.add_argument("--config", type=str, default=None,
                         help="key=value file supplying defaults for the above")
 

@@ -17,6 +17,7 @@ solution.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,7 +164,13 @@ def plane_wave_solution(
         raise ValidationError(
             f"p must have exactly three spatial components, got shape {p.shape}"
         )
-    e0 = float(np.sqrt(m * m + p @ p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        e0 = float(np.sqrt(m * m + p @ p))
+    if not math.isfinite(e0):
+        raise ValidationError(
+            f"p and m must give a finite energy sqrt(m^2 + |p|^2), "
+            f"got p={p.tolist()}, m={m!r}"
+        )
     energy = energy_sign * e0
     chi = np.zeros(2, dtype=complex)
     chi[spin - 1] = 1.0

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,13 +165,7 @@ def _check_decomposition(spec: LatticeSpec, lattice: Lattice, seed: int) -> tupl
 def _check_vev_oracle(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float, int]:
     """Max |VEV - Feynman kernel| over 100 seeded pairs on a 16-point grid,
     alternating the time ordering; also returns the truncation count."""
-    spec16 = LatticeSpec(
-        n_space=16,
-        box_length=spec.box_length,
-        mass=spec.mass,
-        dt=spec.dt,
-        n_time=spec.n_time,
-    )
+    spec16 = replace(spec, n_space=16)
     pairs = sample_vev_pairs(_rng(seed, 3), spec16.box_length, 100)
     _, _, diffs, truncations = compare_vev_to_feynman(build_lattice(spec16), pairs)
     return float(np.max(diffs)), truncations
@@ -278,9 +272,7 @@ def _check_flux_direction(spec: LatticeSpec, lattice: Lattice, seed: int) -> tup
 def _check_absorber(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float, ...]:
     """Checks 10a-10h, in table order, on a 16x16 lattice of their own
     (the run's lattice is replaced)."""
-    lattice = build_lattice(
-        LatticeSpec(n_space=16, box_length=spec.box_length, mass=spec.mass, dt=spec.dt, n_time=16)
-    )
+    lattice = build_lattice(replace(spec, n_space=16, n_time=16))
     rng = _rng(seed, 10)
     currents = [absorber.random_current(lattice, rng) for _ in range(3)]
     free_residual = absorber.free_field_identity(currents, lattice)

@@ -142,6 +142,9 @@ def test_solution_indices_cover_both_branches():
         (dict(p=[0.5, 0.0, 0.0], m=0.0, energy_sign=1, spin=1), "m"),
         (dict(p=[0.5, 0.0, 0.0], m=1.0, energy_sign=0, spin=1), "energy_sign"),
         (dict(p=[0.5, 0.0, 0.0], m=1.0, energy_sign=1, spin=3), "spin"),
+        (dict(p=[np.nan, 0.0, 0.0], m=1.0, energy_sign=1, spin=1), "p and m"),
+        (dict(p=[0.0, -np.inf, 0.0], m=1.0, energy_sign=-1, spin=1), "p and m"),
+        (dict(p=[1e200, 0.0, 0.0], m=1.0, energy_sign=1, spin=2), "p and m"),
     ],
 )
 def test_invalid_solution_request_names_field(kwargs, field):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ from scipy.sparse.linalg import ArpackNoConvergence
 import boxqft
 import boxqft.suite
 from boxqft.cli import (
+    RunConfig,
+    build_parser,
     build_run_config,
     load_config_file,
     main,
@@ -194,6 +197,13 @@ def test_tolerance_override_parsing():
         parse_tolerance_overrides(["01_wightman_antisymmetry=abc"])
     with pytest.raises(ValidationError, match="unknown check"):
         parse_tolerance_overrides(["bogus=1.0"])
+    # zero is a legal threshold: 03b and 09b use it
+    assert parse_tolerance_overrides(["09b_negative_energy_flux_direction=0"]) == {
+        "09b_negative_energy_flux_direction": 0.0
+    }
+    for bad in ("nan", "inf", "-1e-12"):
+        with pytest.raises(ValidationError, match="must be finite and >= 0"):
+            parse_tolerance_overrides([f"01_wightman_antisymmetry={bad}"])
 
 
 def test_config_file_parsing(tmp_path):
@@ -220,9 +230,42 @@ def test_cli_flags_override_config_file(tmp_path):
         seed=None, tolerance=None, out=None, config=str(path),
     )
     config = build_run_config(args)
-    assert config.n_space == 32  # flag wins
-    assert config.mass == 2.0  # file fills the gap
-    assert config.box_length == 10.0  # default fills the rest
+    assert config.spec.n_space == 32  # flag wins
+    assert config.spec.mass == 2.0  # file fills the gap
+    assert config.spec.box_length == 10.0  # default fills the rest
+
+
+# The shared flags, each of which is also a config-file key.
+SHARED_KEYS = {"n_space", "box_length", "mass", "dt", "n_time", "seed", "out"}
+
+
+def test_run_config_record_pinned():
+    assert RunConfig().to_record() == {
+        "n_space": 64, "box_length": 10.0, "mass": 1.0, "dt": 0.1, "n_time": 64,
+        "seed": 42, "tolerances": {},
+    }
+
+
+def test_config_file_keys_are_the_shared_flags(tmp_path):
+    args = build_parser().parse_args(["verify"])
+    assert set(vars(args)) - {"command", "tolerance", "config"} == SHARED_KEYS
+    path = tmp_path / "all.cfg"
+    path.write_text("".join(f"{key} = 2\n" for key in sorted(SHARED_KEYS)))
+    assert set(load_config_file(path)) == SHARED_KEYS
+
+
+def test_every_lattice_field_has_a_shared_flag():
+    args = build_parser().parse_args(["verify"])
+    assert {f.name for f in fields(LatticeSpec)} <= set(vars(args))
+
+
+def test_config_file_seed_is_validated(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = -1\n")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- CLI subcommands --------------------------------------------------------
@@ -272,6 +315,14 @@ def test_kernel_axis_validation(tmp_path, capsys):
                  "--x", "0", "--out", str(tmp_path)]) == 2
 
 
+def test_kernel_rejected_time_writes_no_file(tmp_path, capsys):
+    """t = 0 is the last point of the range; no row may reach the disk."""
+    assert main(["kernel", "--kind", "feynman", "--t-range", "1:0:3", "--x", "0",
+                 "--out", str(tmp_path)]) == 2
+    assert "t must be nonzero" in capsys.readouterr().err
+    assert list(tmp_path.glob("kernel_*.csv")) == []
+
+
 def test_kernel_step_kind_time_zero(tmp_path, capsys):
     base = ["kernel", "--kind", "retarded", "--t", "0", "--x", "1",
             "--out", str(tmp_path)]
@@ -313,11 +364,25 @@ def test_invalid_lattice_input_exits_2(tmp_path, capsys):
         (["fock-vev", "--n-pairs", "-3"], "n_pairs must be >= 1"),
         (["fock-vev", "--n-pairs", "0"], "n_pairs must be >= 1"),
         (["absorber", "--n-currents", "0"], "n_currents must be >= 1"),
+        (["verify", "--seed", "-1"], "seed must be >= 0"),
+        (["fock-vev", "--seed", "-1"], "seed must be >= 0"),
+        (["absorber", "--seed", "-1"], "seed must be >= 0"),
+        (["verify", "--tolerance", "01_wightman_antisymmetry=nan"],
+         "tolerance 01_wightman_antisymmetry must be finite and >= 0"),
+        (["fock-vev", "--abs-tol", "nan"], "abs_tol must be finite and >= 0"),
+        (["fock-vev", "--abs-tol", "-1"], "abs_tol must be finite and >= 0"),
+        (["absorber", "--abs-tol", "nan"], "abs_tol must be finite and >= 0"),
+        (["absorber", "--abs-tol", "-1"], "abs_tol must be finite and >= 0"),
+        (["dirac", "--mass", "nan"], "mass must be finite"),
+        (["dirac", "--p", "nan,0,0"], "p and m must give a finite energy"),
+        (["dirac", "--n-space", "3"], "n_space must be even"),
     ],
 )
 def test_non_finite_or_out_of_range_input_exits_2(tmp_path, capsys, argv, message):
-    assert main(argv + ["--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()  # invalid input writes no file
 
 
 def test_norm_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):
