@@ -20,6 +20,10 @@ or a numerical routine (quadrature, ARPACK norm) fails, 2 on invalid
 input (the message names the offending field).  A run that exits 2
 writes no file.
 
+Only ``verify`` and ``fock-vev`` import :mod:`boxqft.suite` (hence the
+Fock space and scipy), inside their handlers; ``kernel``, ``absorber``
+and ``dirac`` load no scipy.
+
 All file outputs format floats with ``repr`` and sort JSON keys, so
 repeated runs with the same configuration are byte-identical.
 """
@@ -33,18 +37,16 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import absorber, dirac
-from .lattice import LatticeSpec, ValidationError, build_lattice, validate_spec
-from .propagators import KernelKind, QuadratureError, eval_kernel_grid
-from .suite import (
-    DEFAULT_TOLERANCES,
-    all_passed,
-    compare_vev_to_feynman,
-    run_all_checks,
-    sample_vev_pairs,
+from .lattice import (
+    LatticeSpec,
+    QuadratureError,
+    ValidationError,
+    build_lattice,
+    validate_spec,
 )
+from .propagators import KernelKind, eval_kernel_grid
 
 __all__ = ["RunConfig", "main", "report_schema_version"]
 
@@ -123,8 +125,12 @@ def check_threshold(field_name: str, value: float) -> float:
 
 
 def parse_tolerance_overrides(entries: list[str] | None) -> dict[str, float]:
+    if not entries:
+        return {}
+    from .suite import DEFAULT_TOLERANCES
+
     overrides: dict[str, float] = {}
-    for entry in entries or []:
+    for entry in entries:
         name, sep, raw = entry.partition("=")
         name = name.strip()
         if not sep or not name:
@@ -212,6 +218,8 @@ def _ensure_out_dir(config: RunConfig) -> Path:
 # --- subcommand handlers ----------------------------------------------------
 
 def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
+    from .suite import all_passed, run_all_checks
+
     results = run_all_checks(
         config.spec, seed=config.seed, tolerances=dict(config.tolerances)
     )
@@ -258,6 +266,8 @@ def cmd_fock_vev(config: RunConfig, args: argparse.Namespace) -> int:
     if args.n_pairs < 1:
         raise ValidationError(f"n_pairs must be >= 1, got {args.n_pairs}")
     check_threshold("abs_tol", args.abs_tol)
+    from .suite import compare_vev_to_feynman, sample_vev_pairs
+
     lattice = build_lattice(config.spec)
     rng = np.random.default_rng(config.seed)
     pairs = list(sample_vev_pairs(rng, config.spec.box_length, args.n_pairs))
@@ -476,6 +486,15 @@ _HANDLERS = {
 }
 
 
+def _numerical_failures() -> tuple[type[Exception], ...]:
+    """The errors that end a run with exit 1.  ARPACK's can only have been
+    raised once scipy.sparse.linalg is loaded (by the Fock space, in
+    verify and fock-vev), so it is looked up only then."""
+    failures = (QuadratureError, dirac.DegenerateSolutionError)
+    linalg = sys.modules.get("scipy.sparse.linalg")
+    return failures if linalg is None else failures + (linalg.ArpackNoConvergence,)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
@@ -486,7 +505,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, dirac.DegenerateSolutionError, ArpackNoConvergence) as exc:
+    except _numerical_failures() as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
 

@@ -23,6 +23,15 @@ class ValidationError(ValueError):
     """Raised when a spec field fails validation; message names the field."""
 
 
+class QuadratureError(RuntimeError):
+    """Adaptive quadrature failed to reach the requested absolute tolerance.
+
+    Raised by :mod:`boxqft.frequency`; declared here, beside
+    ValidationError, so that the command line can catch it without
+    loading the quadrature module or scipy.
+    """
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Input parameters for :func:`build_lattice`.
@@ -99,6 +108,30 @@ def validate_spec(spec: LatticeSpec) -> None:
         raise ValidationError(f"n_time must be an integer, got {spec.n_time!r}")
     if spec.n_time < 1:
         raise ValidationError(f"n_time must be >= 1, got {spec.n_time}")
+    _validate_derived_ranges(spec)
+
+
+def _validate_derived_ranges(spec: LatticeSpec) -> None:
+    """Reject finite fields whose derived lattice quantities are not finite
+    and nonzero: the spacing dx, the double-sum measure (dt dx)^2 and the
+    lowest and top mode frequencies (the top one bounds the top momentum).
+    They are computed as build_lattice and the absorber compute them; a
+    float product overflows to inf or underflows to 0 without raising."""
+    dx = spec.box_length / spec.n_space
+    k_top = 2.0 * math.pi * (spec.n_space // 2 - 1) / spec.box_length
+    derived = (
+        ("spacing dx", dx),
+        ("measure (dt dx)^2", (spec.dt * dx) * (spec.dt * dx)),
+        ("lowest mode frequency", math.sqrt(spec.mass * spec.mass)),
+        ("top mode frequency", math.sqrt(spec.mass * spec.mass + k_top * k_top)),
+    )
+    for label, value in derived:
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValidationError(
+                f"lattice out of range: {label} is {value!r} for box_length="
+                f"{spec.box_length!r}, n_space={spec.n_space}, dt={spec.dt!r}, "
+                f"mass={spec.mass!r}"
+            )
 
 
 def build_lattice(spec: LatticeSpec) -> Lattice:

@@ -1,5 +1,4 @@
-"""Scalar two-point kernels as exact discrete mode sums, plus their
-frequency-plane representation.
+"""Scalar two-point kernels as exact discrete mode sums.
 
 Convention table (normative for the whole package; the README repeats it).
 All sums run over the lattice's negation-closed momentum grid, with
@@ -25,10 +24,10 @@ Notes on the conventions:
 * The factor i customary in front of the Feynman momentum-space kernel is
   absorbed into the kernels themselves: per mode,
   DF = (1/2pi) int dnu exp(-i nu t) * i/(nu^2 - w^2 + i eps) -> exp(-i w |t|)/(2 w),
-  which is what frequency_integral_feynman evaluates.  Under these
-  conventions the Commutator kernel is purely imaginary and the Hadamard
-  kernel is purely real, and DF equals the time-ordered vacuum two-point
-  function computed in the Fock module with no extra prefactor.
+  which is what boxqft.frequency evaluates.  Under these conventions the
+  Commutator kernel is purely imaginary and the Hadamard kernel is purely
+  real, and DF equals the time-ordered vacuum two-point function computed
+  in the Fock module with no extra prefactor.
 * Step-function kinds are undefined at t = 0 and are rejected there
   unless the continuous extension is requested (``step_at_zero``).
 
@@ -47,12 +46,9 @@ error near machine precision.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.special import sici
 
 from boxqft.lattice import Lattice, ValidationError, is_negation_closed
 
@@ -260,182 +256,15 @@ def verify_antisymmetry(
     return float(np.max(np.abs(dp + dm), initial=0.0))
 
 
-# ---------------------------------------------------------------------------
-# Frequency-plane representation of the per-mode Feynman kernel.
+# The benchmark's per-layer tracer (perfbench/tracer.py) looks these two
+# frequency-plane integrals up on this module.  They live in
+# boxqft.frequency, which loads scipy, so the lookup loads it on first use.
+_MOVED_TO_FREQUENCY = frozenset({"frequency_integral_feynman", "verify_frequency_split"})
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested absolute tolerance."""
+def __getattr__(name: str):
+    if name in _MOVED_TO_FREQUENCY:
+        from boxqft import frequency
 
-
-@dataclass(frozen=True)
-class FrequencyIntegralSpec:
-    """Parameters of the regulated per-mode frequency integral.
-
-    mode_frequency   -- omega > 0 of the mode under study
-    time             -- evaluation time t (any sign)
-    epsilon          -- pole displacement eps > 0
-    frequency_cutoff -- window half-width Omega, required > 10 * omega
-    abs_tol          -- absolute tolerance demanded of the quadrature
-    """
-
-    mode_frequency: float
-    time: float
-    epsilon: float = 1e-6
-    frequency_cutoff: float = 200.0
-    abs_tol: float = 1e-6
-
-    def validate(self) -> None:
-        if not self.mode_frequency > 0:
-            raise ValidationError(f"mode_frequency must be positive, got {self.mode_frequency}")
-        if not self.epsilon > 0:
-            raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
-        if not self.frequency_cutoff > 10.0 * self.mode_frequency:
-            raise ValidationError(
-                "frequency_cutoff must exceed 10 * mode_frequency, got "
-                f"{self.frequency_cutoff} for omega {self.mode_frequency}"
-            )
-        if not self.abs_tol > 0:
-            raise ValidationError(f"abs_tol must be positive, got {self.abs_tol}")
-
-
-def _quad_segment(fn, a: float, b: float) -> complex:
-    """Adaptive quadrature of a complex integrand over [a, b], no checking.
-
-    QUADPACK's own error estimate saturates on the eps-narrow pole kinks
-    even when the returned value is converged, so callers validate by
-    comparing two structurally different segmentations instead.
-    """
-    kw = dict(limit=800, epsabs=1e-10, epsrel=1e-9)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        re = quad(lambda v: fn(v).real, a, b, **kw)[0]
-        im = quad(lambda v: fn(v).imag, a, b, **kw)[0]
-    return re + 1j * im
-
-
-def _dual_quad(fn, a: float, b: float, abs_tol: float, interior: list[float]) -> complex:
-    """Evaluate int_a^b fn with break points (pole locations) as segment
-    edges, twice: on the coarse segmentation and on its midpoint
-    refinement.  Disagreement beyond abs_tol raises QuadratureError;
-    returns the refined value."""
-    cuts = [a] + sorted(p for p in interior if a < p < b) + [b]
-    v1 = sum(_quad_segment(fn, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
-    refined = sorted(set(cuts) | {0.5 * (lo + hi) for lo, hi in zip(cuts[:-1], cuts[1:])})
-    v2 = sum(_quad_segment(fn, lo, hi) for lo, hi in zip(refined[:-1], refined[1:]))
-    if abs(v1 - v2) > abs_tol:
-        raise QuadratureError(
-            f"independent quadrature evaluations disagree by {abs(v1 - v2):.3e} "
-            f"(abs_tol {abs_tol:.3e})"
-        )
-    return v2
-
-
-def _tail_completion(w: float, t: float, cutoff: float) -> complex:
-    """Analytic value of (1/2pi) int_{|nu|>Omega} exp(-i nu t)/(nu^2-w^2) * i dnu.
-
-    The pole displacement is dropped in the tail (error O(eps/Omega^3)).
-    The combination reduces to (i/pi) int_Omega^inf cos(nu t)/(nu^2-w^2),
-    expressed through Si/Ci; without it the plain truncated integral
-    carries an irreducible -i/(pi*Omega) style bias that dominates at
-    small |t|.
-    """
-    tau = abs(t)
-    if tau == 0.0:
-        c = np.log((cutoff + w) / (cutoff - w)) / (2.0 * w)
-    else:
-        si_p, ci_p = sici((cutoff + w) * tau)
-        si_m, ci_m = sici((cutoff - w) * tau)
-        c = (np.cos(w * tau) * (ci_p - ci_m) - np.sin(w * tau) * (np.pi - si_m - si_p)) / (2.0 * w)
-    return 1j * c / np.pi
-
-
-def frequency_integral_feynman(spec: FrequencyIntegralSpec, include_tail: bool = True) -> complex:
-    """(1/2pi) int_{-Omega}^{Omega} dnu exp(-i nu t) * i/(nu^2 - omega^2 + i eps),
-    completed by the analytic |nu| > Omega remainder when ``include_tail``.
-
-    As eps -> 0 and Omega -> infinity the value converges to
-    exp(-i omega |t|)/(2 omega), the per-mode Feynman kernel.  The sharp
-    pole pair is handled by subtracting a linear-in-nu interpolant through
-    the two on-shell points (whose integral is known in closed form) and
-    integrating the remaining bounded function adaptively.
-    """
-    spec.validate()
-    w = spec.mode_frequency
-    t = spec.time
-    eps = spec.epsilon
-    cutoff = spec.frequency_cutoff
-
-    pole = np.sqrt(complex(w * w, -eps))  # displaced pole, Im < 0
-    sin_coeff = -1j * np.sin(w * t) / w
-    cos_coeff = np.cos(w * t)
-
-    def full(nu: float) -> complex:
-        return np.exp(-1j * nu * t) * 1j / (nu * nu - w * w + 1j * eps)
-
-    def smooth(nu: float) -> complex:
-        # exp(-i nu t) minus the interpolant matching it at nu = +-omega;
-        # the ratio stays bounded through both displaced poles
-        num = np.exp(-1j * nu * t) - (sin_coeff * nu + cos_coeff)
-        return num * 1j / (nu * nu - w * w + 1j * eps)
-
-    # Subtract the pole interpolant only inside a central window; outside
-    # it the raw integrand is smooth and the interpolant would grow.
-    a = min(2.0 * w + 1.0, 0.5 * cutoff)
-    body = _dual_quad(smooth, -a, a, spec.abs_tol, interior=[-w, 0.0, w])
-    body += _dual_quad(full, -cutoff, -a, spec.abs_tol, interior=[-0.5 * (cutoff + a)])
-    body += _dual_quad(full, a, cutoff, spec.abs_tol, interior=[0.5 * (cutoff + a)])
-    # int dnu/(nu^2 - w^2 + i eps) over [-a, a]; the contour keeps a fixed
-    # distance eps/(2 w) from the displaced poles so principal logs apply.
-    log_part = (
-        np.log(a - pole) - np.log(-a - pole) - np.log(a + pole) + np.log(-a + pole)
-    ) * (1j / (2.0 * pole))
-    # the nu-linear piece of the interpolant integrates to zero by symmetry
-    total = (body + cos_coeff * log_part) / (2.0 * np.pi)
-    if include_tail:
-        total = total + _tail_completion(w, t, cutoff)
-    return complex(total)
-
-
-def verify_frequency_split(
-    spec: FrequencyIntegralSpec, window: float = 1e-3
-) -> tuple[complex, complex, float]:
-    """Split the regulated integral into principal-part plus on-shell terms.
-
-    The principal part excludes symmetric windows around nu = +-omega from
-    the eps-free integrand (with the same analytic tail completion); a
-    two-point Richardson step over window sizes {w, w/2} removes the
-    leading linear-in-window truncation.  The on-shell term is evaluated
-    from the residue prescription:  delta(nu^2 - w^2) splits into poles at
-    +-omega with weight 1/(2 omega) each, giving cos(omega t)/(2 omega)
-    under these conventions.  Returns (pp_part, delta_part, residual)
-    where residual compares pp + delta against the full integral.
-    """
-    spec.validate()
-    if not window > 0:
-        raise ValidationError(f"window must be positive, got {window}")
-    w = spec.mode_frequency
-    t = spec.time
-    cutoff = spec.frequency_cutoff
-    if window >= w or w + window >= cutoff:
-        raise ValidationError(f"window {window} incompatible with omega {w} and cutoff {cutoff}")
-
-    def bare(nu: float) -> complex:
-        return np.exp(-1j * nu * t) * 1j / (nu * nu - w * w)
-
-    def pp_at(win: float) -> complex:
-        segments = [
-            (-cutoff, -w - win),
-            (-w + win, w - win),
-            (w + win, cutoff),
-        ]
-        acc = 0.0 + 0.0j
-        for a, b in segments:
-            acc += _dual_quad(bare, a, b, spec.abs_tol, interior=[0.5 * (a + b)])
-        return acc / (2.0 * np.pi)
-
-    pp = 2.0 * pp_at(window / 2.0) - pp_at(window) + _tail_completion(w, t, cutoff)
-    delta_part = complex(np.cos(w * t) / (2.0 * w))
-    full = frequency_integral_feynman(spec)
-    residual = abs(pp + delta_part - full)
-    return complex(pp), delta_part, residual
+        return getattr(frequency, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -78,6 +78,10 @@ def test_08b_frequency_split_reassembly(results):
     _gate(results, "08b_frequency_split_reassembly")
 
 
+def test_08c_frequency_quadrature_vs_quadpack(results):
+    _gate(results, "08c_frequency_quadrature_vs_quadpack")
+
+
 def test_09a_rest_frame_solutions(results):
     _gate(results, "09a_rest_frame_solutions")
 
@@ -127,7 +131,7 @@ def test_11a_cli_verify_report_contract(tmp_path):
         code == 0
         and set(report) == {"schema_version", "config", "checks"}
         and report["schema_version"] == "1"
-        and len(report["checks"]) == 21
+        and len(report["checks"]) == 22
         and all(
             set(c) == {"name", "paper_ref", "max_residual", "tolerance", "pass"}
             for c in report["checks"]

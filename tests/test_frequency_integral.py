@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 
-from boxqft.lattice import ValidationError
-from boxqft.propagators import (
+import boxqft.frequency
+from boxqft.frequency import (
     FrequencyIntegralSpec,
     QuadratureError,
     _quad_segment,
     frequency_integral_feynman,
+    quadrature_pieces,
+    segmentations,
     verify_frequency_split,
 )
+from boxqft.lattice import ValidationError
+from boxqft.suite import _quadpack_segment
 
 POINTS = ((1.0, 0.0), (1.0, 2.0), (2.0, -1.0))
 
@@ -96,12 +100,11 @@ def test_unmeetable_quadrature_tolerance_raises():
 
 
 def test_quadrature_passes_integrand_warnings_through():
-    """Only QUADPACK's own IntegrationWarning is silenced; a warning the
-    integrand raises reaches the caller."""
+    """A warning the integrand raises reaches the caller."""
 
     def noisy(v):
         warnings.warn("integrand overflow", RuntimeWarning)
-        return complex(v, -v)
+        return v - 1j * v
 
     with pytest.warns(RuntimeWarning, match="integrand overflow"):
         value = _quad_segment(noisy, 0.0, 1.0)
@@ -109,6 +112,9 @@ def test_quadrature_passes_integrand_warnings_through():
 
 
 def test_quadrature_silences_integration_warning():
+    """The QUADPACK route of check 08c silences only QUADPACK's own
+    IntegrationWarning."""
+
     def wild(v):
         # sin(1/v)/v oscillates without bound near 0; QUADPACK reports it
         # with an IntegrationWarning
@@ -116,4 +122,45 @@ def test_quadrature_silences_integration_warning():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
-        _quad_segment(wild, -1.0, 1.0)
+        _quadpack_segment(wild, -1.0, 1.0)
+
+
+@pytest.mark.parametrize(("w", "t"), POINTS)
+def test_segment_rule_matches_quadpack_on_every_segment(w, t):
+    """On the 08a and 08b integrands, every segment of both segmentations
+    the dual quadrature cuts takes the same value from the Gauss-Legendre
+    rule as from QUADPACK."""
+    worst, count = 0.0, 0
+    for fn, a, b, interior in quadrature_pieces(_spec(w, t), window=1e-3):
+        for cuts in segmentations(a, b, interior):
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                diff = abs(_quad_segment(fn, lo, hi) - _quadpack_segment(fn, lo, hi))
+                worst, count = max(worst, diff), count + 1
+    assert count == 60
+    assert worst <= 1e-12
+
+
+def test_quadrature_pieces_are_those_integrated(monkeypatch):
+    """quadrature_pieces lists exactly the pieces that
+    frequency_integral_feynman and verify_frequency_split integrate, so
+    check 08c compares the segments 08a and 08b use."""
+    seen = []
+    dual_quad = boxqft.frequency._dual_quad
+
+    def recording(fn, a, b, abs_tol, interior):
+        seen.append((fn.__name__, a, b, list(interior)))
+        return dual_quad(fn, a, b, abs_tol, interior)
+
+    monkeypatch.setattr(boxqft.frequency, "_dual_quad", recording)
+    spec = _spec(1.0, 2.0)
+    verify_frequency_split(spec, window=1e-3)  # evaluates the full integral too
+    listed = [(fn.__name__, a, b, list(cuts)) for fn, a, b, cuts in quadrature_pieces(spec, 1e-3)]
+    assert sorted(seen) == sorted(listed)
+
+
+def test_segment_rule_is_exact_for_polynomials_and_graded_at_the_ends():
+    # 16 Gauss nodes per panel integrate degree 31 exactly
+    assert _quad_segment(lambda v: v**31 + 0j, 0.0, 1.0) == pytest.approx(1.0 / 32.0, rel=1e-14)
+    # an integrable end singularity, which uniform panels resolve poorly
+    value = _quad_segment(lambda v: np.log(v) + 0j, 0.0, 1.0)
+    assert abs(value + 1.0) <= 1e-12

@@ -14,6 +14,7 @@ import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import boxqft
+import boxqft.frequency
 import boxqft.suite
 from boxqft.cli import (
     RunConfig,
@@ -24,8 +25,9 @@ from boxqft.cli import (
     parse_tolerance_overrides,
     report_schema_version,
 )
+from boxqft.frequency import QuadratureError
 from boxqft.lattice import LatticeSpec, ValidationError, build_lattice
-from boxqft.propagators import KernelKind, QuadratureError, eval_kernel, separation
+from boxqft.propagators import KernelKind, eval_kernel, separation
 from boxqft.suite import (
     DEFAULT_TOLERANCES,
     EXCEED_CHECKS,
@@ -63,6 +65,8 @@ PINNED_CHECKS = [
      "regulated frequency integral reaches the per-mode kernel", False),
     ("08b_frequency_split_reassembly", 1e-4,
      "principal-part plus on-shell split reassembles the integral", False),
+    ("08c_frequency_quadrature_vs_quadpack", 1e-10,
+     "gauss-legendre frequency quadrature equals quadpack per segment", False),
     ("09a_rest_frame_solutions", 1e-15,
      "rest-frame spinor basis with signed energies and unit density", False),
     ("09b_negative_energy_flux_direction", 0.0,
@@ -152,7 +156,7 @@ def test_quadrature_failure_is_inf_and_warned(monkeypatch):
     def failing(*args, **kwargs):
         raise QuadratureError("segment [0, 1] disagrees by 3e-2")
 
-    monkeypatch.setattr(boxqft.suite, "frequency_integral_feynman", failing)
+    monkeypatch.setattr(boxqft.frequency, "frequency_integral_feynman", failing)
     with pytest.warns(RuntimeWarning) as caught:
         results = run_all_checks(LatticeSpec(), seed=42)
     messages = [str(w.message) for w in caught]
@@ -170,16 +174,23 @@ def test_check_result_is_frozen():
         result.passed = False
 
 
-def test_import_boxqft_leaves_scipy_unloaded():
-    """The package imports none of its submodules, so a bare
-    ``import boxqft`` costs no scipy import."""
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def _fresh_interpreter(code: str) -> str:
     src = str(Path(boxqft.__file__).resolve().parents[1])
-    code = "import sys, boxqft; print('scipy' in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     )
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_import_boxqft_leaves_scipy_unloaded():
+    """The package imports none of its submodules, so a bare
+    ``import boxqft`` costs no scipy import."""
+    code = "import sys, boxqft; print('scipy' in sys.modules)"
+    assert _fresh_interpreter(code) == "False"
 
 
 # --- CLI helpers ------------------------------------------------------------
@@ -376,6 +387,15 @@ def test_invalid_lattice_input_exits_2(tmp_path, capsys):
         (["dirac", "--mass", "nan"], "mass must be finite"),
         (["dirac", "--p", "nan,0,0"], "p and m must give a finite energy"),
         (["dirac", "--n-space", "3"], "n_space must be even"),
+        (["absorber", "--n-space", "8", "--n-time", "8", "--box-length", "1e300"],
+         "box_length=1e+300"),
+        (["fock-vev", "--n-space", "16", "--box-length", "1e-300"], "box_length=1e-300"),
+        (["kernel", "--kind", "dplus", "--t", "0.5", "--x", "0", "--mass", "1e200"],
+         "mode frequency is inf"),
+        (["kernel", "--kind", "dplus", "--t", "0.5", "--x", "0", "--mass", "1e-200"],
+         "lowest mode frequency is 0.0"),
+        (["verify", "--n-space", "4"], "n_space must be >= 6"),
+        (["verify", "--n-space", "2"], "n_space must be >= 6"),
     ],
 )
 def test_non_finite_or_out_of_range_input_exits_2(tmp_path, capsys, argv, message):
@@ -383,6 +403,39 @@ def test_non_finite_or_out_of_range_input_exits_2(tmp_path, capsys, argv, messag
     assert main(argv + ["--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()  # invalid input writes no file
+
+
+def test_importing_the_cli_and_kernel_modules_loads_no_scipy():
+    modules = ["boxqft.cli", "boxqft.propagators", "boxqft.absorber", "boxqft.dirac"]
+    code = f"import sys, {', '.join(modules)}; print({_SCIPY_MODULES})"
+    assert _fresh_interpreter(code) == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--kind", "feynman", "--t-range", "-1:1:4", "--x", "0.5"],
+        ["absorber", "--n-space", "16", "--n-time", "16", "--project"],
+        ["dirac"],
+    ],
+)
+def test_subcommands_without_checks_load_no_scipy(tmp_path, argv):
+    code = (
+        "import sys; from boxqft.cli import main; "
+        f"code = main({argv + ['--out', str(tmp_path)]!r}); "
+        f"print(code, {_SCIPY_MODULES})"
+    )
+    assert _fresh_interpreter(code).splitlines()[-1] == "0 []"
+
+
+def test_unknown_tolerance_name_on_kernel_exits_2(tmp_path):
+    code = (
+        "import sys; from boxqft.cli import main; "
+        "print(main(['kernel', '--kind', 'dplus', '--t', '0.5', '--x', '0', "
+        f"'--tolerance', 'bogus=1', '--out', {str(tmp_path / 'out')!r}]))"
+    )
+    assert _fresh_interpreter(code) == "2"
+    assert not (tmp_path / "out").exists()
 
 
 def test_norm_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):
