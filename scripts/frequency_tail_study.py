@@ -23,7 +23,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from boxqft.propagators import FrequencyIntegralSpec, frequency_integral_feynman
+from boxqft.frequency import FrequencyIntegralSpec, frequency_integral_feynman
 
 
 def main() -> None:

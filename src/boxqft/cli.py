@@ -183,6 +183,10 @@ def _parse_linspace(text: str, field_name: str) -> np.ndarray:
         ) from exc
     if count < 1:
         raise ValidationError(f"{field_name}: count must be >= 1, got {count}")
+    if not math.isfinite(stop - start):
+        raise ValidationError(
+            f"{field_name}: START:STOP must be finite with a finite width, got {text!r}"
+        )
     return np.linspace(start, stop, count)
 
 
@@ -270,18 +274,19 @@ def cmd_fock_vev(config: RunConfig, args: argparse.Namespace) -> int:
 
     lattice = build_lattice(config.spec)
     rng = np.random.default_rng(config.seed)
-    pairs = list(sample_vev_pairs(rng, config.spec.box_length, args.n_pairs))
-    vevs, kernels, diffs, truncations = compare_vev_to_feynman(lattice, pairs)
+    points = sample_vev_pairs(rng, config.spec.box_length, args.n_pairs)
+    vevs, kernels, diffs, truncations = compare_vev_to_feynman(lattice, *points)
     worst = float(np.max(diffs, initial=0.0))
+    tx, xx, ty, xy = (a.tolist() for a in points)
     records = [
         {
-            "x": [p_x.t, p_x.x],
-            "y": [p_y.t, p_y.x],
-            "vev": _complex_pair(vev),
-            "i_feynman": _complex_pair(kernel),
-            "abs_diff": float(diff),
+            "x": [tx[i], xx[i]],
+            "y": [ty[i], xy[i]],
+            "vev": _complex_pair(vevs[i]),
+            "i_feynman": _complex_pair(kernels[i]),
+            "abs_diff": float(diffs[i]),
         }
-        for (p_x, p_y), vev, kernel, diff in zip(pairs, vevs, kernels, diffs)
+        for i in range(args.n_pairs)
     ]
     out_dir = _ensure_out_dir(config)
     path = out_dir / "fock_vev.json"

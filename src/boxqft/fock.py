@@ -15,6 +15,9 @@ kernel, and the mode-operator identities (negative-frequency phase of
 ``b_dag``, momentum sign reversal between retarded and advanced phase
 choices, the antiparticle relabeling of the field expansion, and the
 translation-generator commutator) are all verified at matrix level.
+It imports nothing from :mod:`boxqft.propagators`, so the two routes of
+that cross-check share no kernel code: spacetime points here are plain
+``(t, x)`` float pairs.
 
 Conventions (shared with :mod:`boxqft.propagators`):
 
@@ -40,7 +43,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .lattice import Lattice, ValidationError, omega
-from .propagators import SpacetimePoint
 
 __all__ = [
     "FockState",
@@ -243,10 +245,6 @@ class ModeOperator:
         return ModeOperator(())
 
     @staticmethod
-    def identity() -> "ModeOperator":
-        return ModeOperator(((1.0 + 0.0j, ()),))
-
-    @staticmethod
     def ladder(sector: str, mode: int, dagger: bool) -> "ModeOperator":
         if sector not in _SECTORS:
             raise ValidationError(f"sector must be 'a' or 'b', got {sector!r}")
@@ -391,13 +389,18 @@ def field_operator(spec: ModeSpec, t: float, x: float) -> ModeOperator:
     return ModeOperator(tuple(terms))
 
 
-def vev_field_adjoint(spec: ModeSpec, x: SpacetimePoint, y: SpacetimePoint) -> complex:
-    """<0| Psi(x) Psi_dag(y) |0> by explicit operator application."""
+def vev_field_adjoint(
+    spec: ModeSpec, x: tuple[float, float], y: tuple[float, float]
+) -> complex:
+    """<0| Psi(x) Psi_dag(y) |0> by explicit operator application, at the
+    points x = (t_x, x_x) and y = (t_y, x_y)."""
     value, _ = _ordered_vev(spec, x, y, adjoint_first=False)
     return value
 
 
-def vev_adjoint_field(spec: ModeSpec, x: SpacetimePoint, y: SpacetimePoint) -> complex:
+def vev_adjoint_field(
+    spec: ModeSpec, x: tuple[float, float], y: tuple[float, float]
+) -> complex:
     """<0| Psi_dag(y) Psi(x) |0> by explicit operator application."""
     value, _ = _ordered_vev(spec, x, y, adjoint_first=True)
     return value
@@ -405,12 +408,12 @@ def vev_adjoint_field(spec: ModeSpec, x: SpacetimePoint, y: SpacetimePoint) -> c
 
 def _ordered_vev(
     spec: ModeSpec,
-    x: SpacetimePoint,
-    y: SpacetimePoint,
+    x: tuple[float, float],
+    y: tuple[float, float],
     adjoint_first: bool,
 ) -> tuple[complex, int]:
-    psi_x = field_operator(spec, x.t, x.x)
-    psi_dag_y = field_operator(spec, y.t, y.x).adjoint()
+    psi_x = field_operator(spec, *x)
+    psi_dag_y = field_operator(spec, *y).adjoint()
     vac = vacuum(spec)
     if adjoint_first:
         # <0| Psi_dag(y) Psi(x) |0>
@@ -422,28 +425,30 @@ def _ordered_vev(
 
 
 def time_ordered_vev_detail(
-    spec: ModeSpec, x: SpacetimePoint, y: SpacetimePoint
+    spec: ModeSpec, x: tuple[float, float], y: tuple[float, float]
 ) -> tuple[complex, int]:
     """Time-ordered two-point function with its truncation-event count.
 
-    Later field to the left: for ``x.t > y.t`` this is
-    ``<0|Psi(x) Psi_dag(y)|0>`` and for ``x.t < y.t`` it is
+    Points are (t, x) pairs.  Later field to the left: for t_x > t_y this
+    is ``<0|Psi(x) Psi_dag(y)|0>`` and for t_x < t_y it is
     ``<0|Psi_dag(y) Psi(x)|0>`` (the branch carried by the antiquanta).
     Equal times are rejected because the ordering is then undefined.
     """
-    if x.t == y.t:
+    if x[0] == y[0]:
         raise ValidationError(
-            f"time ordering undefined at equal times t={x.t}; offset the two points"
+            f"time ordering undefined at equal times t={x[0]}; offset the two points"
         )
-    return _ordered_vev(spec, x, y, adjoint_first=x.t < y.t)
+    return _ordered_vev(spec, x, y, adjoint_first=x[0] < y[0])
 
 
-def time_ordered_vev(spec: ModeSpec, x: SpacetimePoint, y: SpacetimePoint) -> complex:
+def time_ordered_vev(
+    spec: ModeSpec, x: tuple[float, float], y: tuple[float, float]
+) -> complex:
     """Time-ordered two-point function <0|T Psi(x) Psi_dag(y)|0>.
 
     On a negation-closed mode set covering a lattice grid this equals
     the Feynman kernel of :func:`boxqft.propagators.eval_kernel`
-    evaluated at the separation x - y.
+    evaluated at the point difference x - y.
     """
     value, _ = time_ordered_vev_detail(spec, x, y)
     return value
@@ -603,9 +608,6 @@ class OscillatorQuadratures:
 
     q_operator: ModeOperator
     p_operator: ModeOperator
-    mode: int
-    time: float
-    phase: str  # "retarded" or "advanced"
 
 
 def oscillator_quadratures(
@@ -633,7 +635,7 @@ def oscillator_quadratures(
         (sign * 1j * w * a_phase) * a_op(mode)
         + (sign * 1j * w * a_phase).conjugate() * a_dag(mode)
     )
-    return OscillatorQuadratures(q, p, mode, t, phase)
+    return OscillatorQuadratures(q, p)
 
 
 def momentum_sign_check(spec: ModeSpec, mode: int, t: float) -> float:

@@ -36,17 +36,20 @@ Evaluation path.  Every kind is one entry of a coefficient table
 for the t = 0 extension, e.g. Feynman is (1, 0), (0, -1), (1/2, -1/2).
 kernel_values sums D+ and D- at most once per call, each only at the
 points where its weight is nonzero, and combines them by the table.
-eval_kernel_grid is the one validating entry (kind, negation closure,
-reduction of x into [0, L)); eval_kernel, the verify_* routines and the
-CLI go through it.  Mode sums are accumulated pairwise over +-k partner
-modes (ends-inward pairing of the sorted grid) to keep cancellation
-error near machine precision.
+Kernels are functions of the point difference (t, x) = (t_a - t_b,
+x_a - x_b), given as plain float arrays of times and positions; there is
+no point type.  eval_kernel_grid is the one validating entry (kind,
+negation closure, finite times whose phases do not overflow, reduction
+of x into [0, L)); eval_kernel (one difference), the verify_* routines
+(arrays of differences) and the CLI go through it.  Mode sums are
+accumulated pairwise over +-k partner modes (ends-inward pairing of the
+sorted grid) to keep cancellation error near machine precision.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -69,19 +72,6 @@ STEP_FUNCTION_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class SpacetimePoint:
-    """A time plus a spatial coordinate stored in the canonical range [0, L).
-
-    Construct through :func:`make_point` (or :func:`separation`) so the
-    reduction happens exactly once; storing the canonical representative
-    makes spatial periodicity of the kernels exact rather than approximate.
-    """
-
-    t: float
-    x: float
-
-
 def canonical_x(x, box_length: float):
     """Reduce x (a scalar or an array) into [0, L).  Uses fmod-based modulo
     so that the reduced values of x and -x sum to exactly L (needed for
@@ -89,17 +79,6 @@ def canonical_x(x, box_length: float):
     r = np.mod(x, box_length)
     # np.mod returns L itself when x is a tiny negative number
     return r - box_length * (r >= box_length)
-
-
-def make_point(t: float, x: float, box_length: float) -> SpacetimePoint:
-    if not box_length > 0:
-        raise ValidationError(f"box_length must be positive, got {box_length}")
-    return SpacetimePoint(t=float(t), x=float(canonical_x(float(x), box_length)))
-
-
-def separation(a: SpacetimePoint, b: SpacetimePoint, box_length: float) -> SpacetimePoint:
-    """The difference a - b with the spatial part reduced into [0, L)."""
-    return make_point(a.t - b.t, a.x - b.x, box_length)
 
 
 def _paired_sum(terms: np.ndarray) -> np.ndarray:
@@ -196,7 +175,8 @@ def eval_kernel_grid(lattice: Lattice, kind: KernelKind, ts, xs, step_at_zero: b
     KernelKind, non-finite times or positions (nan would fall into none
     of the t > 0, t < 0, t = 0 weight regions and read 0), momentum grids
     that are not closed under k -> -k (the kernels' parity and
-    antisymmetry identities rely on exact partner cancellation) and, for
+    antisymmetry identities rely on exact partner cancellation), times
+    whose phase |t| * max w overflows (the sums would read nan) and, for
     the step-function kinds, t = 0 unless ``step_at_zero``.  Positions
     are reduced into [0, L) first.
     """
@@ -206,53 +186,60 @@ def eval_kernel_grid(lattice: Lattice, kind: KernelKind, ts, xs, step_at_zero: b
         raise ValidationError("lattice momenta must be negation-closed (edge mode excluded)")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    for name, values in (("t", ts), ("x", xs)):
-        bad = ~np.isfinite(values)
+    # |t| * max w as a Python float product is inf or nan, with no warning,
+    # for a nan or inf t and for a finite t whose phase overflows, so one
+    # reduction screens every t.
+    top = float(lattice.frequencies.max())
+    if not math.isfinite(float(np.abs(ts).max(initial=0.0)) * top):
+        bad = ~np.isfinite(ts)
         if bad.any():
-            raise ValidationError(f"{name} must be finite, got {values[bad][0]}")
+            raise ValidationError(f"t must be finite, got {ts[bad][0]}")
+        raise ValidationError(
+            f"t={float(ts[np.argmax(np.abs(ts))])!r} overflows the mode phases: "
+            f"|t| * max frequency {top!r} is not finite"
+        )
+    bad = ~np.isfinite(xs)
+    if bad.any():
+        raise ValidationError(f"x must be finite, got {xs[bad][0]}")
     L = lattice.spec.box_length
     xs = canonical_x(xs, L)
     return kernel_values(lattice.momenta, lattice.frequencies, L, kind, ts, xs, step_at_zero)
 
 
-def eval_kernel(lattice: Lattice, kind: KernelKind, point: SpacetimePoint) -> complex:
-    """Evaluate one kernel at one spacetime separation (see eval_kernel_grid)."""
-    return complex(eval_kernel_grid(lattice, kind, point.t, point.x)[0])
+def eval_kernel(lattice: Lattice, kind: KernelKind, t: float, x: float) -> complex:
+    """Evaluate one kernel at one point difference (t, x) (see eval_kernel_grid)."""
+    return complex(eval_kernel_grid(lattice, kind, t, x)[0])
 
 
-def verify_decomposition(lattice: Lattice, points: list[SpacetimePoint]) -> float:
-    """Max residual of  Feynman = TimeSymmetric + (D+ - D-)/2  over points.
+def verify_decomposition(lattice: Lattice, t, x) -> float:
+    """Max residual of  Feynman = TimeSymmetric + (D+ - D-)/2  over the
+    point differences (t, x).
 
     All four kinds are combinations of the same D+ and D- sums (see
     ``_COEFFICIENTS``), so the residual tests the coefficient table and
     the step masks (it reads 0.0 at the defaults); it is not an
     independent route to the kernels.  Check 03 (the Fock-space vacuum
-    expectation) and the 50-digit D+ oracle are.  Points must avoid
+    expectation) and the 50-digit D+ oracle are.  Times must avoid
     t = 0 (step-function kinds).
     """
-    ts = np.array([p.t for p in points], dtype=float)
-    xs = np.array([p.x for p in points], dtype=float)
 
     def k(kind):
-        return eval_kernel_grid(lattice, kind, ts, xs)
+        return eval_kernel_grid(lattice, kind, t, x)
 
     f, dbar = k(KernelKind.FEYNMAN), k(KernelKind.TIME_SYMMETRIC)
     dp, dm = k(KernelKind.WIGHTMAN_PLUS), k(KernelKind.WIGHTMAN_MINUS)
     return float(np.max(np.abs(f - dbar - 0.5 * (dp - dm)), initial=0.0))
 
 
-def verify_antisymmetry(
-    lattice: Lattice, pairs: list[tuple[SpacetimePoint, SpacetimePoint]]
-) -> float:
-    """Max over pairs (a, b) of |D+(a-b) + D-(b-a)|.
+def verify_antisymmetry(lattice: Lattice, t, x) -> float:
+    """Max over the point differences (t, x) of |D+(t, x) + D-(-t, -x)|.
 
     The two sums cancel mode against negated partner mode, so the grid
     must be negation-closed; eval_kernel_grid enforces that.
     """
-    dt = np.array([a.t - b.t for a, b in pairs], dtype=float)
-    dx = np.array([a.x - b.x for a, b in pairs], dtype=float)
-    dp = eval_kernel_grid(lattice, KernelKind.WIGHTMAN_PLUS, dt, dx)
-    dm = eval_kernel_grid(lattice, KernelKind.WIGHTMAN_MINUS, -dt, -dx)
+    t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+    dp = eval_kernel_grid(lattice, KernelKind.WIGHTMAN_PLUS, t, x)
+    dm = eval_kernel_grid(lattice, KernelKind.WIGHTMAN_MINUS, -t, -x)
     return float(np.max(np.abs(dp + dm), initial=0.0))
 
 

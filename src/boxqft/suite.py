@@ -30,7 +30,7 @@ from . import absorber, dirac, fock, frequency, propagators
 from . import lattice as lattices
 from .frequency import FrequencyIntegralSpec
 from .lattice import Lattice, LatticeSpec, QuadratureError, ValidationError
-from .propagators import KernelKind, eval_kernel_grid, make_point, separation
+from .propagators import KernelKind, eval_kernel_grid
 
 __all__ = [
     "CheckResult",
@@ -77,62 +77,65 @@ class CheckResult:
         }
 
 
+_T_RANGE = 2.0
+
+
 def sample_points(
-    rng: np.random.Generator,
-    box_length: float,
-    n: int,
-    t_range: float = 2.0,
-    min_abs_t: float = 0.0,
-):
-    """Seeded spacetime points with |t| bounded away from zero on request."""
-    points = []
-    while len(points) < n:
-        t = float(rng.uniform(-t_range, t_range))
+    rng: np.random.Generator, box_length: float, n: int, min_abs_t: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """n seeded points as arrays (t, x), t in [-2, 2] and x in [0, L), each
+    t drawn just before its x.  A t below ``min_abs_t`` in magnitude is
+    redrawn before its x is, one draw at a time."""
+    if not min_abs_t > 0.0:
+        return tuple(rng.uniform([-_T_RANGE, 0.0], [_T_RANGE, box_length], size=(n, 2)).T)
+    ts, xs = [], []
+    while len(ts) < n:
+        t = float(rng.uniform(-_T_RANGE, _T_RANGE))
         if abs(t) < min_abs_t:
             continue
-        x = float(rng.uniform(0.0, box_length))
-        points.append(make_point(t, x, box_length))
-    return points
+        ts.append(t)
+        xs.append(float(rng.uniform(0.0, box_length)))
+    return np.array(ts), np.array(xs)
 
 
-def sample_vev_pairs(rng: np.random.Generator, box_length: float, n: int):
-    """Yield n seeded point pairs (p_x, p_y) for the time-ordered VEV
-    comparison: times in [-2, 2] at least 1e-3 apart, p_x the later of
-    the two on even indices and the earlier on odd ones."""
+def sample_vev_pairs(
+    rng: np.random.Generator, box_length: float, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """n seeded point pairs for the time-ordered VEV comparison, as arrays
+    (tx, xx, ty, xy): times in [-2, 2] at least 1e-3 apart, the point
+    (tx, xx) the later of its pair on even indices and the earlier on odd
+    ones."""
+    draws = np.empty((n, 4))
     for idx in range(n):
-        t1, t2 = rng.uniform(-2.0, 2.0, size=2)
+        t1, t2 = rng.uniform(-_T_RANGE, _T_RANGE, size=2)
         while abs(t1 - t2) < 1e-3:
-            t2 = float(rng.uniform(-2.0, 2.0))
+            t2 = rng.uniform(-_T_RANGE, _T_RANGE)
         if (t1 > t2) != (idx % 2 == 0):
             t1, t2 = t2, t1
         x1, x2 = rng.uniform(0.0, box_length, size=2)
-        yield (
-            make_point(float(t1), float(x1), box_length),
-            make_point(float(t2), float(x2), box_length),
-        )
+        draws[idx] = t1, x1, t2, x2
+    return tuple(draws.T)
 
 
 def compare_vev_to_feynman(
-    lattice: Lattice, pairs
+    lattice: Lattice, tx, xx, ty, xy
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Time-ordered VEV against the Feynman kernel at each (p_x, p_y) pair.
+    """Time-ordered VEV against the Feynman kernel at each point pair
+    (tx, xx), (ty, xy) of the four arrays.
 
-    Returns the VEVs, the kernel at the separations p_x - p_y (one
-    array call), their absolute differences and the summed
+    Returns the VEVs, the kernel at the differences (tx - ty, xx - xy)
+    (one array call), their absolute differences and the summed
     truncation-event count.
     """
-    pairs = list(pairs)
+    tx, xx, ty, xy = (np.asarray(a, dtype=float) for a in (tx, xx, ty, xy))
     mode_spec = fock.mode_spec_from_lattice(lattice, max_occupation=1)
-    vevs = np.zeros(len(pairs), dtype=complex)
+    vevs = np.zeros(tx.size, dtype=complex)
     truncations = 0
-    for idx, (p_x, p_y) in enumerate(pairs):
-        vevs[idx], events = fock.time_ordered_vev_detail(mode_spec, p_x, p_y)
+    pairs = zip(tx.tolist(), xx.tolist(), ty.tolist(), xy.tolist())
+    for idx, (t1, x1, t2, x2) in enumerate(pairs):
+        vevs[idx], events = fock.time_ordered_vev_detail(mode_spec, (t1, x1), (t2, x2))
         truncations += events
-    L = lattice.spec.box_length
-    seps = [separation(p_x, p_y, L) for p_x, p_y in pairs]
-    kernels = eval_kernel_grid(
-        lattice, KernelKind.FEYNMAN, [s.t for s in seps], [s.x for s in seps]
-    )
+    kernels = eval_kernel_grid(lattice, KernelKind.FEYNMAN, tx - ty, xx - xy)
     diff = vevs - kernels
     # np.hypot rounds as abs(complex) does; np.abs can differ in the last bit.
     return vevs, kernels, np.hypot(diff.real, diff.imag), truncations
@@ -147,22 +150,23 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 def _check_antisymmetry(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float]:
     rng = _rng(seed, 1)
     L = lattice.spec.box_length
-    pairs = list(zip(sample_points(rng, L, 1000), sample_points(rng, L, 1000)))
-    return (propagators.verify_antisymmetry(lattice, pairs),)
+    t1, x1 = sample_points(rng, L, 1000)
+    t2, x2 = sample_points(rng, L, 1000)
+    return (propagators.verify_antisymmetry(lattice, t1 - t2, x1 - x2),)
 
 
 def _check_decomposition(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float]:
     rng = _rng(seed, 2)
-    points = sample_points(rng, lattice.spec.box_length, 1000, min_abs_t=0.05)
-    return (propagators.verify_decomposition(lattice, points),)
+    t, x = sample_points(rng, lattice.spec.box_length, 1000, min_abs_t=0.05)
+    return (propagators.verify_decomposition(lattice, t, x),)
 
 
 def _check_vev_oracle(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float, int]:
     """Max |VEV - Feynman kernel| over 100 seeded pairs on a 16-point grid,
     alternating the time ordering; also returns the truncation count."""
     spec16 = replace(spec, n_space=16)
-    pairs = sample_vev_pairs(_rng(seed, 3), spec16.box_length, 100)
-    _, _, diffs, truncations = compare_vev_to_feynman(lattices.build_lattice(spec16), pairs)
+    points = sample_vev_pairs(_rng(seed, 3), spec16.box_length, 100)
+    _, _, diffs, truncations = compare_vev_to_feynman(lattices.build_lattice(spec16), *points)
     return float(np.max(diffs)), truncations
 
 

@@ -36,7 +36,7 @@ from boxqft.fock import (
     vev_field_adjoint,
 )
 from boxqft.lattice import ValidationError
-from boxqft.propagators import KernelKind, eval_kernel, make_point, separation
+from boxqft.propagators import KernelKind, eval_kernel
 
 L = 10.0
 TWO_PI_OVER_L = 2.0 * math.pi / L
@@ -190,13 +190,12 @@ def test_operator_product_matches_matrix_product():
 
 def test_ordered_vevs_match_wightman_kernels(lattice16):
     spec = mode_spec_from_lattice(lattice16)
-    x = make_point(0.9, 1.7, L)
-    y = make_point(0.2, 6.1, L)
-    d = separation(x, y, L)
-    dp = eval_kernel(lattice16, KernelKind.WIGHTMAN_PLUS, d)
-    dm = eval_kernel(lattice16, KernelKind.WIGHTMAN_MINUS, d)
-    comm = eval_kernel(lattice16, KernelKind.COMMUTATOR, d)
-    had = eval_kernel(lattice16, KernelKind.HADAMARD, d)
+    x, y = (0.9, 1.7), (0.2, 6.1)
+    d = (x[0] - y[0], x[1] - y[1])
+    dp = eval_kernel(lattice16, KernelKind.WIGHTMAN_PLUS, *d)
+    dm = eval_kernel(lattice16, KernelKind.WIGHTMAN_MINUS, *d)
+    comm = eval_kernel(lattice16, KernelKind.COMMUTATOR, *d)
+    had = eval_kernel(lattice16, KernelKind.HADAMARD, *d)
 
     forward = vev_field_adjoint(spec, x, y)
     reverse = vev_adjoint_field(spec, x, y)
@@ -210,10 +209,9 @@ def test_ordered_vevs_match_wightman_kernels(lattice16):
 def test_time_ordered_vev_equals_feynman(lattice16, later_first):
     spec = mode_spec_from_lattice(lattice16)
     t1, t2 = (1.1, 0.4) if later_first else (0.4, 1.1)
-    x = make_point(t1, 2.2, L)
-    y = make_point(t2, 8.6, L)
+    x, y = (t1, 2.2), (t2, 8.6)
     vev, truncations = time_ordered_vev_detail(spec, x, y)
-    kernel = eval_kernel(lattice16, KernelKind.FEYNMAN, separation(x, y, L))
+    kernel = eval_kernel(lattice16, KernelKind.FEYNMAN, t1 - t2, 2.2 - 8.6)
     assert abs(vev - kernel) <= 1e-10
     assert truncations == 0
 
@@ -221,7 +219,7 @@ def test_time_ordered_vev_equals_feynman(lattice16, later_first):
 def test_equal_times_rejected(lattice16):
     spec = mode_spec_from_lattice(lattice16, half_width=1)
     with pytest.raises(ValidationError, match="equal times"):
-        time_ordered_vev(spec, make_point(0.5, 1.0, L), make_point(0.5, 2.0, L))
+        time_ordered_vev(spec, (0.5, 1.0), (0.5, 2.0))
 
 
 def test_confirmation_inner_probe(spec3):

@@ -13,8 +13,6 @@ from boxqft.propagators import (
     eval_kernel,
     eval_kernel_grid,
     kernel_values,
-    make_point,
-    separation,
     verify_antisymmetry,
     verify_decomposition,
 )
@@ -38,18 +36,19 @@ FROZEN_DPLUS = {
 def test_positive_frequency_kernel_matches_independent_oracle(key, expected):
     n_space, t, x = key
     lattice = build_lattice(LatticeSpec(n_space=n_space))
-    got = eval_kernel(lattice, KernelKind.WIGHTMAN_PLUS, make_point(t, x, L))
+    got = eval_kernel(lattice, KernelKind.WIGHTMAN_PLUS, t, x)
     assert abs(got - expected) <= 1e-15
 
 
 def test_antisymmetry_of_wightman_pair(lattice64, rng):
-    pairs = list(zip(sample_points(rng, L, 100), sample_points(rng, L, 100)))
-    assert verify_antisymmetry(lattice64, pairs) <= 1e-12
+    t1, x1 = sample_points(rng, L, 100)
+    t2, x2 = sample_points(rng, L, 100)
+    assert verify_antisymmetry(lattice64, t1 - t2, x1 - x2) <= 1e-12
 
 
 def test_feynman_decomposition(lattice64, rng):
-    points = sample_points(rng, L, 100, min_abs_t=0.05)
-    assert verify_decomposition(lattice64, points) <= 1e-12
+    t, x = sample_points(rng, L, 100, min_abs_t=0.05)
+    assert verify_decomposition(lattice64, t, x) <= 1e-12
 
 
 def _reference_kernels(n_space, mass, t, x):
@@ -100,7 +99,7 @@ def test_scalar_and_array_calls_agree_bitwise(lattice64, kind):
     t = rng.uniform(-2.0, 2.0, 40)
     x = rng.uniform(-15.0, 25.0, 40)
     grid = eval_kernel_grid(lattice64, kind, t, x)
-    scalar = [eval_kernel(lattice64, kind, make_point(a, b, L)) for a, b in zip(t, x)]
+    scalar = [eval_kernel(lattice64, kind, a, b) for a, b in zip(t, x)]
     np.testing.assert_array_equal(grid, scalar)
 
 
@@ -139,7 +138,7 @@ def test_single_pass_evaluates_each_wightman_function_once(lattice64, monkeypatc
 @pytest.mark.parametrize("x", [0.0, 1.1, 6.25])
 def test_kernel_family_algebra(lattice64, t, x):
     def k(kind):
-        return eval_kernel(lattice64, kind, make_point(t, x, L))
+        return eval_kernel(lattice64, kind, t, x)
 
     dp = k(KernelKind.WIGHTMAN_PLUS)
     dm = k(KernelKind.WIGHTMAN_MINUS)
@@ -169,14 +168,14 @@ def test_kernel_family_algebra(lattice64, t, x):
 
 def test_equal_time_commutator_vanishes(lattice64):
     for x in (0.0, 0.7, 3.3, 9.1):
-        value = eval_kernel(lattice64, KernelKind.COMMUTATOR, make_point(0.0, x, L))
+        value = eval_kernel(lattice64, KernelKind.COMMUTATOR, 0.0, x)
         assert abs(value) <= 1e-14
 
 
 @pytest.mark.parametrize("kind", sorted(STEP_FUNCTION_KINDS, key=lambda k: k.value))
 def test_step_kinds_reject_time_zero(lattice64, kind):
     with pytest.raises(ValidationError, match="t"):
-        eval_kernel(lattice64, kind, make_point(0.0, 1.0, L))
+        eval_kernel(lattice64, kind, 0.0, 1.0)
 
 
 def test_continuous_extension_at_time_zero(lattice64):
@@ -192,14 +191,14 @@ def test_continuous_extension_at_time_zero(lattice64):
 
 def test_spatial_periodicity(lattice64):
     for kind in (KernelKind.WIGHTMAN_PLUS, KernelKind.FEYNMAN):
-        a = eval_kernel(lattice64, kind, make_point(0.8, 1.3, L))
-        b = eval_kernel(lattice64, kind, make_point(0.8, 1.3 + L, L))
+        a = eval_kernel(lattice64, kind, 0.8, 1.3)
+        b = eval_kernel(lattice64, kind, 0.8, 1.3 + L)
         assert abs(a - b) <= 1e-12
 
 
 def test_spatial_parity(lattice64):
-    a = eval_kernel(lattice64, KernelKind.WIGHTMAN_PLUS, make_point(0.8, 1.3, L))
-    b = eval_kernel(lattice64, KernelKind.WIGHTMAN_PLUS, make_point(0.8, -1.3, L))
+    a = eval_kernel(lattice64, KernelKind.WIGHTMAN_PLUS, 0.8, 1.3)
+    b = eval_kernel(lattice64, KernelKind.WIGHTMAN_PLUS, 0.8, -1.3)
     assert abs(a - b) <= 1e-14
 
 
@@ -211,7 +210,7 @@ def test_unclosed_momentum_grid_rejected(lattice64):
         frequencies=np.sqrt(1.0 + bad_momenta**2),
     )
     with pytest.raises(ValidationError, match="negation-closed"):
-        eval_kernel(bad, KernelKind.WIGHTMAN_PLUS, make_point(0.5, 1.0, L))
+        eval_kernel(bad, KernelKind.WIGHTMAN_PLUS, 0.5, 1.0)
 
 
 def test_unclosed_momentum_grid_breaks_antisymmetry(lattice64):
@@ -228,21 +227,19 @@ def test_unclosed_momentum_grid_breaks_antisymmetry(lattice64):
 
 
 def test_point_canonicalization():
-    assert make_point(0.5, -1.0, L).x == pytest.approx(9.0)
-    assert make_point(0.5, 12.5, L).x == pytest.approx(2.5)
-    assert make_point(0.5, 10.0, L).x == 0.0
+    assert canonical_x(-1.0, L) == pytest.approx(9.0)
+    assert canonical_x(12.5, L) == pytest.approx(2.5)
+    assert canonical_x(10.0, L) == 0.0
     assert canonical_x(-0.25, L) == pytest.approx(9.75)
     xs = np.array([-1e-20, -0.25, 0.0, 12.5, -31.0, 9.999])
     np.testing.assert_array_equal(canonical_x(xs, L), [canonical_x(v, L) for v in xs])
     assert canonical_x(-1e-20, L) == 0.0  # np.mod alone gives L here
 
 
-def test_separation_wraps_position():
-    a = make_point(1.0, 1.0, L)
-    b = make_point(0.25, 9.5, L)
-    d = separation(a, b, L)
-    assert d.t == pytest.approx(0.75)
-    assert d.x == pytest.approx(1.5)  # 1.0 - 9.5 wrapped into [0, L)
+def test_difference_wraps_position():
+    (ta, xa), (tb, xb) = (1.0, 1.0), (0.25, 9.5)
+    assert ta - tb == pytest.approx(0.75)
+    assert canonical_x(xa - xb, L) == pytest.approx(1.5)  # 1.0 - 9.5 wrapped into [0, L)
 
 
 @pytest.mark.parametrize(
@@ -256,9 +253,18 @@ def test_non_finite_points_rejected(lattice64, t, x, field):
         eval_kernel_grid(lattice64, KernelKind.FEYNMAN, [0.5, t], [2.0, x])
 
 
+def test_overflowing_phase_rejected(lattice64):
+    """|t| * max w beyond the float range would make every phase nan."""
+    top = float(np.max(lattice64.frequencies))
+    eval_kernel_grid(lattice64, KernelKind.WIGHTMAN_PLUS, 1e300 / top, 0.0)
+    for t in (1e308, -1e308):
+        with pytest.raises(ValidationError, match="overflows the mode phases"):
+            eval_kernel_grid(lattice64, KernelKind.WIGHTMAN_PLUS, [0.5, t], [2.0, 1.0])
+
+
 def test_invalid_kind_rejected(lattice64):
     with pytest.raises(ValidationError, match="kind"):
-        eval_kernel(lattice64, "feynman", make_point(0.5, 1.0, L))
+        eval_kernel(lattice64, "feynman", 0.5, 1.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -267,11 +273,10 @@ def test_invalid_kind_rejected(lattice64):
     x=st.floats(0.0, L, exclude_max=True, allow_nan=False),
 )
 def test_decomposition_pointwise_property(lattice64, t, x):
-    p = make_point(t, x, L)
-    fey = eval_kernel(lattice64, KernelKind.FEYNMAN, p)
-    dbar = eval_kernel(lattice64, KernelKind.TIME_SYMMETRIC, p)
-    dp = eval_kernel(lattice64, KernelKind.WIGHTMAN_PLUS, p)
-    dm = eval_kernel(lattice64, KernelKind.WIGHTMAN_MINUS, p)
+    fey = eval_kernel(lattice64, KernelKind.FEYNMAN, t, x)
+    dbar = eval_kernel(lattice64, KernelKind.TIME_SYMMETRIC, t, x)
+    dp = eval_kernel(lattice64, KernelKind.WIGHTMAN_PLUS, t, x)
+    dm = eval_kernel(lattice64, KernelKind.WIGHTMAN_MINUS, t, x)
     assert abs(fey - dbar - 0.5 * (dp - dm)) <= 1e-12
 
 
@@ -281,6 +286,6 @@ def test_decomposition_pointwise_property(lattice64, t, x):
     x=st.floats(0.0, L, exclude_max=True, allow_nan=False),
 )
 def test_antisymmetry_pointwise_property(lattice64, t, x):
-    dp = eval_kernel(lattice64, KernelKind.WIGHTMAN_PLUS, make_point(t, x, L))
-    dm = eval_kernel(lattice64, KernelKind.WIGHTMAN_MINUS, make_point(-t, -x, L))
+    dp = eval_kernel(lattice64, KernelKind.WIGHTMAN_PLUS, t, x)
+    dm = eval_kernel(lattice64, KernelKind.WIGHTMAN_MINUS, -t, -x)
     assert abs(dp + dm) <= 1e-12

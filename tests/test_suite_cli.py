@@ -27,7 +27,7 @@ from boxqft.cli import (
 )
 from boxqft.frequency import QuadratureError
 from boxqft.lattice import LatticeSpec, ValidationError, build_lattice
-from boxqft.propagators import KernelKind, eval_kernel, separation
+from boxqft.propagators import KernelKind, eval_kernel
 from boxqft.suite import (
     DEFAULT_TOLERANCES,
     EXCEED_CHECKS,
@@ -36,6 +36,7 @@ from boxqft.suite import (
     all_passed,
     compare_vev_to_feynman,
     run_all_checks,
+    sample_points,
     sample_vev_pairs,
 )
 
@@ -396,6 +397,12 @@ def test_invalid_lattice_input_exits_2(tmp_path, capsys):
          "lowest mode frequency is 0.0"),
         (["verify", "--n-space", "4"], "n_space must be >= 6"),
         (["verify", "--n-space", "2"], "n_space must be >= 6"),
+        (["kernel", "--kind", "dplus", "--t", "1e308", "--x", "0"],
+         "t=1e+308 overflows the mode phases"),
+        (["kernel", "--kind", "dplus", "--t-range", "-1e308:1e308:3", "--x", "0"],
+         "t: START:STOP must be finite with a finite width"),
+        (["kernel", "--kind", "dplus", "--t", "0.5", "--x-range", "0:inf:3"],
+         "x: START:STOP must be finite with a finite width"),
     ],
 )
 def test_non_finite_or_out_of_range_input_exits_2(tmp_path, capsys, argv, message):
@@ -403,6 +410,17 @@ def test_non_finite_or_out_of_range_input_exits_2(tmp_path, capsys, argv, messag
     assert main(argv + ["--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()  # invalid input writes no file
+
+
+@pytest.mark.parametrize(
+    ("module", "absent"),
+    [("boxqft.fock", "boxqft.propagators"), ("boxqft.propagators", "boxqft.fock")],
+)
+def test_fock_and_kernel_core_load_apart(module, absent):
+    """Check 03's two routes share no module: the Fock-space VEVs and the
+    mode-sum kernels each load without the other."""
+    code = f"import sys, {module}; print({absent!r} in sys.modules)"
+    assert _fresh_interpreter(code) == "False"
 
 
 def test_importing_the_cli_and_kernel_modules_loads_no_scipy():
@@ -450,20 +468,46 @@ def test_norm_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):
 
 def test_vev_pairs_alternate_time_order():
     rng = np.random.default_rng(3)
-    pairs = list(sample_vev_pairs(rng, 10.0, 40))
-    assert len(pairs) == 40
-    for idx, (p_x, p_y) in enumerate(pairs):
-        assert (p_x.t > p_y.t) == (idx % 2 == 0)
-        assert abs(p_x.t - p_y.t) >= 1e-3
-        assert 0.0 <= p_x.x < 10.0 and 0.0 <= p_y.x < 10.0
+    tx, xx, ty, xy = sample_vev_pairs(rng, 10.0, 40)
+    assert tx.shape == xx.shape == ty.shape == xy.shape == (40,)
+    for idx in range(40):
+        assert (tx[idx] > ty[idx]) == (idx % 2 == 0)
+        assert abs(tx[idx] - ty[idx]) >= 1e-3
+        assert 0.0 <= xx[idx] < 10.0 and 0.0 <= xy[idx] < 10.0
+
+
+def test_sampler_draws_are_pinned():
+    """The first draws at fixed seeds, as literals: a change in draw order
+    (t before its x, a rejected t redrawn before its x, a VEV pair's two
+    times before its two positions) moves the samples of checks 01-03."""
+    t, x = sample_points(np.random.default_rng([42, 1]), 10.0, 3)
+    np.testing.assert_array_equal(t, [1.1740107495691512, -0.3822946642338838,
+                                      1.2647768220888622])
+    np.testing.assert_array_equal(x, [2.45958657341405, 6.327551812452089,
+                                      5.774497720210826])
+    # three of the first five times fall below 1.5 in magnitude and are redrawn
+    t, x = sample_points(np.random.default_rng([42, 2]), 10.0, 3, min_abs_t=1.5)
+    np.testing.assert_array_equal(t, [1.8079868544605096, 1.6425336461555848,
+                                      1.6608062597486217])
+    np.testing.assert_array_equal(x, [0.9304438213630473, 1.1017222380033886,
+                                      6.5887733935041])
+    tx, xx, ty, xy = sample_vev_pairs(np.random.default_rng([42, 3]), 10.0, 3)
+    np.testing.assert_array_equal(tx, [0.22709223689227898, -0.11153259443715724,
+                                       1.7653697849476568])
+    np.testing.assert_array_equal(xx, [8.59709672290921, 4.229641200820781,
+                                       6.331883601150445])
+    np.testing.assert_array_equal(ty, [-1.1235346377139752, 1.3797105501523879,
+                                       -0.6319353403757662])
+    np.testing.assert_array_equal(xy, [5.982948284881225, 6.217499033239825,
+                                       1.3762519268597007])
 
 
 def test_vev_comparison_matches_scalar_kernel():
     lattice = build_lattice(LatticeSpec(n_space=16))
-    pairs = list(sample_vev_pairs(np.random.default_rng(5), 10.0, 8))
-    vevs, kernels, diffs, truncations = compare_vev_to_feynman(lattice, pairs)
-    for (p_x, p_y), vev, kernel, diff in zip(pairs, vevs, kernels, diffs):
-        scalar = eval_kernel(lattice, KernelKind.FEYNMAN, separation(p_x, p_y, 10.0))
+    tx, xx, ty, xy = sample_vev_pairs(np.random.default_rng(5), 10.0, 8)
+    vevs, kernels, diffs, truncations = compare_vev_to_feynman(lattice, tx, xx, ty, xy)
+    for t, x, vev, kernel, diff in zip(tx - ty, xx - xy, vevs, kernels, diffs):
+        scalar = eval_kernel(lattice, KernelKind.FEYNMAN, t, x)
         assert kernel == scalar  # one array call, bit for bit the scalar value
         assert diff == abs(complex(vev) - scalar)
     assert truncations == 0
