@@ -7,9 +7,9 @@ Prints three tables:
    ``pass``, ``import numpy``, or ``import boxqft.<module>`` for every
    module in ``src/boxqft``, with the number of ``scipy`` modules the
    import leaves loaded;
-2. the best-of-N wall time of each subcommand at its defaults (plus the
-   arguments ``kernel`` requires), each in a fresh interpreter writing
-   into a temporary directory;
+2. the best-of-N wall time of each subcommand at its defaults (``kernel``
+   on a 100x64 grid, the shape of the benchmark's kernel-scan), each in a
+   fresh interpreter writing into a temporary directory;
 3. the best-of-N in-process wall time of each row of the check table
    that ``run_all_checks`` drives, after one untimed warm-up run.
 
@@ -34,7 +34,10 @@ ENV = dict(os.environ, PYTHONPATH=str(SRC))
 
 SUBCOMMANDS = (
     ["verify"],
-    ["kernel", "--kind", "feynman", "--t", "0.5", "--x", "0"],
+    # The benchmark's kernel-scan shape: a 100x64 grid, t of both signs
+    # and never 0, x beyond [0, L); the `=` form keeps argparse from
+    # reading a negative range as a flag.
+    ["kernel", "--kind=feynman", "--t-range=-2.6:2.9:100", "--x-range=-4:16:64"],
     ["fock-vev"],
     ["dirac"],
     ["absorber"],
@@ -70,13 +73,14 @@ def import_table(repeat: int, cwd: str) -> None:
 
 
 def subcommand_table(repeat: int, cwd: str) -> None:
-    print(f"\n{'subcommand (fresh interpreter)':<44} {'best_s':>8}")
+    width = max(len(" ".join(argv)) for argv in SUBCOMMANDS)
+    print(f"\n{'subcommand (fresh interpreter)':<{width}} {'best_s':>8}")
     for argv in SUBCOMMANDS:
         out_dir = pathlib.Path(cwd) / argv[0]
         seconds, _ = _best_run(
             [sys.executable, "-m", "boxqft.cli", *argv, f"--out={out_dir}"], repeat, cwd
         )
-        print(f"{' '.join(argv):<44} {seconds:8.3f}")
+        print(f"{' '.join(argv):<{width}} {seconds:8.3f}")
 
 
 def check_table(repeat: int) -> None:

@@ -251,17 +251,22 @@ def cmd_kernel(config: RunConfig, args: argparse.Namespace) -> int:
     ts = _axis_values(args.t, args.t_range, "t")
     xs = _axis_values(args.x, args.x_range, "x")
     lattice = build_lattice(config.spec)
-    rows = [
-        (t, eval_kernel_grid(lattice, kind, t, xs, step_at_zero=args.step_at_zero))
-        for t in ts.tolist()
-    ]
+    # The whole grid is evaluated before the file opens, so a rejected t
+    # writes nothing.
+    grid = eval_kernel_grid(
+        lattice, kind, ts[:, None], xs[None, :], step_at_zero=args.step_at_zero
+    )
     out_dir = _ensure_out_dir(config)
     path = out_dir / f"kernel_{kind.value}.csv"
+    x_cells = [f"{x!r}," for x in xs.tolist()]
     with open(path, "w", newline="") as fh:
         fh.write("kind,t,x,re,im\n")
-        for t, values in rows:
-            for x, value in zip(xs.tolist(), values.tolist()):
-                fh.write(f"{kind.value},{t!r},{x!r},{value.real!r},{value.imag!r}\n")
+        for t, values in zip(ts.tolist(), grid):
+            prefix = f"{kind.value},{t!r},"
+            fh.write("".join(
+                f"{prefix}{x_cell}{value.real!r},{value.imag!r}\n"
+                for x_cell, value in zip(x_cells, values.tolist())
+            ))
     print(f"wrote {ts.size * xs.size} rows to {path}")
     return 0
 

@@ -412,16 +412,19 @@ def _ordered_vev(
     y: tuple[float, float],
     adjoint_first: bool,
 ) -> tuple[complex, int]:
+    # <0|A B|0> = <A_dag 0|B 0>: two one-quantum kets, never the
+    # two-quantum ket A B|0>.  A_dag is Psi_dag(x) when Psi(x) stands
+    # left and Psi(y) when Psi_dag(y) does.
     psi_x = field_operator(spec, *x)
-    psi_dag_y = field_operator(spec, *y).adjoint()
+    psi_y = field_operator(spec, *y)
     vac = vacuum(spec)
     if adjoint_first:
         # <0| Psi_dag(y) Psi(x) |0>
-        ket = apply(psi_dag_y, apply(psi_x, vac))
+        bra, ket = apply(psi_y, vac), apply(psi_x, vac)
     else:
         # <0| Psi(x) Psi_dag(y) |0>
-        ket = apply(psi_x, apply(psi_dag_y, vac))
-    return vac.inner(ket), ket.truncation_events
+        bra, ket = apply(psi_x.adjoint(), vac), apply(psi_y.adjoint(), vac)
+    return bra.inner(ket), bra.truncation_events + ket.truncation_events
 
 
 def time_ordered_vev_detail(

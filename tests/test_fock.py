@@ -216,6 +216,39 @@ def test_time_ordered_vev_equals_feynman(lattice16, later_first):
     assert truncations == 0
 
 
+def _two_apply_vev(spec, x, y, adjoint_first):
+    """Oracle for the ordered VEVs: build the two-quantum ket A B|0> by
+    two applications and read its vacuum amplitude."""
+    psi_x = field_operator(spec, *x)
+    psi_dag_y = field_operator(spec, *y).adjoint()
+    vac = vacuum(spec)
+    first, second = (psi_dag_y, psi_x) if adjoint_first else (psi_x, psi_dag_y)
+    ket = apply(first, apply(second, vac))
+    return vac.inner(ket), ket.truncation_events
+
+
+@pytest.mark.parametrize("ceiling", [1, 2])
+def test_ordered_vevs_match_two_apply_oracle(lattice16, ceiling):
+    """<0|A B|0> read as <A_dag 0|B 0> equals, bit for bit, the vacuum
+    amplitude of the two-quantum ket A B|0>, in both operator orders, at
+    seeded point pairs: both sum the same mode products in the same order."""
+    spec = mode_spec_from_lattice(lattice16, max_occupation=ceiling)
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        t1, t2 = rng.uniform(-2.0, 2.0, size=2)
+        x1, x2 = rng.uniform(0.0, L, size=2)
+        x, y = (t1, x1), (t2, x2)
+        for adjoint_first, vev in ((False, vev_field_adjoint), (True, vev_adjoint_field)):
+            want, want_truncations = _two_apply_vev(spec, x, y, adjoint_first)
+            assert vev(spec, x, y) == want
+            assert want_truncations == 0
+        for later, earlier in ((x, y), (y, x)):
+            got, truncations = time_ordered_vev_detail(spec, later, earlier)
+            want, want_truncations = _two_apply_vev(spec, later, earlier, later[0] < earlier[0])
+            assert got == want
+            assert truncations == want_truncations
+
+
 def test_equal_times_rejected(lattice16):
     spec = mode_spec_from_lattice(lattice16, half_width=1)
     with pytest.raises(ValidationError, match="equal times"):

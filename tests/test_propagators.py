@@ -134,6 +134,44 @@ def test_single_pass_evaluates_each_wightman_function_once(lattice64, monkeypatc
         assert calls == want, kind.value
 
 
+def _one_shot_wightman(momenta, frequencies, box_length, sign, t, x):
+    """Oracle for the blocked sum: every point's mode terms in one array."""
+    phases = np.exp(
+        (-1j * sign) * (np.multiply.outer(t, frequencies) - np.multiply.outer(sign * x, momenta))
+    )
+    return propagators._paired_sum(phases / (2.0 * frequencies)) / (sign * box_length)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("kind", list(KernelKind), ids=lambda k: k.value)
+def test_blocked_sum_matches_one_shot_sum_bitwise(lattice64, monkeypatch, kind, extra):
+    """Blocking the points changes no bit, at one block and either side
+    of it."""
+    block = propagators._BLOCK_TERMS // lattice64.frequencies.size
+    rng = np.random.default_rng(5)
+    t = rng.uniform(0.1, 3.0, block + extra) * rng.choice([-1.0, 1.0], block + extra)
+    x = rng.uniform(0.0, L, block + extra)
+    args = (lattice64.momenta, lattice64.frequencies, L, kind, t, x)
+    blocked = kernel_values(*args)
+    monkeypatch.setattr(propagators, "_wightman", _one_shot_wightman)
+    assert np.array_equal(blocked, kernel_values(*args))
+
+
+def test_blocked_sum_matches_one_shot_sum_with_step_at_zero(lattice64, monkeypatch):
+    block = propagators._BLOCK_TERMS // lattice64.frequencies.size
+    rng = np.random.default_rng(6)
+    t = rng.choice([-1.5, 0.0, 0.7], 2 * block + 3)
+    x = rng.uniform(-L, 2 * L, t.size)
+    blocked = {
+        kind: kernel_values(lattice64.momenta, lattice64.frequencies, L, kind, t, x, True)
+        for kind in KernelKind
+    }
+    monkeypatch.setattr(propagators, "_wightman", _one_shot_wightman)
+    for kind, values in blocked.items():
+        want = kernel_values(lattice64.momenta, lattice64.frequencies, L, kind, t, x, True)
+        assert np.array_equal(values, want), kind.value
+
+
 @pytest.mark.parametrize("t", [-1.3, -0.2, 0.4, 1.7])
 @pytest.mark.parametrize("x", [0.0, 1.1, 6.25])
 def test_kernel_family_algebra(lattice64, t, x):
@@ -260,6 +298,9 @@ def test_overflowing_phase_rejected(lattice64):
     for t in (1e308, -1e308):
         with pytest.raises(ValidationError, match="overflows the mode phases"):
             eval_kernel_grid(lattice64, KernelKind.WIGHTMAN_PLUS, [0.5, t], [2.0, 1.0])
+    # A 2-D t, as the CLI passes its time column, names the bad time too.
+    with pytest.raises(ValidationError, match=r"t=1e\+308 overflows the mode phases"):
+        eval_kernel_grid(lattice64, KernelKind.WIGHTMAN_PLUS, [[1.0], [1e308]], [[0.0, 2.0]])
 
 
 def test_invalid_kind_rejected(lattice64):

@@ -27,7 +27,7 @@ from boxqft.cli import (
 )
 from boxqft.frequency import QuadratureError
 from boxqft.lattice import LatticeSpec, ValidationError, build_lattice
-from boxqft.propagators import KernelKind, eval_kernel
+from boxqft.propagators import KernelKind, eval_kernel, eval_kernel_grid
 from boxqft.suite import (
     DEFAULT_TOLERANCES,
     EXCEED_CHECKS,
@@ -315,6 +315,39 @@ def test_kernel_spaced_negative_range_matches_equals_form(tmp_path):
     csv = (spaced / "kernel_feynman.csv").read_bytes()
     assert csv == (joined / "kernel_feynman.csv").read_bytes()
     assert len(csv.splitlines()) == 1 + 4 * 4
+
+
+def _per_row_csv(lattice, kind, ts, xs, step_at_zero):
+    """Oracle for the kernel CSV: one kernel call and one f-string per
+    cell, a time row at a time."""
+    lines = ["kind,t,x,re,im\n"]
+    for t in ts.tolist():
+        values = eval_kernel_grid(lattice, kind, t, xs, step_at_zero=step_at_zero)
+        for x, value in zip(xs.tolist(), values.tolist()):
+            lines.append(f"{kind.value},{t!r},{x!r},{value.real!r},{value.imag!r}\n")
+    return "".join(lines).encode()
+
+
+@pytest.mark.parametrize("kind", list(KernelKind), ids=lambda k: k.value)
+@pytest.mark.parametrize(
+    ("t_axis", "x_axis", "step_at_zero"),
+    [
+        # t of both signs, x beyond [0, L), more points than one block
+        (("--t-range=-2.7:2.9:23", np.linspace(-2.7, 2.9, 23)),
+         ("--x-range=-7.3:18.1:17", np.linspace(-7.3, 18.1, 17)), False),
+        (("--t-range=-2:2:9", np.linspace(-2.0, 2.0, 9)),
+         ("--x-range=-5:15:6", np.linspace(-5.0, 15.0, 6)), True),
+        (("--t=-0.37", np.array([-0.37])), ("--x=12.5", np.array([12.5])), False),
+    ],
+    ids=["grid", "step-at-zero", "single-point"],
+)
+def test_kernel_csv_matches_per_row_oracle(tmp_path, kind, t_axis, x_axis, step_at_zero):
+    argv = ["kernel", f"--kind={kind.value}", t_axis[0], x_axis[0], "--mass=1.37",
+            "--out", str(tmp_path)]
+    assert main(argv + ["--step-at-zero"] * step_at_zero) == 0
+    lattice = build_lattice(LatticeSpec(mass=1.37))
+    want = _per_row_csv(lattice, kind, t_axis[1], x_axis[1], step_at_zero)
+    assert (tmp_path / f"kernel_{kind.value}.csv").read_bytes() == want
 
 
 def test_kernel_axis_validation(tmp_path, capsys):
