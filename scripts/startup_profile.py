@@ -10,15 +10,25 @@ Prints three tables:
 2. the best-of-N wall time of each subcommand at its defaults (``kernel``
    on a 100x64 grid, the shape of the benchmark's kernel-scan), each in a
    fresh interpreter writing into a temporary directory;
-3. the best-of-N in-process wall time of each row of the check table
-   that ``run_all_checks`` drives, after one untimed warm-up run.
+3. the best-of-N wall time of each row of the check table that
+   ``run_all_checks`` drives, timed inside one long-lived interpreter
+   after one untimed warm-up run.
+
+With ``--baseline DIR`` every row is timed on both ``DIR/src`` (for
+example a ``git archive`` of the parent commit) and this checkout.  The
+runs alternate between the two trees, the first tree swapping every
+round, so both see the same host load; each row prints both best-of-N
+times and their ratio (this checkout over the baseline).  A row that
+the baseline lacks, or that fails there, prints ``-``.
 
 BLAS is held at one thread.  Usage:
-    python3 scripts/startup_profile.py [--repeat 5]
+    python3 scripts/startup_profile.py [--repeat 5] [--baseline DIR]
 """
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
 import pathlib
 import subprocess
@@ -30,7 +40,6 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 # Set before numpy loads OpenBLAS here; the child interpreters inherit it.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
-ENV = dict(os.environ, PYTHONPATH=str(SRC))
 
 SUBCOMMANDS = (
     ["verify"],
@@ -46,80 +55,154 @@ COUNT_SCIPY = (
     "import sys; {stmt}; "
     "print(sum(1 for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
 )
+# Runs in a child interpreter per tree: one warm-up run_all_checks, then
+# one timed row per computation name read from stdin.
+CHECK_WORKER = """
+import json, sys, time
+from boxqft import suite
+from boxqft.lattice import LatticeSpec, build_lattice
+spec, seed = LatticeSpec(), 42
+start = time.perf_counter()
+suite.run_all_checks(spec, seed)
+first = time.perf_counter() - start
+lattice = build_lattice(spec)
+rows = {row[0].__name__: row for row in suite._CHECK_TABLE}
+print(json.dumps({"first": first, "rows": [
+    [name, [check.name for check in checks]] for name, (_, *checks) in rows.items()
+]}), flush=True)
+for line in sys.stdin:
+    start = time.perf_counter()
+    rows[line.strip()][0](spec, lattice, seed)
+    print(time.perf_counter() - start, flush=True)
+"""
 
 
-def _best_run(argv: list[str], repeat: int, cwd: str) -> tuple[float, str]:
-    """Best wall time of ``repeat`` fresh interpreters, and the last stdout."""
-    best, out = float("inf"), ""
-    for _ in range(repeat):
-        start = time.perf_counter()
-        done = subprocess.run(argv, cwd=cwd, env=ENV, capture_output=True, text=True)
-        best = min(best, time.perf_counter() - start)
-        if done.returncode != 0:
-            raise RuntimeError(f"{' '.join(argv)} exited {done.returncode}:\n{done.stderr}")
-        out = done.stdout
-    return best, out
+def _env(src: pathlib.Path) -> dict[str, str]:
+    return dict(os.environ, PYTHONPATH=str(src))
 
 
-def import_table(repeat: int, cwd: str) -> None:
+def _rounds(repeat: int, n_trees: int):
+    """Tree indices in run order, round by round, the first tree swapping
+    every round."""
+    for round_ in range(repeat):
+        yield range(n_trees) if round_ % 2 == 0 else reversed(range(n_trees))
+
+
+def _best_runs(argv: list[str], repeat: int, cwd: str, sources) -> list[tuple[float, str]]:
+    """Best wall time of ``repeat`` fresh interpreters per source tree, the
+    runs alternating between the trees, and each tree's last stdout.  A
+    failure in this checkout raises; one in the baseline reads inf."""
+    best, outs = [math.inf] * len(sources), [""] * len(sources)
+    failed = [False] * len(sources)
+    for order in _rounds(repeat, len(sources)):
+        for i in order:
+            if failed[i]:
+                continue
+            start = time.perf_counter()
+            done = subprocess.run(argv, cwd=cwd, env=_env(sources[i]),
+                                  capture_output=True, text=True)
+            seconds = time.perf_counter() - start
+            if done.returncode != 0:
+                if sources[i] == SRC:
+                    raise RuntimeError(
+                        f"{' '.join(argv)} exited {done.returncode}:\n{done.stderr}")
+                best[i], failed[i] = math.inf, True
+                continue
+            best[i], outs[i] = min(best[i], seconds), done.stdout
+    return list(zip(best, outs))
+
+
+def _header(unit: str, n_trees: int) -> str:
+    if n_trees == 1:
+        return f"{'best_' + unit:>8}"
+    return f"{'base_' + unit:>8} {'best_' + unit:>8} {'ratio':>6}"
+
+
+def _cells(times: list[float], scale: float, digits: int) -> str:
+    """The best times (baseline first), and with a baseline their ratio."""
+    text = [f"{scale * t:8.{digits}f}" if math.isfinite(t) else f"{'-':>8}" for t in times]
+    if len(times) == 2:
+        ratio = times[1] / times[0] if all(map(math.isfinite, times)) else math.nan
+        text.append(f"{ratio:6.2f}" if math.isfinite(ratio) else f"{'-':>6}")
+    return " ".join(text)
+
+
+def import_table(repeat: int, cwd: str, sources) -> None:
     modules = sorted(p.stem for p in (SRC / "boxqft").glob("*.py") if p.stem != "__init__")
-    print(f"{'fresh interpreter':<28} {'best_s':>8} {'scipy_modules':>14}")
+    print(f"{'fresh interpreter':<28} {_header('s', len(sources))} {'scipy_modules':>14}")
     for label, stmt in [("pass", "pass"), ("import numpy", "import numpy")] + [
         (f"import boxqft.{name}", f"import boxqft.{name}") for name in modules
     ]:
-        seconds, out = _best_run([sys.executable, "-c", COUNT_SCIPY.format(stmt=stmt)],
-                                 repeat, cwd)
-        print(f"{label:<28} {seconds:8.3f} {int(out.split()[-1]):14d}")
+        runs = _best_runs([sys.executable, "-c", COUNT_SCIPY.format(stmt=stmt)],
+                          repeat, cwd, sources)
+        scipy_modules = int(runs[-1][1].split()[-1])
+        print(f"{label:<28} {_cells([t for t, _ in runs], 1.0, 3)} {scipy_modules:14d}")
 
 
-def subcommand_table(repeat: int, cwd: str) -> None:
+def subcommand_table(repeat: int, cwd: str, sources) -> None:
     width = max(len(" ".join(argv)) for argv in SUBCOMMANDS)
-    print(f"\n{'subcommand (fresh interpreter)':<{width}} {'best_s':>8}")
+    print(f"\n{'subcommand (fresh interpreter)':<{width}} {_header('s', len(sources))}")
     for argv in SUBCOMMANDS:
         out_dir = pathlib.Path(cwd) / argv[0]
-        seconds, _ = _best_run(
-            [sys.executable, "-m", "boxqft.cli", *argv, f"--out={out_dir}"], repeat, cwd
+        runs = _best_runs(
+            [sys.executable, "-m", "boxqft.cli", *argv, f"--out={out_dir}"], repeat, cwd, sources
         )
-        print(f"{' '.join(argv):<{width}} {seconds:8.3f}")
+        print(f"{' '.join(argv):<{width}} {_cells([t for t, _ in runs], 1.0, 3)}")
 
 
-def check_table(repeat: int) -> None:
-    sys.path.insert(0, str(SRC))
-    from boxqft import suite
-    from boxqft.lattice import LatticeSpec, build_lattice
-
-    spec, seed = LatticeSpec(), 42
-    start = time.perf_counter()
-    suite.run_all_checks(spec, seed)
-    first_run = time.perf_counter() - start
-    lattice = build_lattice(spec)
-    print(f"\n{'check table row (in process)':<44} {'best_ms':>8}")
-    summed = 0.0
-    for computation, *checks in suite._CHECK_TABLE:
-        best = float("inf")
-        for _ in range(repeat):
-            start = time.perf_counter()
-            computation(spec, lattice, seed)
-            best = min(best, time.perf_counter() - start)
-        summed += best
-        ids = [check.name.split("_", 1)[0] for check in checks]
-        label = ids[0] if len(ids) == 1 else f"{ids[0]}..{ids[-1]}"
-        print(f"{label + ' ' + computation.__name__:<44} {1e3 * best:8.1f}")
-    print(f"{'sum of rows':<44} {1e3 * summed:8.1f}")
-    print(f"{'run_all_checks, first call (warm-up)':<44} {1e3 * first_run:8.1f}")
+def check_table(repeat: int, sources) -> None:
+    workers = [
+        subprocess.Popen([sys.executable, "-c", CHECK_WORKER], env=_env(src), text=True,
+                         stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        for src in sources
+    ]
+    try:
+        hellos = [json.loads(worker.stdout.readline()) for worker in workers]
+        tables = [dict(hello["rows"]) for hello in hellos]
+        print(f"\n{'check table row (one interpreter per tree)':<44} "
+              f"{_header('ms', len(sources))}")
+        sums = [0.0] * len(sources)
+        for name, checks in tables[-1].items():
+            best = [math.inf] * len(sources)
+            for order in _rounds(repeat, len(sources)):
+                for i in order:
+                    if name in tables[i]:
+                        workers[i].stdin.write(name + "\n")
+                        workers[i].stdin.flush()
+                        best[i] = min(best[i], float(workers[i].stdout.readline()))
+            sums = [s + b if math.isfinite(b) else s for s, b in zip(sums, best)]
+            ids = [check.split("_", 1)[0] for check in checks]
+            label = ids[0] if len(ids) == 1 else f"{ids[0]}..{ids[-1]}"
+            print(f"{label + ' ' + name:<44} {_cells(best, 1e3, 1)}")
+        print(f"{'sum of rows':<44} {_cells(sums, 1e3, 1)}")
+        print(f"{'run_all_checks, first call (warm-up)':<44} "
+              f"{_cells([hello['first'] for hello in hellos], 1e3, 1)}")
+    finally:
+        for worker in workers:
+            worker.stdin.close()
+            worker.wait()
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=5,
                         help="runs per entry; the best is printed (default 5)")
+    parser.add_argument("--baseline", type=pathlib.Path, metavar="DIR",
+                        help="a second checkout whose DIR/src is timed alternately "
+                             "with this one")
     args = parser.parse_args()
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
+    sources = [SRC]
+    if args.baseline is not None:
+        baseline = args.baseline.resolve() / "src"
+        if not (baseline / "boxqft").is_dir():
+            parser.error(f"--baseline: no boxqft package under {baseline}")
+        sources = [baseline, SRC]
     with tempfile.TemporaryDirectory() as cwd:
-        import_table(args.repeat, cwd)
-        subcommand_table(args.repeat, cwd)
-    check_table(args.repeat)
+        import_table(args.repeat, cwd, sources)
+        subcommand_table(args.repeat, cwd, sources)
+    check_table(args.repeat, sources)
 
 
 if __name__ == "__main__":

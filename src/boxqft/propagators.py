@@ -15,12 +15,16 @@ omega_n = sqrt(m^2 + k_n^2):
 
 Notes on the conventions:
 
-* D- is evaluated with the same +i k_n x spatial phase as D+.  On a
+* D- is written with the same +i k_n x spatial phase as D+.  On a
   negation-closed grid this equals the relabelled form
-  -(1/L) sum exp(+i(w t - k x))/(2 w) term for term under k -> -k, and it
-  makes the equal-time cancellation D+(0,x) + D-(0,x) = 0 hold termwise.
-  On a grid that is *not* closed under negation the two forms differ,
-  which is exactly why eval_kernel_grid rejects such grids.
+  -(1/L) sum exp(+i(w t - k x))/(2 w) term for term under k -> -k, and
+  that form is D-(t,x) = -conj(D+(t,x)): the negative-frequency kernel
+  is the conjugate of the positive-frequency one, Feynman's reading of
+  negative-energy solutions as antiparticles ("The theory of positrons",
+  Phys. Rev. 76, 749 (1949)).  It also makes the equal-time
+  cancellation D+(0,x) + D-(0,x) = 0 hold termwise.  On a grid that is
+  *not* closed under negation the forms differ, which is exactly why
+  kernel_values rejects such grids.
 * The factor i customary in front of the Feynman momentum-space kernel is
   absorbed into the kernels themselves: per mode,
   DF = (1/2pi) int dnu exp(-i nu t) * i/(nu^2 - w^2 + i eps) -> exp(-i w |t|)/(2 w),
@@ -34,20 +38,26 @@ Notes on the conventions:
 Evaluation path.  Every kind is one entry of a coefficient table
 (``_COEFFICIENTS``): the weights of D+ and D- for t > 0, for t < 0 and
 for the t = 0 extension, e.g. Feynman is (1, 0), (0, -1), (1/2, -1/2).
-kernel_values sums D+ and D- at most once per call, each only at the
-points where its weight is nonzero, and combines them by the table.
+kernel_values sums D+ once per call, over the points where either
+weight is nonzero, reads D- there as -conj(D+) and combines the two by
+the table.  On a mirror-ordered grid (momenta == -momenta[::-1],
+frequencies mirrored, as build_lattice makes them) the values are bit
+for bit those of a separate D- sum, signs of zero included: term i of
+the D- sum is the conjugate of term n-1-i of the D+ sum, and the
+ends-inward pairing below adds each such pair in the same order.
+kernel_values rejects any other grid.
 Kernels are functions of the point difference (t, x) = (t_a - t_b,
 x_a - x_b), given as plain float arrays of times and positions; there is
-no point type.  eval_kernel_grid is the one validating entry (kind,
-negation closure, finite times whose phases do not overflow, reduction
-of x into [0, L)); eval_kernel (one difference), the verify_* routines
+no point type.  eval_kernel_grid is the one validating entry for
+points (kind, finite times whose phases do not overflow, reduction of x
+into [0, L)); eval_kernel (one difference), the verify_* routines
 (arrays of differences) and the CLI go through it.  Mode sums are
 accumulated pairwise over +-k partner modes (ends-inward pairing of the
 sorted grid) to keep cancellation error near machine precision.  The
-sums run over the points in blocks of ``_BLOCK_TERMS`` (16,384) mode
+D+ sum runs over the points in blocks of ``_BLOCK_TERMS`` (16,384) mode
 terms, 260 points at the default 63 modes, so the points x modes
 temporaries stay small whatever the grid size.  Each point's sum is the
-same exp, divide and paired row as in one unblocked sum, so blocking
+same exp, scaling and paired row as in one unblocked sum, so blocking
 changes no bit.
 """
 
@@ -58,7 +68,7 @@ import math
 
 import numpy as np
 
-from boxqft.lattice import Lattice, ValidationError, is_negation_closed
+from boxqft.lattice import Lattice, ValidationError
 
 
 class KernelKind(enum.Enum):
@@ -104,24 +114,24 @@ def _paired_sum(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-# Mode terms (points x modes) per block of _wightman's sum.
+# Mode terms (points x modes) per block of _dplus's sum.
 _BLOCK_TERMS = 1 << 14
 
 
-def _wightman(momenta, frequencies, box_length, sign, t, x):
-    """D+ for sign +1 and D- for sign -1 at the paired 1-D points (t, x):
-    sign (1/L) sum exp(-i sign (w t - sign k x)) / (2 w), summed over
-    blocks of about _BLOCK_TERMS mode terms."""
+def _dplus(momenta, frequencies, box_length, t, x):
+    """D+ at the paired 1-D points (t, x): (1/L) sum exp(-i(w t - k x)) / (2 w),
+    summed over blocks of about _BLOCK_TERMS mode terms."""
     sums = np.empty(t.shape, dtype=complex)
+    # numpy divides a complex array by a real one as this product.
+    half_inverse = 1.0 / (2.0 * frequencies)
     step = max(1, _BLOCK_TERMS // frequencies.size)
     for start in range(0, t.size, step):
         block = slice(start, start + step)
         phases = np.exp(
-            (-1j * sign)
-            * (np.multiply.outer(t[block], frequencies) - np.multiply.outer(sign * x[block], momenta))
+            -1j * (np.multiply.outer(t[block], frequencies) - np.multiply.outer(x[block], momenta))
         )
-        sums[block] = _paired_sum(phases / (2.0 * frequencies))
-    return sums / (sign * box_length)
+        sums[block] = _paired_sum(phases * half_inverse)
+    return sums / box_length
 
 
 # Per kind, the (D+, D-) weights for t > 0, for t < 0 and for the
@@ -156,31 +166,42 @@ def kernel_values(
     x: np.ndarray,
     step_at_zero: bool = False,
 ) -> np.ndarray:
-    """Evaluate a kernel on broadcastable arrays of (t, x), without grid
-    validation or reduction of x (eval_kernel_grid does both).
+    """Evaluate a kernel on broadcastable arrays of (t, x), without
+    validation of the points or reduction of x (eval_kernel_grid does
+    both).
 
-    One pass: D+ and D- are each summed at most once, and only at the
-    points where the kind's coefficient table gives them a nonzero
-    weight.  With ``step_at_zero`` the step-function kinds take their
-    continuous t = 0 extension (see ``_COEFFICIENTS``), which the
+    One pass: D+ is summed once, at the points where the kind's
+    coefficient table gives D+ or D- a nonzero weight, and D- is read
+    there as -conj(D+).  That identity needs a mirror-ordered grid
+    (momenta == -momenta[::-1], frequencies == frequencies[::-1]), which
+    is checked here.  With ``step_at_zero`` the step-function kinds take
+    their continuous t = 0 extension (see ``_COEFFICIENTS``), which the
     absorber double sums use on their equal-time pairs; without it they
     reject t = 0.
     """
+    if not (
+        np.array_equal(momenta, -momenta[::-1]) and np.array_equal(frequencies, frequencies[::-1])
+    ):
+        raise ValidationError(
+            "lattice momenta must be negation-closed and mirror-ordered "
+            "(momenta == -momenta[::-1], with mirrored frequencies)"
+        )
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     regions = (t > 0.0, t < 0.0, t == 0.0)
     if kind in STEP_FUNCTION_KINDS and not step_at_zero and np.any(regions[2]):
         raise ValidationError(f"t must be nonzero for step-function kernel kind {kind.value!r}")
-    rows = _COEFFICIENTS[kind]
+    weights = np.zeros((2,) + t.shape)
+    for mask, row in zip(regions, _COEFFICIENTS[kind]):
+        weights[:, mask] = np.reshape(row, (2, 1))
+    union = np.any(weights != 0.0, axis=0)
+    dplus = _dplus(momenta, frequencies, box_length, t[union], x[union])
+    # Both weighted terms are added to a zero start; a zero weight adds a
+    # signed zero, which changes no bit of the sum.
+    combined = np.zeros(dplus.shape, dtype=complex)
+    for weight, values in zip(weights[:, union], (dplus, -np.conj(dplus))):
+        combined += weight * values
     out = np.zeros(t.shape, dtype=complex)
-    for column, sign in enumerate((1.0, -1.0)):
-        weights = np.zeros(t.shape)
-        for mask, row in zip(regions, rows):
-            weights[mask] = row[column]
-        need = weights != 0.0
-        if need.any():
-            out[need] += weights[need] * _wightman(
-                momenta, frequencies, box_length, sign, t[need], x[need]
-            )
+    out[union] = combined
     return out
 
 
@@ -189,17 +210,14 @@ def eval_kernel_grid(lattice: Lattice, kind: KernelKind, ts, xs, step_at_zero: b
 
     The validating entry to the kernel core: rejects a kind that is not a
     KernelKind, non-finite times or positions (nan would fall into none
-    of the t > 0, t < 0, t = 0 weight regions and read 0), momentum grids
-    that are not closed under k -> -k (the kernels' parity and
-    antisymmetry identities rely on exact partner cancellation), times
-    whose phase |t| * max w overflows (the sums would read nan) and, for
+    of the t > 0, t < 0, t = 0 weight regions and read 0), times whose
+    phase |t| * max w overflows (the sums would read nan) and, through
+    kernel_values, momentum grids that are not mirror-ordered and, for
     the step-function kinds, t = 0 unless ``step_at_zero``.  Positions
     are reduced into [0, L) first.
     """
     if not isinstance(kind, KernelKind):
         raise ValidationError(f"kind must be a KernelKind member, got {kind!r}")
-    if not is_negation_closed(lattice.momenta):
-        raise ValidationError("lattice momenta must be negation-closed (edge mode excluded)")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     # |t| * max w as a Python float product is inf or nan, with no warning,
@@ -251,7 +269,10 @@ def verify_antisymmetry(lattice: Lattice, t, x) -> float:
     """Max over the point differences (t, x) of |D+(t, x) + D-(-t, -x)|.
 
     The two sums cancel mode against negated partner mode, so the grid
-    must be negation-closed; eval_kernel_grid enforces that.
+    must be negation-closed; kernel_values enforces that.  It reads D- as
+    -conj(D+), so the residual tests D+(t, x) = conj(D+(-t, -x)) with x
+    and -x reduced into [0, L) apart; check 01b tests the D- read
+    itself against a direct sum.
     """
     t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
     dp = eval_kernel_grid(lattice, KernelKind.WIGHTMAN_PLUS, t, x)

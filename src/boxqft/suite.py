@@ -147,12 +147,30 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 
 # --- individual checks ------------------------------------------------------
 
-def _check_antisymmetry(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float]:
+def _check_antisymmetry(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float, float]:
     rng = _rng(seed, 1)
     L = lattice.spec.box_length
     t1, x1 = sample_points(rng, L, 1000)
     t2, x2 = sample_points(rng, L, 1000)
-    return (propagators.verify_antisymmetry(lattice, t1 - t2, x1 - x2),)
+    t, x = t1 - t2, x1 - x2
+    return (
+        propagators.verify_antisymmetry(lattice, t, x),
+        _dminus_conjugate_vs_mode_sum(lattice, t, x),
+    )
+
+
+def _dminus_conjugate_vs_mode_sum(lattice: Lattice, t, x) -> float:
+    """Max |kernel_values D- - direct D- sum| at the differences (t, x).
+
+    The kernel core reads D- as -conj(D+); the direct route sums
+    exp(+i(w t + k x)) / (2 w) over the lattice modes in plain order and
+    divides by -L, sharing no code with it."""
+    L = lattice.spec.box_length
+    w, k = lattice.frequencies, lattice.momenta
+    fast = propagators.kernel_values(k, w, L, KernelKind.WIGHTMAN_MINUS, t, x)
+    terms = np.exp(1j * (np.multiply.outer(t, w) + np.multiply.outer(x, k))) / (2.0 * w)
+    direct = np.sum(terms, axis=-1) / -L
+    return float(np.max(np.abs(fast - direct)))
 
 
 def _check_decomposition(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float]:
@@ -415,7 +433,9 @@ def _projection_spectral_vs_lstsq(currents, lattice: Lattice) -> float:
 _CHECK_TABLE = (
     (_check_antisymmetry,
      Check("01_wightman_antisymmetry", 1e-12,
-           "wightman-pair antisymmetry under argument exchange")),
+           "wightman-pair antisymmetry under argument exchange"),
+     Check("01b_dminus_conjugate_vs_mode_sum", 1e-13,
+           "negative-frequency kernel as -conj(d+) equals its direct mode sum")),
     (_check_decomposition,
      Check("02_feynman_decomposition", 1e-12,
            "feynman kernel = time-symmetric + hadamard parts")),

@@ -38,6 +38,10 @@ def test_01_wightman_antisymmetry(results):
     _gate(results, "01_wightman_antisymmetry")
 
 
+def test_01b_dminus_conjugate_vs_mode_sum(results):
+    _gate(results, "01b_dminus_conjugate_vs_mode_sum")
+
+
 def test_02_feynman_decomposition(results):
     _gate(results, "02_feynman_decomposition")
 
@@ -131,7 +135,7 @@ def test_11a_cli_verify_report_contract(tmp_path):
         code == 0
         and set(report) == {"schema_version", "config", "checks"}
         and report["schema_version"] == "1"
-        and len(report["checks"]) == 22
+        and len(report["checks"]) == 23
         and all(
             set(c) == {"name", "paper_ref", "max_residual", "tolerance", "pass"}
             for c in report["checks"]

@@ -104,72 +104,108 @@ def test_scalar_and_array_calls_agree_bitwise(lattice64, kind):
 
 
 def test_single_pass_evaluates_each_wightman_function_once(lattice64, monkeypatch):
-    """D+ and D- are each summed once per call, only where the kind gives
-    them a nonzero weight."""
-    calls = []
-    original = propagators._wightman
+    """One D+ sum per call, over the union of the points where the kind
+    weights D+ or D-; D- is read there as -conj(D+)."""
+    sizes = []
+    original = propagators._dplus
 
-    def recording(momenta, frequencies, box_length, sign, t, x):
-        calls.append((sign, t.size))
-        return original(momenta, frequencies, box_length, sign, t, x)
+    def recording(momenta, frequencies, box_length, t, x):
+        sizes.append(t.size)
+        return original(momenta, frequencies, box_length, t, x)
 
-    monkeypatch.setattr(propagators, "_wightman", recording)
+    monkeypatch.setattr(propagators, "_dplus", recording)
     t = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5])
     x = np.linspace(0.0, 5.0, 6)
     expected = {
-        KernelKind.WIGHTMAN_PLUS: [(1.0, 6)],
-        KernelKind.WIGHTMAN_MINUS: [(-1.0, 6)],
-        KernelKind.COMMUTATOR: [(1.0, 6), (-1.0, 6)],
-        KernelKind.HADAMARD: [(1.0, 6), (-1.0, 6)],
-        KernelKind.RETARDED: [(1.0, 3), (-1.0, 3)],
-        KernelKind.ADVANCED: [(1.0, 2), (-1.0, 2)],
-        KernelKind.TIME_SYMMETRIC: [(1.0, 5), (-1.0, 5)],
-        KernelKind.FEYNMAN: [(1.0, 4), (-1.0, 3)],
+        KernelKind.WIGHTMAN_PLUS: [6],
+        KernelKind.WIGHTMAN_MINUS: [6],
+        KernelKind.COMMUTATOR: [6],
+        KernelKind.HADAMARD: [6],
+        KernelKind.RETARDED: [3],
+        KernelKind.ADVANCED: [2],
+        KernelKind.TIME_SYMMETRIC: [5],
+        KernelKind.FEYNMAN: [6],
     }
     for kind, want in expected.items():
-        calls.clear()
+        sizes.clear()
         propagators.kernel_values(
             lattice64.momenta, lattice64.frequencies, L, kind, t, x, step_at_zero=True
         )
-        assert calls == want, kind.value
+        assert sizes == want, kind.value
 
 
 def _one_shot_wightman(momenta, frequencies, box_length, sign, t, x):
-    """Oracle for the blocked sum: every point's mode terms in one array."""
+    """The old signed sum, D+ for sign +1 and D- for sign -1, with every
+    point's mode terms in one array."""
     phases = np.exp(
         (-1j * sign) * (np.multiply.outer(t, frequencies) - np.multiply.outer(sign * x, momenta))
     )
     return propagators._paired_sum(phases / (2.0 * frequencies)) / (sign * box_length)
 
 
+def _two_sum_kernel(momenta, frequencies, box_length, kind, t, x):
+    """Oracle for kernel_values: the old two-sum route, D+ and D- each by
+    its own sum where the kind weights it, combined through the
+    coefficient table."""
+    t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    regions = (t > 0.0, t < 0.0, t == 0.0)
+    out = np.zeros(t.shape, dtype=complex)
+    for column, sign in enumerate((1.0, -1.0)):
+        weights = np.zeros(t.shape)
+        for mask, row in zip(regions, propagators.wightman_weights(kind)):
+            weights[mask] = row[column]
+        need = weights != 0.0
+        if need.any():
+            out[need] += weights[need] * _one_shot_wightman(
+                momenta, frequencies, box_length, sign, t[need], x[need]
+            )
+    return out
+
+
+def _assert_bitwise(got, want, label):
+    """Equal values and equal signs of every real and imaginary part,
+    zeros included."""
+    got, want = got.view(float), want.view(float)
+    assert np.array_equal(got, want), label
+    assert np.array_equal(np.signbit(got), np.signbit(want)), label
+
+
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 @pytest.mark.parametrize("kind", list(KernelKind), ids=lambda k: k.value)
-def test_blocked_sum_matches_one_shot_sum_bitwise(lattice64, monkeypatch, kind, extra):
-    """Blocking the points changes no bit, at one block and either side
-    of it."""
+def test_blocked_sum_matches_one_shot_sum_bitwise(lattice64, kind, extra):
+    """One blocked D+ sum with D- = -conj(D+) changes no bit of the old
+    unblocked two-sum route, at one block and either side of it."""
     block = propagators._BLOCK_TERMS // lattice64.frequencies.size
     rng = np.random.default_rng(5)
     t = rng.uniform(0.1, 3.0, block + extra) * rng.choice([-1.0, 1.0], block + extra)
     x = rng.uniform(0.0, L, block + extra)
     args = (lattice64.momenta, lattice64.frequencies, L, kind, t, x)
-    blocked = kernel_values(*args)
-    monkeypatch.setattr(propagators, "_wightman", _one_shot_wightman)
-    assert np.array_equal(blocked, kernel_values(*args))
+    _assert_bitwise(kernel_values(*args), _two_sum_kernel(*args), kind.value)
 
 
-def test_blocked_sum_matches_one_shot_sum_with_step_at_zero(lattice64, monkeypatch):
+def test_blocked_sum_matches_one_shot_sum_with_step_at_zero(lattice64):
+    """Three blocks' worth of points on the step extension, with t and x
+    of both signed zeros among them."""
     block = propagators._BLOCK_TERMS // lattice64.frequencies.size
     rng = np.random.default_rng(6)
-    t = rng.choice([-1.5, 0.0, 0.7], 2 * block + 3)
+    t = rng.choice([-1.5, -0.0, 0.0, 0.7], 3 * block + 3)
     x = rng.uniform(-L, 2 * L, t.size)
-    blocked = {
-        kind: kernel_values(lattice64.momenta, lattice64.frequencies, L, kind, t, x, True)
-        for kind in KernelKind
-    }
-    monkeypatch.setattr(propagators, "_wightman", _one_shot_wightman)
-    for kind, values in blocked.items():
-        want = kernel_values(lattice64.momenta, lattice64.frequencies, L, kind, t, x, True)
-        assert np.array_equal(values, want), kind.value
+    x[::3] = rng.choice([-0.0, 0.0], x[::3].size)
+    for kind in KernelKind:
+        args = (lattice64.momenta, lattice64.frequencies, L, kind, t, x)
+        _assert_bitwise(kernel_values(*args, True), _two_sum_kernel(*args), kind.value)
+
+
+@pytest.mark.parametrize("n_space", [8, 10, 16, 38, 128])
+def test_conjugate_route_matches_two_sums_on_signed_zero_grid(n_space):
+    """The CLI's grid shape: t and x each run through both signed zeros,
+    every kind on the step extension, on grids of odd mode counts."""
+    lattice = build_lattice(LatticeSpec(n_space=n_space))
+    t = np.array([-0.9, -0.0, 0.0, 0.3, 2.2])[:, None]
+    x = np.array([-3.1, -0.0, 0.0, 1.7, 9.9])[None, :]
+    for kind in KernelKind:
+        args = (lattice.momenta, lattice.frequencies, L, kind, t, x)
+        _assert_bitwise(kernel_values(*args, True), _two_sum_kernel(*args), kind.value)
 
 
 @pytest.mark.parametrize("t", [-1.3, -0.2, 0.4, 1.7])
@@ -253,15 +289,20 @@ def test_unclosed_momentum_grid_rejected(lattice64):
 
 def test_unclosed_momentum_grid_breaks_antisymmetry(lattice64):
     """Negative control: with the edge mode retained the antisymmetry
-    identity acquires a visible unpaired-mode residual."""
+    identity acquires a visible unpaired-mode residual.  It is read by the
+    two-sum oracle, because kernel_values' D- = -conj(D+) would make the
+    residual vanish; kernel_values rejects such a grid instead."""
     bad_momenta = np.append(lattice64.momenta, -2.0 * np.pi * 32 / L)
     bad_freqs = np.sqrt(1.0 + bad_momenta**2)
     worst = 0.0
     for t, x in [(0.5, 0.77), (1.1, 2.3), (-0.6, 4.9)]:
-        dp = kernel_values(bad_momenta, bad_freqs, L, KernelKind.WIGHTMAN_PLUS, t, x)
-        dm = kernel_values(bad_momenta, bad_freqs, L, KernelKind.WIGHTMAN_MINUS, -t, -x)
+        dp = _two_sum_kernel(bad_momenta, bad_freqs, L, KernelKind.WIGHTMAN_PLUS, t, x)
+        dm = _two_sum_kernel(bad_momenta, bad_freqs, L, KernelKind.WIGHTMAN_MINUS, -t, -x)
         worst = max(worst, abs(complex(dp) + complex(dm)))
     assert worst > 1e-6
+    for kind in KernelKind:
+        with pytest.raises(ValidationError, match="negation-closed"):
+            kernel_values(bad_momenta, bad_freqs, L, kind, 0.5, 0.77)
 
 
 def test_point_canonicalization():

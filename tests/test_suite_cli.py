@@ -46,6 +46,8 @@ from boxqft.suite import (
 PINNED_CHECKS = [
     ("01_wightman_antisymmetry", 1e-12,
      "wightman-pair antisymmetry under argument exchange", False),
+    ("01b_dminus_conjugate_vs_mode_sum", 1e-13,
+     "negative-frequency kernel as -conj(d+) equals its direct mode sum", False),
     ("02_feynman_decomposition", 1e-12,
      "feynman kernel = time-symmetric + hadamard parts", False),
     ("03_time_ordered_vev_oracle", 1e-10,
