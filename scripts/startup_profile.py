@@ -7,9 +7,11 @@ Prints three tables:
    ``pass``, ``import numpy``, or ``import boxqft.<module>`` for every
    module in ``src/boxqft``, with the number of ``scipy`` modules the
    import leaves loaded;
-2. the best-of-N wall time of each subcommand at its defaults (``kernel``
-   on a 100x64 grid, the shape of the benchmark's kernel-scan), each in a
-   fresh interpreter writing into a temporary directory;
+2. the best-of-N wall time of each subcommand at its defaults, each in a
+   fresh interpreter writing into a temporary directory.  The ``kernel``
+   rows run all eight kinds in turn in one interpreter, as the
+   benchmark's kernel-scan does: on its 100x64 grid, and on a 256x256
+   grid at ``--n-space=256``;
 3. the best-of-N wall time of each row of the check table that
    ``run_all_checks`` drives, timed inside one long-lived interpreter
    after one untimed warm-up run.
@@ -41,16 +43,38 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+KERNEL_KINDS = ("dplus", "dminus", "commutator", "hadamard", "retarded", "advanced", "dbar",
+                "feynman")
+# The benchmark's kernel-scan shape: a 100x64 grid, t of both signs and
+# never 0, x beyond [0, L); the `=` form keeps argparse from reading a
+# negative range as a flag.
+KERNEL_SCAN = ["--t-range=-2.6:2.9:100", "--x-range=-4:16:64"]
+KERNEL_256 = ["--n-space=256", "--t-range=-2.6:2.9:256", "--x-range=-4:16:256"]
+
+
+def _every_kind(grid: list[str]) -> tuple[str, list[list[str]]]:
+    return (f"kernel (8 kinds) {' '.join(grid)}",
+            [["kernel", f"--kind={kind}", *grid] for kind in KERNEL_KINDS])
+
+
+# One row each: a label and the argument lists that one fresh interpreter
+# passes to boxqft.cli.main in turn.
 SUBCOMMANDS = (
-    ["verify"],
-    # The benchmark's kernel-scan shape: a 100x64 grid, t of both signs
-    # and never 0, x beyond [0, L); the `=` form keeps argparse from
-    # reading a negative range as a flag.
-    ["kernel", "--kind=feynman", "--t-range=-2.6:2.9:100", "--x-range=-4:16:64"],
-    ["fock-vev"],
-    ["dirac"],
-    ["absorber"],
+    ("verify", [["verify"]]),
+    _every_kind(KERNEL_SCAN),
+    _every_kind(KERNEL_256),
+    ("fock-vev", [["fock-vev"]]),
+    ("dirac", [["dirac"]]),
+    ("absorber", [["absorber"]]),
 )
+CLI_CALLS = """
+import json, sys
+from boxqft.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    if code:
+        sys.exit(code)
+"""
 COUNT_SCIPY = (
     "import sys; {stmt}; "
     "print(sum(1 for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
@@ -140,14 +164,13 @@ def import_table(repeat: int, cwd: str, sources) -> None:
 
 
 def subcommand_table(repeat: int, cwd: str, sources) -> None:
-    width = max(len(" ".join(argv)) for argv in SUBCOMMANDS)
+    width = max(len(label) for label, _ in SUBCOMMANDS)
     print(f"\n{'subcommand (fresh interpreter)':<{width}} {_header('s', len(sources))}")
-    for argv in SUBCOMMANDS:
-        out_dir = pathlib.Path(cwd) / argv[0]
-        runs = _best_runs(
-            [sys.executable, "-m", "boxqft.cli", *argv, f"--out={out_dir}"], repeat, cwd, sources
-        )
-        print(f"{' '.join(argv):<{width}} {_cells([t for t, _ in runs], 1.0, 3)}")
+    for label, calls in SUBCOMMANDS:
+        out = f"--out={pathlib.Path(cwd) / calls[0][0]}"
+        argv = [sys.executable, "-c", CLI_CALLS, json.dumps([call + [out] for call in calls])]
+        runs = _best_runs(argv, repeat, cwd, sources)
+        print(f"{label:<{width}} {_cells([t for t, _ in runs], 1.0, 3)}")
 
 
 def check_table(repeat: int, sources) -> None:

@@ -40,25 +40,27 @@ Evaluation path.  Every kind is one entry of a coefficient table
 for the t = 0 extension, e.g. Feynman is (1, 0), (0, -1), (1/2, -1/2).
 kernel_values sums D+ once per call, over the points where either
 weight is nonzero, reads D- there as -conj(D+) and combines the two by
-the table.  On a mirror-ordered grid (momenta == -momenta[::-1],
-frequencies mirrored, as build_lattice makes them) the values are bit
-for bit those of a separate D- sum, signs of zero included: term i of
-the D- sum is the conjugate of term n-1-i of the D+ sum, and the
-ends-inward pairing below adds each such pair in the same order.
-kernel_values rejects any other grid.
+the table, so D- = -conj(D+) holds bit for bit within a call.  The D+
+sum needs a mirror-ordered grid (momenta == -momenta[::-1], frequencies
+mirrored, as build_lattice makes them), and kernel_values rejects any
+other grid.  There each plane wave factors as exp(-i w t) exp(i k x),
+and a +-k pair folds to exp(-i w t) cos(k x) / w, so the sum reads two
+tables: exp(-i w t) per distinct t and cos(k x) per distinct x, about
+(n_t + n_x) n/2 sines and cosines for an n_t by n_x grid of n modes
+instead of one complex exp per point and mode.  Each point's value is
+the product of its two table rows summed along the columns, in blocks
+of ``_BLOCK_TERMS`` (16,384) terms, 512 points at the default 63 modes,
+so the temporaries stay small whatever the grid size.  A point's sum
+reads only its own rows, so its bits do not depend on the shape of the
+grid, the other points or the blocking.  It rounds differently from a
+per-term phase fl(w t - k x), and agrees with that route (the tests'
+oracle and the direct D- sum of check 01b) to a few 1e-16.
 Kernels are functions of the point difference (t, x) = (t_a - t_b,
 x_a - x_b), given as plain float arrays of times and positions; there is
 no point type.  eval_kernel_grid is the one validating entry for
 points (kind, finite times whose phases do not overflow, reduction of x
 into [0, L)); eval_kernel (one difference), the verify_* routines
-(arrays of differences) and the CLI go through it.  Mode sums are
-accumulated pairwise over +-k partner modes (ends-inward pairing of the
-sorted grid) to keep cancellation error near machine precision.  The
-D+ sum runs over the points in blocks of ``_BLOCK_TERMS`` (16,384) mode
-terms, 260 points at the default 63 modes, so the points x modes
-temporaries stay small whatever the grid size.  Each point's sum is the
-same exp, scaling and paired row as in one unblocked sum, so blocking
-changes no bit.
+(arrays of differences) and the CLI go through it.
 """
 
 from __future__ import annotations
@@ -96,41 +98,36 @@ def canonical_x(x, box_length: float):
     return r - box_length * (r >= box_length)
 
 
-def _paired_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum the last axis by adding ends-inward pairs first.
-
-    On a sorted negation-closed grid, terms[..., i] and terms[..., -1-i]
-    belong to partner modes +-k, so their near-cancelling or reinforcing
-    combinations are formed before the running sum.
-    """
-    n = terms.shape[-1]
-    h = n // 2
-    if h == 0:
-        return terms[..., 0]
-    paired = terms[..., :h] + terms[..., : n - h - 1 : -1]
-    total = np.sum(paired, axis=-1)
-    if n % 2:
-        total = total + terms[..., h]
-    return total
-
-
-# Mode terms (points x modes) per block of _dplus's sum.
+# Folded mode terms (points x table columns) per block of _dplus's sum:
+# the bound on its gathered table rows and their products.
 _BLOCK_TERMS = 1 << 14
 
 
 def _dplus(momenta, frequencies, box_length, t, x):
-    """D+ at the paired 1-D points (t, x): (1/L) sum exp(-i(w t - k x)) / (2 w),
-    summed over blocks of about _BLOCK_TERMS mode terms."""
+    """D+ at the paired 1-D points (t, x): (1/L) sum exp(-i(w t - k x)) / (2 w)
+    on a mirror-ordered grid.
+
+    Mode i and its partner n-1-i (k -> -k, the same w) fold to column i,
+    exp(-i w t) cos(k x) / w; an odd middle mode (k = 0) is the last
+    column, exp(-i w t) / (2 w).  Each point sums the product of its
+    time-table and cosine-table rows along the columns, a block of about
+    _BLOCK_TERMS terms at a time."""
+    n = frequencies.size
+    columns = (n + 1) // 2
+    weight = np.where(np.arange(columns) < n // 2, 1.0, 0.5) / frequencies[:columns]
+    times, t_row = np.unique(t, return_inverse=True)
+    phase = np.multiply.outer(-times, frequencies[:columns])
+    # Row j is (Re, Im) of exp(-i w t_j) times the column weight.
+    time_table = np.stack([np.cos(phase), np.sin(phase)], axis=1) * weight
+    positions, x_row = np.unique(x, return_inverse=True)
+    cosines = np.cos(np.multiply.outer(positions, momenta[:columns]))
     sums = np.empty(t.shape, dtype=complex)
-    # numpy divides a complex array by a real one as this product.
-    half_inverse = 1.0 / (2.0 * frequencies)
-    step = max(1, _BLOCK_TERMS // frequencies.size)
+    parts = sums.view(float).reshape(-1, 2)
+    step = max(1, _BLOCK_TERMS // columns)
     for start in range(0, t.size, step):
         block = slice(start, start + step)
-        phases = np.exp(
-            -1j * (np.multiply.outer(t[block], frequencies) - np.multiply.outer(x[block], momenta))
-        )
-        sums[block] = _paired_sum(phases * half_inverse)
+        products = time_table[t_row[block]] * cosines[x_row[block], None, :]
+        parts[block] = np.sum(products, axis=-1)
     return sums / box_length
 
 
@@ -172,7 +169,8 @@ def kernel_values(
 
     One pass: D+ is summed once, at the points where the kind's
     coefficient table gives D+ or D- a nonzero weight, and D- is read
-    there as -conj(D+).  That identity needs a mirror-ordered grid
+    there as -conj(D+).  That identity, and the folding of +-k partner
+    modes in the D+ sum, need a mirror-ordered grid
     (momenta == -momenta[::-1], frequencies == frequencies[::-1]), which
     is checked here.  With ``step_at_zero`` the step-function kinds take
     their continuous t = 0 extension (see ``_COEFFICIENTS``), which the

@@ -162,9 +162,13 @@ def _check_antisymmetry(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple
 def _dminus_conjugate_vs_mode_sum(lattice: Lattice, t, x) -> float:
     """Max |kernel_values D- - direct D- sum| at the differences (t, x).
 
-    The kernel core reads D- as -conj(D+); the direct route sums
-    exp(+i(w t + k x)) / (2 w) over the lattice modes in plain order and
-    divides by -L, sharing no code with it."""
+    The kernel core reads D- as -conj(D+), and sums D+ from factored
+    tables, exp(-i w t) per distinct t times cos(k x) per distinct x with
+    the +-k partner modes folded.  The direct route forms one per-term
+    phase exp(+i(w t + k x)) / (2 w) per point and mode, sums over the
+    lattice modes in plain order and divides by -L, sharing no code with
+    it.  So check 01b holds both the conjugate read and the factored core
+    against the per-term sum."""
     L = lattice.spec.box_length
     w, k = lattice.frequencies, lattice.momenta
     fast = propagators.kernel_values(k, w, L, KernelKind.WIGHTMAN_MINUS, t, x)

@@ -134,19 +134,32 @@ def test_single_pass_evaluates_each_wightman_function_once(lattice64, monkeypatc
         assert sizes == want, kind.value
 
 
+def _paired_sum(terms):
+    """Sum the last axis by adding ends-inward pairs first: on a sorted
+    negation-closed grid, terms[..., i] and terms[..., -1-i] belong to
+    partner modes +-k."""
+    n = terms.shape[-1]
+    h = n // 2
+    if h == 0:
+        return terms[..., 0]
+    total = np.sum(terms[..., :h] + terms[..., : n - h - 1 : -1], axis=-1)
+    if n % 2:
+        total = total + terms[..., h]
+    return total
+
+
 def _one_shot_wightman(momenta, frequencies, box_length, sign, t, x):
-    """The old signed sum, D+ for sign +1 and D- for sign -1, with every
-    point's mode terms in one array."""
+    """The per-term signed sum, D+ for sign +1 and D- for sign -1: one
+    complex exp per point and mode, every point's terms in one array."""
     phases = np.exp(
         (-1j * sign) * (np.multiply.outer(t, frequencies) - np.multiply.outer(sign * x, momenta))
     )
-    return propagators._paired_sum(phases / (2.0 * frequencies)) / (sign * box_length)
+    return _paired_sum(phases / (2.0 * frequencies)) / (sign * box_length)
 
 
 def _two_sum_kernel(momenta, frequencies, box_length, kind, t, x):
-    """Oracle for kernel_values: the old two-sum route, D+ and D- each by
-    its own sum where the kind weights it, combined through the
-    coefficient table."""
+    """Oracle for kernel_values: D+ and D- each by its own per-term sum
+    where the kind weights it, combined through the coefficient table."""
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     regions = (t > 0.0, t < 0.0, t == 0.0)
     out = np.zeros(t.shape, dtype=complex)
@@ -165,47 +178,139 @@ def _two_sum_kernel(momenta, frequencies, box_length, kind, t, x):
 def _assert_bitwise(got, want, label):
     """Equal values and equal signs of every real and imaginary part,
     zeros included."""
-    got, want = got.view(float), want.view(float)
+    got, want = (np.ascontiguousarray(a).view(float) for a in (got, want))
     assert np.array_equal(got, want), label
     assert np.array_equal(np.signbit(got), np.signbit(want)), label
+
+
+def _assert_matches_oracle(modes, kind, t, x, step_at_zero=False):
+    """kernel_values against the per-term two-sum oracle.  The factored
+    sum rounds differently from a per-term phase fl(w t - k x), so the
+    two agree to a few 1e-16, not bit for bit."""
+    momenta, frequencies = modes
+    got = kernel_values(momenta, frequencies, L, kind, t, x, step_at_zero)
+    want = _two_sum_kernel(momenta, frequencies, L, kind, t, x)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14, err_msg=kind.value)
+
+
+def _modes(lattice):
+    return lattice.momenta, lattice.frequencies
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 @pytest.mark.parametrize("kind", list(KernelKind), ids=lambda k: k.value)
 def test_blocked_sum_matches_one_shot_sum_bitwise(lattice64, kind, extra):
-    """One blocked D+ sum with D- = -conj(D+) changes no bit of the old
-    unblocked two-sum route, at one block and either side of it."""
-    block = propagators._BLOCK_TERMS // lattice64.frequencies.size
+    """The blocked, factored D+ sum with D- = -conj(D+) agrees with the
+    per-term two-sum route at one block and either side of it."""
+    block = propagators._BLOCK_TERMS // ((lattice64.frequencies.size + 1) // 2)
     rng = np.random.default_rng(5)
     t = rng.uniform(0.1, 3.0, block + extra) * rng.choice([-1.0, 1.0], block + extra)
     x = rng.uniform(0.0, L, block + extra)
-    args = (lattice64.momenta, lattice64.frequencies, L, kind, t, x)
-    _assert_bitwise(kernel_values(*args), _two_sum_kernel(*args), kind.value)
+    _assert_matches_oracle(_modes(lattice64), kind, t, x)
 
 
 def test_blocked_sum_matches_one_shot_sum_with_step_at_zero(lattice64):
     """Three blocks' worth of points on the step extension, with t and x
     of both signed zeros among them."""
-    block = propagators._BLOCK_TERMS // lattice64.frequencies.size
+    block = propagators._BLOCK_TERMS // ((lattice64.frequencies.size + 1) // 2)
     rng = np.random.default_rng(6)
     t = rng.choice([-1.5, -0.0, 0.0, 0.7], 3 * block + 3)
     x = rng.uniform(-L, 2 * L, t.size)
     x[::3] = rng.choice([-0.0, 0.0], x[::3].size)
     for kind in KernelKind:
-        args = (lattice64.momenta, lattice64.frequencies, L, kind, t, x)
-        _assert_bitwise(kernel_values(*args, True), _two_sum_kernel(*args), kind.value)
+        _assert_matches_oracle(_modes(lattice64), kind, t, x, step_at_zero=True)
+
+
+def _grid_rows_and_points(momenta, frequencies, kind, ts, xs, step_at_zero):
+    """One kind on the product grid ts x xs three ways: one grid call, one
+    call per t row, and one call on the grid's points shuffled."""
+    def values(t, x):
+        return kernel_values(momenta, frequencies, L, kind, t, x, step_at_zero)
+
+    grid = values(ts[:, None], xs[None, :])
+    rows = np.array([values(t, xs) for t in ts])
+    t_flat, x_flat = np.repeat(ts, xs.size), np.tile(xs, ts.size)
+    order = np.random.default_rng(9).permutation(t_flat.size)
+    scattered = np.empty(t_flat.size, dtype=complex)
+    scattered[order] = values(t_flat[order], x_flat[order])
+    return grid, rows, scattered.reshape(grid.shape)
 
 
 @pytest.mark.parametrize("n_space", [8, 10, 16, 38, 128])
 def test_conjugate_route_matches_two_sums_on_signed_zero_grid(n_space):
     """The CLI's grid shape: t and x each run through both signed zeros,
-    every kind on the step extension, on grids of odd mode counts."""
+    every kind on the step extension, on grids of odd mode counts.  Each
+    kind agrees with the per-term oracle, reads the same bits in a grid,
+    row by row and at shuffled points, and reads -0.0 exactly as 0.0 in
+    t and in x."""
     lattice = build_lattice(LatticeSpec(n_space=n_space))
-    t = np.array([-0.9, -0.0, 0.0, 0.3, 2.2])[:, None]
-    x = np.array([-3.1, -0.0, 0.0, 1.7, 9.9])[None, :]
+    ts = np.array([-0.9, -0.0, 0.0, 0.3, 2.2])
+    xs = np.array([-3.1, -0.0, 0.0, 1.7, 9.9])
     for kind in KernelKind:
-        args = (lattice.momenta, lattice.frequencies, L, kind, t, x)
-        _assert_bitwise(kernel_values(*args, True), _two_sum_kernel(*args), kind.value)
+        _assert_matches_oracle(_modes(lattice), kind, ts[:, None], xs[None, :], True)
+        grid, rows, scattered = _grid_rows_and_points(*_modes(lattice), kind, ts, xs, True)
+        _assert_bitwise(rows, grid, kind.value)
+        _assert_bitwise(scattered, grid, kind.value)
+        _assert_bitwise(grid[1], grid[2], kind.value)
+        _assert_bitwise(grid[:, 1], grid[:, 2], kind.value)
+
+
+@pytest.mark.parametrize("kind", list(KernelKind), ids=lambda k: k.value)
+def test_product_grid_matches_rows_and_scattered_points_bitwise(lattice64, kind):
+    """A point's value does not depend on the other points of the call:
+    the tables are per distinct t and x and each point sums its own row.
+    The grid spans more than one block."""
+    ts = np.linspace(-2.7, 2.9, 23)
+    xs = canonical_x(np.linspace(-7.3, 18.1, 41), L)
+    grid, rows, scattered = _grid_rows_and_points(*_modes(lattice64), kind, ts, xs, False)
+    assert grid.size > propagators._BLOCK_TERMS // ((lattice64.frequencies.size + 1) // 2)
+    _assert_bitwise(rows, grid, kind.value)
+    _assert_bitwise(scattered, grid, kind.value)
+
+
+def test_dminus_is_minus_conjugate_dplus_bitwise(lattice64):
+    """Within a call D- is read as -conj(D+) from the one D+ sum, so the
+    identity holds bit for bit, signed zeros included."""
+    rng = np.random.default_rng(11)
+    t = rng.uniform(-3.0, 3.0, 700)
+    x = rng.uniform(0.0, L, 700)
+    t[::9], x[::7] = 0.0, -0.0
+    args = (lattice64.momenta, lattice64.frequencies, L)
+    dplus = kernel_values(*args, KernelKind.WIGHTMAN_PLUS, t, x)
+    dminus = kernel_values(*args, KernelKind.WIGHTMAN_MINUS, t, x)
+    _assert_bitwise(dminus, -np.conj(dplus), "dminus")
+
+
+def test_even_mode_set_without_zero_mode():
+    """An even, mirror-ordered mode set with no k = 0 mode (half-integer
+    momenta, as in an antiperiodic box): every +-k pair folds, with no
+    middle column."""
+    momenta = 2.0 * np.pi * (np.arange(-12, 12) + 0.5) / L
+    frequencies = np.sqrt(0.8**2 + momenta**2)
+    assert momenta.size % 2 == 0 and not np.any(momenta == 0.0)
+    rng = np.random.default_rng(12)
+    t = rng.uniform(-2.0, 2.0, 300)
+    x = rng.uniform(0.0, L, 300)
+    t[::10] = 0.0
+    for kind in KernelKind:
+        _assert_matches_oracle((momenta, frequencies), kind, t, x, step_at_zero=True)
+    dplus = kernel_values(momenta, frequencies, L, KernelKind.WIGHTMAN_PLUS, t, x)
+    dminus = kernel_values(momenta, frequencies, L, KernelKind.WIGHTMAN_MINUS, t, x)
+    _assert_bitwise(dminus, -np.conj(dplus), "dminus")
+
+
+def test_large_grid_matches_oracle_on_sampled_points():
+    """A 256 x 256 grid at n_space = 256 (255 modes), every kind, checked
+    against the per-term oracle at 1,024 seeded grid points."""
+    lattice = build_lattice(LatticeSpec(n_space=256))
+    ts = np.linspace(-2.6, 2.9, 256)
+    xs = canonical_x(np.linspace(-4.0, 16.0, 256), L)
+    picks = np.random.default_rng(13).choice(ts.size * xs.size, 1024, replace=False)
+    rows, cols = np.divmod(picks, xs.size)
+    for kind in KernelKind:
+        grid = kernel_values(*_modes(lattice), L, kind, ts[:, None], xs[None, :])
+        want = _two_sum_kernel(*_modes(lattice), L, kind, ts[rows], xs[cols])
+        np.testing.assert_allclose(grid[rows, cols], want, rtol=0, atol=1e-14, err_msg=kind.value)
 
 
 @pytest.mark.parametrize("t", [-1.3, -0.2, 0.4, 1.7])
