@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Wall time and peak memory of Fock operator matrices by basis dimension.
+
+For the field operator Psi(t, x) on the 2h+1 central modes of the default
+lattice at occupation ceiling 1 (dimension 4^(2h+1): 64, 1,024, 2^14 and
+2^18 for h = 1..4) this prints the time of one ``operator_matrix`` call,
+the time of one ``matrix_norm`` of the result, the number of stored
+entries, and the step in the process's peak resident set size
+(ru_maxrss) across both.  Sizes run in ascending order, so each step is
+the extra memory that size needed above every smaller one; a step of 0
+means it fit in pages already touched.  One untimed call at dimension
+64 runs first, so scipy's import, which ``boxqft.fock`` defers to its
+first matrix, lands in no row.  Times are the best of ``--repeat`` runs.
+
+Usage:
+    python3 scripts/fock_build_scaling.py [--half-widths 1,2,3,4]
+        [--repeat 3] [--seed 42]
+"""
+from __future__ import annotations
+
+import argparse
+import pathlib
+import resource
+import sys
+import time
+
+import numpy as np
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from boxqft.fock import field_operator, matrix_norm, mode_spec_from_lattice, operator_matrix
+from boxqft.lattice import LatticeSpec, build_lattice
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--half-widths", default="1,2,3,4",
+                        help="comma-separated mode half-widths h, run in ascending order")
+    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--seed", type=int, default=42)
+    args = parser.parse_args()
+    half_widths = sorted(int(h) for h in args.half_widths.split(","))
+
+    lattice = build_lattice(LatticeSpec())
+    rng = np.random.default_rng(args.seed)
+    warm = mode_spec_from_lattice(lattice, max_occupation=1, half_width=1)
+    matrix_norm(operator_matrix(field_operator(warm, 0.0, 0.0), warm))
+    print(f"{'dim':>7} {'build_ms':>10} {'norm_ms':>10} {'nnz':>9} {'rss_step_mb':>12}")
+    for h in half_widths:
+        spec = mode_spec_from_lattice(lattice, max_occupation=1, half_width=h)
+        before = _peak_rss_mb()
+        build_s = norm_s = float("inf")
+        for _ in range(args.repeat):
+            t, x = rng.uniform(-2.0, 2.0), rng.uniform(0.0, spec.box_length)
+            op = field_operator(spec, float(t), float(x))
+            start = time.perf_counter()
+            mat = operator_matrix(op, spec)
+            build_s = min(build_s, time.perf_counter() - start)
+            start = time.perf_counter()
+            matrix_norm(mat)
+            norm_s = min(norm_s, time.perf_counter() - start)
+        step = _peak_rss_mb() - before
+        print(f"{spec.basis_dim:7d} {1e3 * build_s:10.2f} {1e3 * norm_s:10.2f} "
+              f"{mat.nnz:9d} {step:12.1f}")
+
+
+if __name__ == "__main__":
+    main()

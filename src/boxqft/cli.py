@@ -20,9 +20,9 @@ or a numerical routine (quadrature, ARPACK norm) fails, 2 on invalid
 input (the message names the offending field).  A run that exits 2
 writes no file.
 
-Only ``verify`` and ``fock-vev`` import :mod:`boxqft.suite` (hence the
-Fock space and scipy), inside their handlers; ``kernel``, ``absorber``
-and ``dirac`` load no scipy.
+Only ``verify`` and ``fock-vev`` import :mod:`boxqft.suite`, inside their
+handlers, and only ``verify`` loads scipy (operator matrices, frequency
+checks); ``kernel``, ``fock-vev``, ``absorber`` and ``dirac`` load none.
 
 All file outputs format floats with ``repr`` and sort JSON keys, so
 repeated runs with the same configuration are byte-identical.
@@ -498,8 +498,8 @@ _HANDLERS = {
 
 def _numerical_failures() -> tuple[type[Exception], ...]:
     """The errors that end a run with exit 1.  ARPACK's can only have been
-    raised once scipy.sparse.linalg is loaded (by the Fock space, in
-    verify and fock-vev), so it is looked up only then."""
+    raised once scipy.sparse.linalg is loaded (by the Fock space's matrix
+    norms, in verify), so it is looked up only then."""
     failures = (QuadratureError, dirac.DegenerateSolutionError)
     linalg = sys.modules.get("scipy.sparse.linalg")
     return failures if linalg is None else failures + (linalg.ArpackNoConvergence,)

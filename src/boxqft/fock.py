@@ -4,9 +4,9 @@ Each momentum mode carries two independent oscillator sectors: quanta
 created by ``a_dag`` and antiquanta created by ``b_dag``.  States are
 sparse maps from occupation tuples to complex amplitudes; operators are
 sums of scaled ladder-factor products that can be applied symbolically
-to states or materialized as sparse CSR matrices built from cached
-Kronecker-product ladder factors.  Matrix norms are spectral norms from
-``svds`` started from a fixed vector, so reruns are bit-identical.
+to states or materialized as sparse CSR matrices, one numpy pass over the
+basis per term.  Matrix norms are spectral norms from ``svds`` started
+from a fixed vector, so reruns are bit-identical; only these load scipy.
 
 The module serves as an independent cross-check on the kernel mode sums
 in :mod:`boxqft.propagators`: the time-ordered two-point function
@@ -33,16 +33,16 @@ state instead of raising, so tests can assert "no truncation occurred".
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .lattice import Lattice, ValidationError, omega
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "FockState",
@@ -461,34 +461,16 @@ def time_ordered_vev(
 # Matrix materialization
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
-def _ladder_factor(n_slots: int, ceiling: int, slot: int, dagger: bool) -> sp.csr_matrix:
-    """One ladder operator of one slot as a matrix on the full basis.
-
-    The basis is mixed-radix over the slots ``a_0..a_{m-1}, b_0..b_{m-1}``
-    with slot 0 least significant, so the operator is
-    ``kron(I_left, block, I_right)`` with ``I_right`` of size
-    ``(ceiling+1)^slot``.  Creation from the ceiling has no image (the
-    truncated-space convention).  A factor depends only on the shape of
-    the space, not on momenta or frequencies, so a sweep over masses
-    reuses the cached factors.
-    """
-    base = ceiling + 1
-    # a|n> = sqrt(n)|n-1> sits above the diagonal, a_dag below it.
-    block = sp.diags(np.sqrt(np.arange(1.0, base)), -1 if dagger else 1)
-    left = sp.identity(base ** (n_slots - 1 - slot))
-    right = sp.identity(base**slot)
-    return sp.kron(sp.kron(left, block), right, format="csr")
-
-
 def operator_matrix(op: ModeOperator, spec: ModeSpec) -> sp.csr_matrix:
     """Materialize an operator on the truncated occupation basis.
 
-    Returns a complex ``scipy.sparse.csr_matrix``: each term is its
-    coefficient times the product of cached Kronecker-built ladder
-    factors, taken rightmost factor first as :func:`apply` acts, so the
-    entries equal those of the symbolic route.  Creation above the
-    ceiling contributes nothing (the truncated-space matrix convention).
+    Returns a complex ``scipy.sparse.csr_matrix``.  Each term pushes all
+    basis indices (mixed-radix over the slots ``a_0.., b_0..``, slot 0 least
+    significant) through its ladder factors, rightmost first as :func:`apply`
+    acts: a factor scales by sqrt(n) or sqrt(n+1), drops the columns that
+    annihilate the vacuum or create above the ceiling, and shifts the index
+    by ``+-base**slot``.  So a term lies on one diagonal; terms add into it
+    in term order and exact zeros are dropped, as :func:`apply` sums them.
     """
     dim = spec.basis_dim
     if dim > MATRIX_DIMENSION_CAP:
@@ -496,22 +478,40 @@ def operator_matrix(op: ModeOperator, spec: ModeSpec) -> sp.csr_matrix:
             f"basis dimension {dim} exceeds matrix cap {MATRIX_DIMENSION_CAP}; "
             "use a smaller mode set or occupation ceiling"
         )
-    n_modes = spec.n_modes
-    total = sp.csr_matrix((dim, dim), dtype=complex)
+    import scipy.sparse as sp
+
+    n_modes, ceiling = spec.n_modes, spec.max_occupation
+    base = ceiling + 1
+    # roots[n - 1] = sqrt(n): a|n> = sqrt(n)|n-1>, a_dag|n> = sqrt(n+1)|n+1>.
+    roots = np.sqrt(np.arange(1.0, base))
+    basis = np.arange(dim, dtype=np.int64)
+    diagonals: dict[int, np.ndarray] = {}  # row - col -> entries by column
     for coeff, term in op.terms:
         if coeff == 0:
             continue
-        mat = sp.identity(dim, dtype=complex, format="csr") * coeff
+        rows, vals, offset = basis, np.full(dim, coeff, dtype=complex), 0
         for sector, mode, dagger in reversed(term):
             if not 0 <= mode < n_modes:
                 raise ValidationError(
                     f"mode index {mode} outside mode set of size {n_modes}"
                 )
-            slot = mode if sector == "a" else n_modes + mode
-            factor = _ladder_factor(2 * n_modes, spec.max_occupation, slot, dagger)
-            mat = factor @ mat
-        total = total + mat
-    return total
+            stride = base ** (mode if sector == "a" else n_modes + mode)
+            n = rows // stride % base
+            live = n < ceiling if dagger else n > 0
+            n, rows, vals = n[live], rows[live], vals[live]
+            vals = roots[n if dagger else n - 1] * vals
+            step = stride if dagger else -stride
+            rows, offset = rows + step, offset + step
+        if rows.size:
+            if offset not in diagonals:
+                diagonals[offset] = np.zeros(dim, dtype=complex)
+            diagonals[offset][rows - offset] += vals
+    if not diagonals:
+        return sp.csr_matrix((dim, dim), dtype=complex)
+    # scipy counts a diagonal's offset as col - row, and its conversion to
+    # CSR stores only the nonzero entries, columns sorted within each row.
+    offsets = [-offset for offset in diagonals]
+    return sp.dia_matrix((np.stack(list(diagonals.values())), offsets), shape=(dim, dim)).tocsr()
 
 
 def matrix_norm(mat) -> float:
@@ -522,6 +522,9 @@ def matrix_norm(mat) -> float:
     shorter than 3, too small for ``svds``, take the exact dense 2-norm.
     If ``svds`` does not converge, ``ArpackNoConvergence`` propagates.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     mat = sp.csr_matrix(mat, dtype=complex)
     if mat.count_nonzero() == 0:
         return 0.0

@@ -19,18 +19,22 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 # The functions that perfbench/tracer.py wraps are called through their
 # modules: the tracer sets its wrappers on module attributes, and it also
 # patches by-name copies only in modules already loaded, which this one,
-# imported by the CLI only when needed, may not be.
-from . import absorber, dirac, fock, frequency, propagators
+# imported by the CLI only when needed, may not be.  ``frequency`` loads
+# scipy, so only the 08 rows import it.
+from . import absorber, dirac, fock, propagators
 from . import lattice as lattices
-from .frequency import FrequencyIntegralSpec
 from .lattice import Lattice, LatticeSpec, QuadratureError, ValidationError
 from .propagators import KernelKind, eval_kernel_grid
+
+if TYPE_CHECKING:
+    from .frequency import FrequencyIntegralSpec
 
 __all__ = [
     "CheckResult",
@@ -246,15 +250,65 @@ def _check_translation_order(spec: LatticeSpec, lattice: Lattice, seed: int) -> 
     return (abs(slope - 2.0),)
 
 
+def _check_matrix_build(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float]:
+    """Max |operator_matrix column j - apply(op, |j>)| over every basis
+    column j, for Psi(t, x) and P on the three central modes (dim 64) and,
+    on one seeded mode at ceiling 2 (dim 9), for the retarded oscillator
+    momentum and b_dag b_dag, which cover the sqrt(2) factors and the
+    ceiling."""
+    rng = _rng(seed, 12)
+    t, x = float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.0, spec.box_length))
+    k = float(rng.choice(np.asarray(lattice.momenta)))
+    three = fock.mode_spec_from_lattice(lattice, max_occupation=1, half_width=1)
+    one = fock.make_mode_spec([k], spec.mass, spec.box_length, 2)
+    return (max(
+        _matrix_vs_apply(three, fock.field_operator(three, t, x), fock.momentum_operator(three)),
+        _matrix_vs_apply(one, fock.oscillator_quadratures(one, 0, t).p_operator,
+                         fock.b_dag(0) @ fock.b_dag(0)),
+    ),)
+
+
+def _matrix_vs_apply(mode_spec: fock.ModeSpec, *ops: fock.ModeOperator) -> float:
+    """Max over ops of |operator_matrix - the matrix read column by column
+    from the symbolic ``apply`` on each basis ket|.  Basis indices turn
+    into occupations by a divmod loop of its own (slot 0 least
+    significant, quanta slots before antiquanta), sharing no index code
+    with the vectorised build."""
+    m, dim = mode_spec.n_modes, mode_spec.basis_dim
+    base = mode_spec.max_occupation + 1
+    occupations = []
+    for col in range(dim):
+        digits, rest = [], col
+        for _ in range(2 * m):
+            rest, digit = divmod(rest, base)
+            digits.append(digit)
+        occupations.append((tuple(digits[:m]), tuple(digits[m:])))
+    index = {occupation: col for col, occupation in enumerate(occupations)}
+    kets = [fock.FockState(mode_spec, {occupation: 1.0 + 0.0j}) for occupation in occupations]
+    worst = 0.0
+    for op in ops:
+        symbolic = np.zeros((dim, dim), dtype=complex)
+        for col, ket in enumerate(kets):
+            for image, amp in fock.apply(op, ket).amplitudes.items():
+                symbolic[index[image], col] = amp
+        fast = fock.operator_matrix(op, mode_spec).toarray()
+        worst = max(worst, float(np.max(np.abs(fast - symbolic))))
+    return worst
+
+
 _FREQUENCY_POINTS = ((1.0, 0.0), (1.0, 2.0), (2.0, -1.0))
 _FREQUENCY_WINDOW = 1e-3
 
 
 def _frequency_spec(w: float, t: float) -> FrequencyIntegralSpec:
+    from .frequency import FrequencyIntegralSpec
+
     return FrequencyIntegralSpec(mode_frequency=w, time=t, epsilon=1e-6, frequency_cutoff=200.0)
 
 
 def _check_frequency_integral(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float]:
+    from . import frequency
+
     worst = 0.0
     for w, t in _FREQUENCY_POINTS:
         value = frequency.frequency_integral_feynman(_frequency_spec(w, t))
@@ -264,6 +318,8 @@ def _check_frequency_integral(spec: LatticeSpec, lattice: Lattice, seed: int) ->
 
 
 def _check_frequency_split(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float]:
+    from . import frequency
+
     worst = 0.0
     for w, t in _FREQUENCY_POINTS:
         _, _, residual = frequency.verify_frequency_split(
@@ -298,6 +354,8 @@ def _check_quadrature_vs_quadpack(spec: LatticeSpec, lattice: Lattice, seed: int
     accuracy QUADPACK is asked for.  QUADPACK costs several times the rule
     per segment, so the check takes one point and one segmentation; the
     tests compare all three points on both."""
+    from . import frequency
+
     w, t = _FREQUENCY_POINTS[1]
     worst = 0.0
     for fn, a, b, interior in frequency.quadrature_pieces(
@@ -463,6 +521,9 @@ _CHECK_TABLE = (
     (_check_translation_order,
      Check("07_translation_generator_order", 0.2,
            "momentum operator generates spatial translations")),
+    (_check_matrix_build,
+     Check("07b_matrix_build_vs_symbolic_apply", 1e-13,
+           "materialized operator matrix equals symbolic application column by column")),
     (_check_frequency_integral,
      Check("08a_frequency_integral_target", 1e-4,
            "regulated frequency integral reaches the per-mode kernel")),

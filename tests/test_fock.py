@@ -1,5 +1,6 @@
 """Truncated two-species Fock space: algebra, field VEVs, named checks."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from boxqft.fock import (
+    MATRIX_DIMENSION_CAP,
     FockState,
     ModeOperator,
     a_dag,
@@ -340,9 +342,11 @@ def test_translation_check_is_second_order_on_wide_window(lattice64_module):
 
 # --- matrix materialization -------------------------------------------------
 #
-# The column-by-column route below (occupations of each basis index, one
-# symbolic ``apply``, rows read back by index) is the materialization the
-# Kronecker-built ``operator_matrix`` replaced; it stays here as its oracle.
+# Two oracles for the vectorised ``operator_matrix``, each a materialization
+# it replaced.  The column-by-column route (occupations of each basis index,
+# one symbolic ``apply``, rows read back by index) came first; the sparse
+# Kronecker-product build came next.  Both sum the terms in term order, so
+# both match the vectorised build bit for bit.
 
 def basis_index(spec, na, nb):
     """Mixed-radix index of an occupation pair (mode 0 least significant)."""
@@ -377,12 +381,41 @@ def column_matrix(op, spec):
     return mat
 
 
-def random_mode_operator(rng, n_modes, n_terms=4, max_factors=3):
+def kronecker_matrix(op, spec):
+    """CSR matrix of ``op``: each term its coefficient times a product of
+    ladder factors ``kron(I_left, block, I_right)``, rightmost factor first,
+    added to the running total in term order."""
+    n_slots, base, dim = 2 * spec.n_modes, spec.max_occupation + 1, spec.basis_dim
+    total = scipy.sparse.csr_matrix((dim, dim), dtype=complex)
+    for coeff, term in op.terms:
+        if coeff == 0:
+            continue
+        mat = scipy.sparse.identity(dim, dtype=complex, format="csr") * coeff
+        for sector, mode, dagger in reversed(term):
+            slot = mode if sector == "a" else spec.n_modes + mode
+            # a|n> = sqrt(n)|n-1> sits above the diagonal, a_dag below it.
+            block = scipy.sparse.diags(np.sqrt(np.arange(1.0, base)), -1 if dagger else 1)
+            left = scipy.sparse.identity(base ** (n_slots - 1 - slot))
+            right = scipy.sparse.identity(base**slot)
+            mat = scipy.sparse.kron(scipy.sparse.kron(left, block), right, format="csr") @ mat
+        total = total + mat
+    return total
+
+
+def assert_same_csr(mat, oracle):
+    """Equal stored entries in equal order, so every matvec sums alike."""
+    assert mat.has_sorted_indices and oracle.has_sorted_indices
+    np.testing.assert_array_equal(mat.indptr, oracle.indptr)
+    np.testing.assert_array_equal(mat.indices, oracle.indices)
+    np.testing.assert_array_equal(mat.data, oracle.data)
+
+
+def random_mode_operator(rng, n_modes, n_terms=4, max_factors=3, min_factors=0):
     terms = []
     for _ in range(n_terms):
         factors = tuple(
             (str(rng.choice(["a", "b"])), int(rng.integers(n_modes)), bool(rng.integers(2)))
-            for _ in range(int(rng.integers(0, max_factors + 1)))
+            for _ in range(int(rng.integers(min_factors, max_factors + 1)))
         )
         coeff = complex(rng.standard_normal(), rng.standard_normal())
         terms.append((coeff, factors))
@@ -411,6 +444,68 @@ def test_kronecker_matrix_matches_column_apply_oracle(n_modes, ceiling, seed):
     mat = operator_matrix(op, spec)
     assert isinstance(mat, scipy.sparse.csr_matrix)
     np.testing.assert_array_equal(mat.toarray(), column_matrix(op, spec))
+    assert_same_csr(mat, kronecker_matrix(op, spec))
+
+
+def _verify_shape_cases():
+    """The operators and spaces ``verify`` materializes: Psi and P on five
+    modes at ceiling 1 (dim 1,024), and one mode at ceilings 2 and 3 with
+    terms of two or three factors.  P sums 10 terms on its diagonal, but
+    its entries are small multiples of 2 pi / L, which round alike in any
+    order; H's frequencies do not, so H pins the term-order sum."""
+    five = make_mode_spec(TWO_PI_OVER_L * np.arange(-2, 3), 1.0, L, 1)
+    cases = [
+        pytest.param(field_operator(five, 0.7, 2.9), five, id="psi-5-modes"),
+        pytest.param(momentum_operator(five), five, id="p-5-modes"),
+        pytest.param(hamiltonian_operator(five), five, id="h-5-modes"),
+    ]
+    for ceiling in (2, 3):
+        one = make_mode_spec([TWO_PI_OVER_L], 1.0, L, ceiling)
+        rng = np.random.default_rng([7, ceiling])
+        op = random_mode_operator(rng, 1, n_terms=8, max_factors=3, min_factors=2)
+        cases.append(pytest.param(op, one, id=f"one-mode-ceiling-{ceiling}"))
+    return cases
+
+
+@pytest.mark.parametrize(("op", "spec"), _verify_shape_cases())
+def test_matrix_build_matches_both_oracles_on_verify_shapes(op, spec):
+    mat = operator_matrix(op, spec)
+    assert_same_csr(mat, kronecker_matrix(op, spec))
+    np.testing.assert_array_equal(mat.toarray(), column_matrix(op, spec))
+
+
+def test_exactly_cancelling_terms_store_nothing():
+    spec = make_mode_spec([0.0, TWO_PI_OVER_L], 1.0, L, 2)
+    kept = 0.3j * (a_dag(0) @ b_op(1)) + b_dag(1) @ b_dag(1)
+    gone = 0.7 * (a_dag(1) @ a_op(0)) - 0.25j * b_dag(0)
+    assert operator_matrix(gone - gone, spec).nnz == 0
+    mat = operator_matrix(gone + kept - gone, spec)
+    assert mat.count_nonzero() == mat.nnz  # no explicit zeros stored
+    assert_same_csr(mat, operator_matrix(kept, spec))
+
+
+def test_all_zero_coefficients_give_empty_complex_matrix():
+    spec = make_mode_spec([0.0, TWO_PI_OVER_L], 1.0, L, 1)
+    zeroed = 0.0 * (a_dag(0) @ b_op(1)) + 0j * field_operator(spec, 0.2, 1.0)
+    for op in (ModeOperator.zero(), zeroed):
+        mat = operator_matrix(op, spec)
+        assert isinstance(mat, scipy.sparse.csr_matrix)
+        assert mat.shape == (spec.basis_dim, spec.basis_dim) and mat.dtype == complex
+        assert mat.nnz == 0
+
+
+def test_matrix_cap_rejects_before_allocating():
+    spec = make_mode_spec(TWO_PI_OVER_L * np.arange(-5, 6), 1.0, L, 1)  # dim 2^22
+    assert spec.basis_dim > MATRIX_DIMENSION_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="exceeds matrix cap"):
+            operator_matrix(a_dag(0), spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one basis-sized index array at the cap alone would be 8 MiB
+    assert peak < 1 << 16
 
 
 def test_kronecker_matrix_truncates_above_ceiling():
