@@ -14,7 +14,10 @@ Prints three tables:
    grid at ``--n-space=256``;
 3. the best-of-N wall time of each row of the check table that
    ``run_all_checks`` drives, timed inside one long-lived interpreter
-   after one untimed warm-up run.
+   after one untimed warm-up run.  With a baseline the rows are those of
+   both trees in table order, so a row merged or renamed between them
+   is timed on the tree that has it, and each "sum of rows" covers its
+   tree's whole table.
 
 With ``--baseline DIR`` every row is timed on both ``DIR/src`` (for
 example a ``git archive`` of the parent commit) and this checkout.  The
@@ -173,6 +176,21 @@ def subcommand_table(repeat: int, cwd: str, sources) -> None:
         print(f"{label:<{width}} {_cells([t for t, _ in runs], 1.0, 3)}")
 
 
+def _union_in_order(tables: list[dict]) -> list[str]:
+    """The row names of every tree, each once, in table order: a row one
+    tree lacks goes right after the row that precedes it in its own tree."""
+    merged: list[str] = []
+    for table in tables:
+        at = 0
+        for name in table:
+            if name in merged:
+                at = merged.index(name) + 1
+            else:
+                merged.insert(at, name)
+                at += 1
+    return merged
+
+
 def check_table(repeat: int, sources) -> None:
     workers = [
         subprocess.Popen([sys.executable, "-c", CHECK_WORKER], env=_env(src), text=True,
@@ -185,7 +203,8 @@ def check_table(repeat: int, sources) -> None:
         print(f"\n{'check table row (one interpreter per tree)':<44} "
               f"{_header('ms', len(sources))}")
         sums = [0.0] * len(sources)
-        for name, checks in tables[-1].items():
+        for name in _union_in_order(tables):
+            checks = next(table[name] for table in reversed(tables) if name in table)
             best = [math.inf] * len(sources)
             for order in _rounds(repeat, len(sources)):
                 for i in order:

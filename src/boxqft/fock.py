@@ -310,6 +310,15 @@ def b_dag(mode: int) -> ModeOperator:
     return ModeOperator.ladder("b", mode, True)
 
 
+def _check_modes(op: ModeOperator, n_modes: int) -> None:
+    """Raise a validation error naming the first factor of ``op`` whose
+    mode index lies outside a mode set of size ``n_modes``."""
+    for _, factors in op.terms:
+        for _, mode, _ in factors:
+            if not 0 <= mode < n_modes:
+                raise ValidationError(f"mode index {mode} outside mode set of size {n_modes}")
+
+
 def apply(op: ModeOperator, state: FockState) -> FockState:
     """Apply an operator to a state with sqrt(n) ladder factors.
 
@@ -321,6 +330,7 @@ def apply(op: ModeOperator, state: FockState) -> FockState:
     spec = state.spec
     n_modes = spec.n_modes
     ceiling = spec.max_occupation
+    _check_modes(op, n_modes)
     out: dict[tuple[tuple[int, ...], tuple[int, ...]], complex] = {}
     truncations = 0
     for coeff, factors in op.terms:
@@ -331,10 +341,6 @@ def apply(op: ModeOperator, state: FockState) -> FockState:
             occ = list(na) + list(nb)
             dead = False
             for sector, mode, dagger in reversed(factors):
-                if not 0 <= mode < n_modes:
-                    raise ValidationError(
-                        f"mode index {mode} outside mode set of size {n_modes}"
-                    )
                 slot = mode if sector == "a" else n_modes + mode
                 n = occ[slot]
                 if dagger:
@@ -478,9 +484,10 @@ def operator_matrix(op: ModeOperator, spec: ModeSpec) -> sp.csr_matrix:
             f"basis dimension {dim} exceeds matrix cap {MATRIX_DIMENSION_CAP}; "
             "use a smaller mode set or occupation ceiling"
         )
+    n_modes, ceiling = spec.n_modes, spec.max_occupation
+    _check_modes(op, n_modes)
     import scipy.sparse as sp
 
-    n_modes, ceiling = spec.n_modes, spec.max_occupation
     base = ceiling + 1
     # roots[n - 1] = sqrt(n): a|n> = sqrt(n)|n-1>, a_dag|n> = sqrt(n+1)|n+1>.
     roots = np.sqrt(np.arange(1.0, base))
@@ -491,10 +498,6 @@ def operator_matrix(op: ModeOperator, spec: ModeSpec) -> sp.csr_matrix:
             continue
         rows, vals, offset = basis, np.full(dim, coeff, dtype=complex), 0
         for sector, mode, dagger in reversed(term):
-            if not 0 <= mode < n_modes:
-                raise ValidationError(
-                    f"mode index {mode} outside mode set of size {n_modes}"
-                )
             stride = base ** (mode if sector == "a" else n_modes + mode)
             n = rows // stride % base
             live = n < ceiling if dagger else n > 0

@@ -6,9 +6,10 @@ kernel exp(-i w |t|)/(2 w) is the regulated frequency integral
     (1/2pi) int dnu exp(-i nu t) * i/(nu^2 - w^2 + i eps).
 
 :func:`frequency_integral_feynman` evaluates it on a window
-[-Omega, Omega] completed by the analytic |nu| > Omega remainder, and
-:func:`verify_frequency_split` reassembles it from an eps-free principal
-part plus the on-shell delta term (checks 08a and 08b).
+[-Omega, Omega] completed by the analytic |nu| > Omega remainder (check
+08a).  :func:`principal_part` is its eps-free principal part, and
+:func:`verify_frequency_split` reassembles the integral from that part
+plus the on-shell delta term (check 08b).
 
 Quadrature.  Each piece of either integral is an integrand over an
 interval with interior cuts at its pole locations (see
@@ -21,7 +22,8 @@ as a numpy array: 16 nodes per panel on 64 uniform panels, of which the
 two end panels are graded geometrically over 30 halvings toward the
 segment ends, where the eps-narrow pole structure and the window edges
 sit.  Uniform panels alone leave the two segmentations 0.1-0.3 apart.
-QUADPACK is the rule's oracle in check 08c (:mod:`boxqft.suite`).
+QUADPACK, on scalar integrands of its own in :mod:`boxqft.suite`, is
+the rule's oracle in check 08c; the two share only the segment bounds.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "FrequencyIntegralSpec",
     "QuadratureError",
     "frequency_integral_feynman",
+    "principal_part",
     "quadrature_pieces",
     "segmentations",
     "verify_frequency_split",
@@ -207,9 +210,10 @@ def _principal_pieces(spec: FrequencyIntegralSpec, window: float):
 
 def quadrature_pieces(spec: FrequencyIntegralSpec, window: float):
     """Every piece (integrand, a, b, interior cuts) that
-    frequency_integral_feynman and verify_frequency_split(spec, window)
-    hand to the dual quadrature: the regulated integral's, then the
-    principal part's at window and at window/2."""
+    frequency_integral_feynman and principal_part(spec, window) hand to
+    the dual quadrature: the regulated integral's, then the principal
+    part's at window and at window/2.  Each integrand's ``__name__``
+    (``full``, ``smooth`` or ``bare``) names it to check 08c's oracle."""
     return (
         _feynman_pieces(spec)[0]
         + _principal_pieces(spec, window)
@@ -236,19 +240,14 @@ def frequency_integral_feynman(spec: FrequencyIntegralSpec, include_tail: bool =
     return complex(total)
 
 
-def verify_frequency_split(
-    spec: FrequencyIntegralSpec, window: float = 1e-3
-) -> tuple[complex, complex, float]:
-    """Split the regulated integral into principal-part plus on-shell terms.
+def principal_part(spec: FrequencyIntegralSpec, window: float = 1e-3) -> complex:
+    """The eps-free principal part of the regulated integral.
 
-    The principal part excludes symmetric windows around nu = +-omega from
-    the eps-free integrand (with the same analytic tail completion); a
-    two-point Richardson step over window sizes {w, w/2} removes the
-    leading linear-in-window truncation.  The on-shell term is evaluated
-    from the residue prescription:  delta(nu^2 - w^2) splits into poles at
-    +-omega with weight 1/(2 omega) each, giving cos(omega t)/(2 omega)
-    under these conventions.  Returns (pp_part, delta_part, residual)
-    where residual compares pp + delta against the full integral.
+    Symmetric windows of half-width ``window`` around nu = +-omega are
+    cut out of the eps-free integrand, which is completed by the same
+    analytic tail as :func:`frequency_integral_feynman`; a two-point
+    Richardson step over the window sizes {window, window/2} removes the
+    leading linear-in-window truncation.
     """
     spec.validate()
     if not window > 0:
@@ -265,8 +264,24 @@ def verify_frequency_split(
             acc += _dual_quad(fn, a, b, spec.abs_tol, cuts)
         return acc / (2.0 * np.pi)
 
-    pp = 2.0 * pp_at(window / 2.0) - pp_at(window) + _tail_completion(w, t, cutoff)
-    delta_part = complex(np.cos(w * t) / (2.0 * w))
+    return complex(2.0 * pp_at(window / 2.0) - pp_at(window) + _tail_completion(w, t, cutoff))
+
+
+def verify_frequency_split(
+    spec: FrequencyIntegralSpec, window: float = 1e-3
+) -> tuple[complex, complex, float]:
+    """Split the regulated integral into principal-part plus on-shell terms.
+
+    The principal part is :func:`principal_part` at ``window``.  The
+    on-shell term is evaluated from the residue prescription:
+    delta(nu^2 - w^2) splits into poles at +-omega with weight
+    1/(2 omega) each, giving cos(omega t)/(2 omega) under these
+    conventions.  Returns (pp_part, delta_part, residual) where residual
+    compares pp + delta against the full integral.
+    """
+    pp = principal_part(spec, window)
+    w = spec.mode_frequency
+    delta_part = complex(np.cos(w * spec.time) / (2.0 * w))
     full = frequency_integral_feynman(spec)
     residual = abs(pp + delta_part - full)
-    return complex(pp), delta_part, residual
+    return pp, delta_part, residual

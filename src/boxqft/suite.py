@@ -16,6 +16,7 @@ table.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -306,44 +307,91 @@ def _frequency_spec(w: float, t: float) -> FrequencyIntegralSpec:
     return FrequencyIntegralSpec(mode_frequency=w, time=t, epsilon=1e-6, frequency_cutoff=200.0)
 
 
-def _check_frequency_integral(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float]:
+def _reported_inf(names: str, exc: QuadratureError) -> float:
+    """Warn (RuntimeWarning) that the checks ``names`` are reported as inf
+    after the quadrature failure ``exc``, and return inf."""
+    warnings.warn(f"check {names} reported as inf: {exc}", RuntimeWarning)
+    return math.inf
+
+
+def _check_frequency_plane(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float, float]:
+    """Checks 08a and 08b on one regulated integral per frequency point:
+    08a holds it against the per-mode kernel exp(-i w |t|)/(2 w), 08b
+    against the principal part plus the on-shell term cos(w t)/(2 w).
+
+    Every run computes the integrals anew; nothing is cached across
+    runs.  A quadrature failure in a regulated integral reports both
+    checks as inf (through ``run_all_checks``); one in a principal part
+    reports 08b alone, warned here, and keeps 08a's residual.
+    """
     from . import frequency
 
-    worst = 0.0
-    for w, t in _FREQUENCY_POINTS:
-        value = frequency.frequency_integral_feynman(_frequency_spec(w, t))
-        target = np.exp(-1j * w * abs(t)) / (2.0 * w)
-        worst = max(worst, abs(value - target))
-    return (worst,)
+    fulls = [frequency.frequency_integral_feynman(_frequency_spec(w, t))
+             for w, t in _FREQUENCY_POINTS]
+    target_worst = split_worst = 0.0
+    for full, (w, t) in zip(fulls, _FREQUENCY_POINTS):
+        target_worst = max(target_worst, abs(full - np.exp(-1j * w * abs(t)) / (2.0 * w)))
+    try:
+        for full, (w, t) in zip(fulls, _FREQUENCY_POINTS):
+            pp = frequency.principal_part(_frequency_spec(w, t), _FREQUENCY_WINDOW)
+            onshell = complex(np.cos(w * t) / (2.0 * w))
+            split_worst = max(split_worst, abs(pp + onshell - full))
+    except QuadratureError as exc:
+        split_worst = _reported_inf("08b_frequency_split_reassembly", exc)
+    return target_worst, split_worst
 
 
-def _check_frequency_split(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float]:
-    from . import frequency
+def _oracle_integrands(fspec: FrequencyIntegralSpec) -> dict:
+    """Scalar twins in cmath of the integrands that
+    ``frequency.quadrature_pieces`` names ``full``, ``smooth`` and
+    ``bare``, written from the spec alone and keyed by those names: check
+    08c's QUADPACK route evaluates these, so its two routes share only
+    the segment bounds."""
+    w, t, eps = fspec.mode_frequency, fspec.time, fspec.epsilon
+    # the linear interpolant of exp(-i nu t) through nu = +-w
+    slope, offset = -1j * math.sin(w * t) / w, math.cos(w * t)
 
-    worst = 0.0
-    for w, t in _FREQUENCY_POINTS:
-        _, _, residual = frequency.verify_frequency_split(
-            _frequency_spec(w, t), window=_FREQUENCY_WINDOW
-        )
-        worst = max(worst, residual)
-    return (worst,)
+    def full(nu):
+        return cmath.exp(-1j * nu * t) * 1j / (nu * nu - w * w + 1j * eps)
+
+    def smooth(nu):
+        num = cmath.exp(-1j * nu * t) - (slope * nu + offset)
+        return num * 1j / (nu * nu - w * w + 1j * eps)
+
+    def bare(nu):
+        return cmath.exp(-1j * nu * t) * 1j / (nu * nu - w * w)
+
+    return {fn.__name__: fn for fn in (full, smooth, bare)}
 
 
 def _quadpack_segment(fn, a: float, b: float) -> complex:
     """QUADPACK (scipy.integrate.quad) on the real and imaginary parts of a
-    complex scalar integrand over [a, b]: the oracle of check 08c.
+    complex scalar integrand over [a, b]: the oracle route of check 08c.
 
+    The imaginary pass asks for mostly the abscissae the real pass asked
+    for, so each call keeps the values it computed and evaluates ``fn``
+    once per distinct abscissa; nothing is kept past the call.
     QUADPACK's own error estimate saturates on the eps-narrow pole kinks
     even when the returned value is converged, so only its
     IntegrationWarning is silenced; warnings the integrand raises pass.
     """
     from scipy.integrate import IntegrationWarning, quad
 
+    values: dict[float, complex] = {}
+
+    def real(v: float) -> float:
+        z = values[v] = fn(v)
+        return z.real
+
+    def imag(v: float) -> float:
+        z = values.get(v)
+        return (fn(v) if z is None else z).imag
+
     kw = dict(limit=800, epsabs=1e-10, epsrel=1e-9)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        re = quad(lambda v: fn(v).real, a, b, **kw)[0]
-        im = quad(lambda v: fn(v).imag, a, b, **kw)[0]
+        re = quad(real, a, b, **kw)[0]
+        im = quad(imag, a, b, **kw)[0]
     return re + 1j * im
 
 
@@ -351,20 +399,24 @@ def _check_quadrature_vs_quadpack(spec: LatticeSpec, lattice: Lattice, seed: int
     """Max |Gauss-Legendre segment - QUADPACK segment| over every segment
     of the refined segmentation of every piece 08a and 08b integrate, at
     the oscillating point (w, t) = (1, 2), held to the 1e-10 absolute
-    accuracy QUADPACK is asked for.  QUADPACK costs several times the rule
-    per segment, so the check takes one point and one segmentation; the
-    tests compare all three points on both."""
+    accuracy QUADPACK is asked for.  The rule integrates the piece's
+    integrand from ``frequency``; QUADPACK integrates the twin of the
+    same name from :func:`_oracle_integrands`.  On these 40 segments
+    QUADPACK takes 13-24 ms against 3-6 ms for the rule (best of 9, one
+    thread of a 2-vCPU host), so the check takes one point and one
+    segmentation; the tests compare all three points on both."""
     from . import frequency
 
     w, t = _FREQUENCY_POINTS[1]
+    fspec = _frequency_spec(w, t)
+    oracles = _oracle_integrands(fspec)
     worst = 0.0
-    for fn, a, b, interior in frequency.quadrature_pieces(
-        _frequency_spec(w, t), _FREQUENCY_WINDOW
-    ):
+    for fn, a, b, interior in frequency.quadrature_pieces(fspec, _FREQUENCY_WINDOW):
+        oracle = oracles[fn.__name__]
         refined = frequency.segmentations(a, b, interior)[1]
         for lo, hi in zip(refined[:-1], refined[1:]):
             rule = frequency._quad_segment(fn, lo, hi)
-            worst = max(worst, abs(rule - _quadpack_segment(fn, lo, hi)))
+            worst = max(worst, abs(rule - _quadpack_segment(oracle, lo, hi)))
     return (worst,)
 
 
@@ -524,10 +576,9 @@ _CHECK_TABLE = (
     (_check_matrix_build,
      Check("07b_matrix_build_vs_symbolic_apply", 1e-13,
            "materialized operator matrix equals symbolic application column by column")),
-    (_check_frequency_integral,
+    (_check_frequency_plane,
      Check("08a_frequency_integral_target", 1e-4,
-           "regulated frequency integral reaches the per-mode kernel")),
-    (_check_frequency_split,
+           "regulated frequency integral reaches the per-mode kernel"),
      Check("08b_frequency_split_reassembly", 1e-4,
            "principal-part plus on-shell split reassembles the integral")),
     (_check_quadrature_vs_quadpack,
@@ -603,9 +654,7 @@ def run_all_checks(
         try:
             residuals = computation(spec, lattice, seed)
         except QuadratureError as exc:
-            names = ", ".join(check.name for check in checks)
-            warnings.warn(f"check {names} reported as inf: {exc}", RuntimeWarning)
-            residuals = (math.inf,) * len(checks)
+            residuals = (_reported_inf(", ".join(c.name for c in checks), exc),) * len(checks)
         for check, residual in zip(checks, residuals, strict=True):
             tol = tols[check.name]
             ok = residual > tol if check.exceed else residual <= tol

@@ -173,6 +173,23 @@ def test_mode_index_out_of_range_rejected(spec3):
         apply(a_dag(7), vacuum(spec3))
 
 
+def test_mode_index_checked_before_the_state_is_read():
+    """A factor no component reaches, and an empty state, still raise the
+    error operator_matrix raises for the same operator."""
+    spec = make_mode_spec([0.0], 1.0, L, 1)
+    op = a_dag(7) @ a_op(0)  # a_op(0) empties the vacuum before a_dag(7)
+    message = "mode index 7 outside mode set of size 1"
+    with pytest.raises(ValidationError, match=message):
+        operator_matrix(op, spec)
+    for state in (vacuum(spec), FockState(spec, {})):
+        with pytest.raises(ValidationError, match=message):
+            apply(op, state)
+    with pytest.raises(ValidationError, match=message):
+        operator_matrix(0.0 * a_dag(7) + a_op(0), spec)
+    with pytest.raises(ValidationError, match=message):
+        apply(0.0 * a_dag(7) + a_op(0), vacuum(spec))
+
+
 def test_adjoint_matches_conjugate_transpose(spec3):
     op = field_operator(spec3, 0.3, 1.2)
     mat = operator_matrix(op, spec3)

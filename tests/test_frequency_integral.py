@@ -15,8 +15,9 @@ from boxqft.frequency import (
     segmentations,
     verify_frequency_split,
 )
+from boxqft.frequency import _RULE_NODES
 from boxqft.lattice import ValidationError
-from boxqft.suite import _quadpack_segment
+from boxqft.suite import _oracle_integrands, _quadpack_segment
 
 POINTS = ((1.0, 0.0), (1.0, 2.0), (2.0, -1.0))
 
@@ -129,15 +130,53 @@ def test_quadrature_silences_integration_warning():
 def test_segment_rule_matches_quadpack_on_every_segment(w, t):
     """On the 08a and 08b integrands, every segment of both segmentations
     the dual quadrature cuts takes the same value from the Gauss-Legendre
-    rule as from QUADPACK."""
+    rule as QUADPACK gives on the suite's oracle twin of the integrand."""
+    oracles = _oracle_integrands(_spec(w, t))
     worst, count = 0.0, 0
     for fn, a, b, interior in quadrature_pieces(_spec(w, t), window=1e-3):
         for cuts in segmentations(a, b, interior):
             for lo, hi in zip(cuts[:-1], cuts[1:]):
-                diff = abs(_quad_segment(fn, lo, hi) - _quadpack_segment(fn, lo, hi))
-                worst, count = max(worst, diff), count + 1
+                oracle = _quadpack_segment(oracles[fn.__name__], lo, hi)
+                worst, count = max(worst, abs(_quad_segment(fn, lo, hi) - oracle)), count + 1
     assert count == 60
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize(("w", "t"), POINTS)
+def test_oracle_integrands_match_the_rule_integrands_at_its_nodes(w, t):
+    """Every integrand quadrature_pieces names has a cmath twin in the
+    suite, and the two agree to 1e-15 relative (about 4 ulp; 1 ulp seen)
+    at the rule's nodes on every segment of both segmentations."""
+    spec = _spec(w, t)
+    oracles = _oracle_integrands(spec)
+    names = set()
+    for fn, a, b, interior in quadrature_pieces(spec, window=1e-3):
+        names.add(fn.__name__)
+        oracle = oracles[fn.__name__]
+        for cuts in segmentations(a, b, interior):
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                length = hi - lo
+                nodes = np.concatenate((lo + length * _RULE_NODES, hi - length * _RULE_NODES))
+                twin = np.array([oracle(nu) for nu in nodes.tolist()])
+                assert np.all(np.abs(fn(nodes) - twin) <= 1e-15 * np.abs(twin))
+    assert names == set(oracles) == {"full", "smooth", "bare"}
+
+
+def test_quadpack_segment_evaluates_each_abscissa_once():
+    """The real and imaginary QUADPACK passes share their abscissae, and
+    the integrand is evaluated once per distinct one."""
+    seen = []
+    full = _oracle_integrands(_spec(1.0, 2.0))["full"]
+
+    def counting(nu):
+        seen.append(nu)
+        return full(nu)
+
+    value = _quadpack_segment(counting, 3.0, 101.5)
+    assert len(seen) == len(set(seen)) > 21  # more than one 21-point Kronrod panel
+    seen.clear()
+    assert _quadpack_segment(counting, 3.0, 101.5) == value  # nothing kept across calls
+    assert len(seen) == len(set(seen)) > 21
 
 
 def test_quadrature_pieces_are_those_integrated(monkeypatch):

@@ -169,8 +169,47 @@ def test_quadrature_failure_is_inf_and_warned(monkeypatch):
         "08a_frequency_integral_target" in m and "disagrees by 3e-2" in m
         for m in messages
     )
-    record = {r.name: r for r in results}["08a_frequency_integral_target"]
-    assert record.max_residual == math.inf and not record.passed
+    by_name = {r.name: r for r in results}
+    for name in ("08a_frequency_integral_target", "08b_frequency_split_reassembly"):
+        assert by_name[name].max_residual == math.inf and not by_name[name].passed
+
+
+def test_principal_part_failure_reports_only_08b(monkeypatch):
+    """08b's own quadrature failing leaves 08a's residual, computed on the
+    same regulated integrals, finite and passing."""
+    def failing(*args, **kwargs):
+        raise QuadratureError("principal part disagrees by 4e-2")
+
+    monkeypatch.setattr(boxqft.frequency, "principal_part", failing)
+    with pytest.warns(RuntimeWarning) as caught:
+        results = run_all_checks(LatticeSpec(), seed=42)
+    messages = [str(w.message) for w in caught]
+    assert messages == [
+        "check 08b_frequency_split_reassembly reported as inf: principal part disagrees by 4e-2"
+    ]
+    by_name = {r.name: r for r in results}
+    assert by_name["08b_frequency_split_reassembly"].max_residual == math.inf
+    assert not by_name["08b_frequency_split_reassembly"].passed
+    target = by_name["08a_frequency_integral_target"]
+    assert math.isfinite(target.max_residual) and target.passed
+    assert all(r.passed for r in results if not r.name.startswith("08b"))
+
+
+def test_regulated_integral_evaluated_once_per_point(monkeypatch):
+    """08a and 08b share one regulated integral per frequency point, and
+    nothing computed in one run is reused by the next."""
+    calls = []
+    integral = boxqft.frequency.frequency_integral_feynman
+
+    def counting(spec, *args, **kwargs):
+        calls.append((spec.mode_frequency, spec.time))
+        return integral(spec, *args, **kwargs)
+
+    monkeypatch.setattr(boxqft.frequency, "frequency_integral_feynman", counting)
+    for _ in range(2):
+        calls.clear()
+        run_all_checks(LatticeSpec(), seed=42)
+        assert calls == list(boxqft.suite._FREQUENCY_POINTS)
 
 
 def test_check_result_is_frozen():
