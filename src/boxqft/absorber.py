@@ -25,10 +25,10 @@ Restricting any of these sums to a proper subset of current pairs
 breaks the identities, which the shipped negative controls demonstrate.
 
 Cost.  S depends on the currents only through their cross-correlation,
-which is linear in time and circular in space, so interaction_sum
-computes it with one zero-padded 2-D FFT pair and contracts it with the
-kernel's difference table: O(n_t n_x log(n_t n_x)) per call, against
-O(n_t^2 n_x^2) for the direct double sum.  The grid positions
+which is linear in time and circular in space.  Every double sum takes
+one zero-padded rfft2 per current, one irfft2 per ordered pair and one
+contraction per kernel difference table: O(n_t n_x log(n_t n_x)) per
+pair, against O(n_t^2 n_x^2) for the direct double sum.  The grid positions
 x_j = j L / N put every spatial phase exp(i k_n x_j) on a DFT bin, so the
 difference table is one inverse DFT per time row of per-mode
 coefficients, and the light-tight projection is a two-column fit per
@@ -226,6 +226,31 @@ def kernel_difference_table(
     return table[::-1][:, space_neg]
 
 
+def _padded_spectrum(current: CurrentDistribution, lattice: Lattice, name: str) -> np.ndarray:
+    """Step 1 of a double sum: the rfft2 of a current zero-padded in time to
+    P = 2 n_time >= 2 n_time - 1, so that no lag wraps (an even P also
+    avoids prime FFT lengths such as 127)."""
+    _check_on_lattice(current, lattice, name)
+    return np.fft.rfft2(current.samples, (2 * lattice.spec.n_time, lattice.spec.n_space))
+
+
+def _correlation(fa: np.ndarray, fb: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """Step 2: corr[d, e] = sum_{i,j} a[i + d, j + e] b[i, j] from two padded
+    spectra.  np.multiply, not ``*``: numpy may evaluate ``fa * conj(fb)``
+    in place on the conj temporary with the operands swapped, which its
+    vectorised complex product rounds differently."""
+    n_t, n_x = lattice.spec.n_time, lattice.spec.n_space
+    corr = np.fft.irfft2(np.multiply(fa, np.conj(fb)), (2 * n_t, n_x))
+    # Lag d sits at row d mod P; rolling by n_t - 1 puts lags
+    # -(n_t - 1) .. n_t - 1 on rows 0 .. 2 n_t - 2, as in the table.
+    return np.roll(corr, n_t - 1, axis=0)[: 2 * n_t - 1]
+
+
+def _contract(table: np.ndarray, corr: np.ndarray, lattice: Lattice) -> complex:
+    """Step 3: a difference table contracted with a pair's correlation."""
+    return complex(np.sum(table * corr) * (lattice.spec.dt * lattice.dx) ** 2)
+
+
 def interaction_sum(
     a: CurrentDistribution,
     b: CurrentDistribution,
@@ -239,29 +264,42 @@ def interaction_sum(
     which matters for kernels that are not even under full reflection.
 
     The sum is the difference table contracted with the cross-correlation
-    corr[d, e] = sum_{i,j} a[i + d, j + e] b[i, j] of the two currents,
-    which is linear in time and circular in space.  Zero-padding time to
-    P = 2 n_time >= 2 n_time - 1 keeps the lags from wrapping (an even P
-    also avoids prime FFT lengths such as 127), so one rfft2/irfft2 pair
-    gives every lag in O(n_t n_x log(n_t n_x)).
+    of the two currents, which is linear in time and circular in space:
+    one rfft2 per current (one when ``a is b``) and one irfft2 give every
+    lag in O(n_t n_x log(n_t n_x)).
     """
-    _check_on_lattice(a, lattice, "a")
-    _check_on_lattice(b, lattice, "b")
+    fa = _padded_spectrum(a, lattice, "a")
+    fb = fa if b is a else _padded_spectrum(b, lattice, "b")
     table = kernel_difference_table(lattice, kind, reverse_argument)
-    n_t, n_x = lattice.spec.n_time, lattice.spec.n_space
-    shape = (2 * n_t, n_x)
-    corr = np.fft.irfft2(
-        np.fft.rfft2(a.samples, shape) * np.conj(np.fft.rfft2(b.samples, shape)), shape
-    )
-    # Lag d sits at row d mod P; rolling by n_t - 1 puts lags
-    # -(n_t - 1) .. n_t - 1 on rows 0 .. 2 n_t - 2, as in the table.
-    corr = np.roll(corr, n_t - 1, axis=0)[: 2 * n_t - 1]
-    measure = (lattice.spec.dt * lattice.dx) ** 2
-    return complex(np.sum(table * corr) * measure)
+    return _contract(table, _correlation(fa, fb, lattice), lattice)
 
 
-def _all_ordered_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(n)]
+def _pair_sums(
+    currents: list[CurrentDistribution],
+    lattice: Lattice,
+    pairs: list[tuple[int, int]] | None,
+    kernels: tuple[tuple[KernelKind, bool], ...],
+) -> list[complex]:
+    """interaction_sum over the chosen ordered pairs (all when ``pairs`` is
+    None) for each (kind, reverse_argument) in ``kernels``, added in pair
+    order, with one transform per current and one correlation per pair."""
+    if not currents:
+        raise ValidationError("at least one current is required")
+    n = len(currents)
+    chosen = [(i, j) for i in range(n) for j in range(n)] if pairs is None else list(pairs)
+    if not (chosen and all(np.shape(pair) == (2,) for pair in chosen) and all(
+        isinstance(k, (int, np.integer)) and 0 <= k < n for pair in chosen for k in pair
+    )):
+        raise ValidationError(
+            f"pairs must be a non-empty list of index pairs (i, j), 0 <= i, j < {n}; got {pairs!r}"
+        )
+    tables = [kernel_difference_table(lattice, kind, rev) for kind, rev in kernels]
+    spectra = {k: _padded_spectrum(currents[k], lattice, f"#{k}") for k in set().union(*chosen)}
+    sums = [0.0 + 0.0j] * len(tables)
+    for i, j in chosen:
+        corr = _correlation(spectra[i], spectra[j], lattice)
+        sums = [total + _contract(table, corr, lattice) for total, table in zip(sums, tables)]
+    return sums
 
 
 def free_field_identity(
@@ -276,14 +314,10 @@ def free_field_identity(
     symmetric double sum annihilates it.  Restricting ``pairs`` to a
     proper subset (the negative control) breaks the cancellation.
     """
-    if not currents:
-        raise ValidationError("at least one current is required")
-    chosen = _all_ordered_pairs(len(currents)) if pairs is None else list(pairs)
-    s_hadamard = 0.0 + 0.0j
-    s_plus = 0.0 + 0.0j
-    for i, j in chosen:
-        s_hadamard += interaction_sum(currents[i], currents[j], KernelKind.HADAMARD, lattice)
-        s_plus += interaction_sum(currents[i], currents[j], KernelKind.WIGHTMAN_PLUS, lattice)
+    s_hadamard, s_plus = _pair_sums(
+        currents, lattice, pairs,
+        ((KernelKind.HADAMARD, False), (KernelKind.WIGHTMAN_PLUS, False)),
+    )
     return abs(s_hadamard - s_plus)
 
 
@@ -298,18 +332,10 @@ def dplus_direction_equivalence(
     interchangeable; a single unsymmetrized pair (the negative control)
     shows they are not interchangeable pointwise.
     """
-    if not currents:
-        raise ValidationError("at least one current is required")
-    chosen = _all_ordered_pairs(len(currents)) if pairs is None else list(pairs)
-    forward = 0.0 + 0.0j
-    backward = 0.0 + 0.0j
-    for i, j in chosen:
-        forward += interaction_sum(
-            currents[i], currents[j], KernelKind.WIGHTMAN_PLUS, lattice
-        )
-        backward += interaction_sum(
-            currents[i], currents[j], KernelKind.WIGHTMAN_PLUS, lattice, reverse_argument=True
-        )
+    forward, backward = _pair_sums(
+        currents, lattice, pairs,
+        ((KernelKind.WIGHTMAN_PLUS, False), (KernelKind.WIGHTMAN_PLUS, True)),
+    )
     return abs(forward - backward)
 
 

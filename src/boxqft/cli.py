@@ -30,6 +30,7 @@ repeated runs with the same configuration are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -397,6 +398,9 @@ def cmd_absorber(config: RunConfig, args: argparse.Namespace) -> int:
 
 # --- parser -----------------------------------------------------------------
 
+# Built once per process: parse_args never changes the parser, and each
+# call parses into a fresh Namespace.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     for key, text in _SHARED_FLAGS.items():

@@ -90,16 +90,21 @@ def sample_points(
 ) -> tuple[np.ndarray, np.ndarray]:
     """n seeded points as arrays (t, x), t in [-2, 2] and x in [0, L), each
     t drawn just before its x.  A t below ``min_abs_t`` in magnitude is
-    redrawn before its x is, one draw at a time."""
+    redrawn before its x is.  Values are drawn in blocks of the fewest the
+    missing points need, so draws and end state match one draw at a time."""
     if not min_abs_t > 0.0:
         return tuple(rng.uniform([-_T_RANGE, 0.0], [_T_RANGE, box_length], size=(n, 2)).T)
     ts, xs = [], []
-    while len(ts) < n:
-        t = float(rng.uniform(-_T_RANGE, _T_RANGE))
-        if abs(t) < min_abs_t:
-            continue
-        ts.append(t)
-        xs.append(float(rng.uniform(0.0, box_length)))
+    t = None
+    while len(xs) < n:
+        # rng.uniform(low, high) is low + (high - low) * rng.random()
+        for u in rng.random(2 * (n - len(xs)) - (t is not None)).tolist():
+            if t is not None:
+                ts.append(t)
+                xs.append(box_length * u)
+                t = None
+            elif abs(drawn := -_T_RANGE + 2.0 * _T_RANGE * u) >= min_abs_t:
+                t = drawn
     return np.array(ts), np.array(xs)
 
 

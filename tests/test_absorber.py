@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxqft import absorber, cli
 from boxqft.absorber import (
     CurrentDistribution,
     current_from_csv,
@@ -241,6 +242,129 @@ def test_direction_equivalence_on_all_pairs(lat, currents):
 
 def test_direction_equivalence_fails_on_subset(lat, currents):
     assert dplus_direction_equivalence(currents, lat, pairs=[(0, 1)]) > 1e-6
+
+
+def _per_pair_interaction_sum(a, b, kind, lattice, reverse_argument=False):
+    """Oracle: the one-pair sum as it was before the transforms were
+    shared, both forward FFTs and the inverse FFT redone for every call."""
+    table = kernel_difference_table(lattice, kind, reverse_argument)
+    n_t, n_x = lattice.spec.n_time, lattice.spec.n_space
+    shape = (2 * n_t, n_x)
+    corr = np.fft.irfft2(
+        np.fft.rfft2(a.samples, shape) * np.conj(np.fft.rfft2(b.samples, shape)), shape
+    )
+    corr = np.roll(corr, n_t - 1, axis=0)[: 2 * n_t - 1]
+    measure = (lattice.spec.dt * lattice.dx) ** 2
+    return complex(np.sum(table * corr) * measure)
+
+
+def _per_pair_loop(currents, lattice, pairs, kernels):
+    """Oracle: each kernel's sum over the pairs, one call per pair and kernel."""
+    sums = [0.0 + 0.0j] * len(kernels)
+    for i, j in pairs:
+        for idx, (kind, reverse) in enumerate(kernels):
+            sums[idx] += _per_pair_interaction_sum(
+                currents[i], currents[j], kind, lattice, reverse
+            )
+    return sums
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_shared_transforms_match_per_pair_oracle_bitwise(n):
+    """Every double sum equals the per-pair loop bit for bit, on all pairs
+    and on subsets, and so does interaction_sum on every pair and kind."""
+    lattice = build_lattice(LatticeSpec(n_space=n, n_time=n))
+    rng = np.random.default_rng(n)
+    currents = [random_current(lattice, rng) for _ in range(3)]
+    plus, hadamard = KernelKind.WIGHTMAN_PLUS, KernelKind.HADAMARD
+    every = [(i, j) for i in range(3) for j in range(3)]
+    for pairs in (None, [(0, 1)], [(2, 0), (1, 1), (2, 0)]):
+        chosen = every if pairs is None else pairs
+        s_h, s_p = _per_pair_loop(currents, lattice, chosen, [(hadamard, False), (plus, False)])
+        assert free_field_identity(currents, lattice, pairs) == abs(s_h - s_p)
+        fwd, bwd = _per_pair_loop(currents, lattice, chosen, [(plus, False), (plus, True)])
+        assert dplus_direction_equivalence(currents, lattice, pairs) == abs(fwd - bwd)
+    spectrum = emitted_spectrum(currents, lattice)
+    total = CurrentDistribution(sum(c.samples for c in currents))
+    assert spectrum_consistency_residual(currents, lattice, spectrum) == abs(
+        spectrum.total - _per_pair_interaction_sum(total, total, plus, lattice)
+    )
+    for kind in KernelKind:
+        for reverse in (False, True):
+            for i, j in every:
+                a, b = currents[i], currents[j]
+                assert interaction_sum(a, b, kind, lattice, reverse) == (
+                    _per_pair_interaction_sum(a, b, kind, lattice, reverse)
+                )
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Counts of the rfft2 and irfft2 calls made through absorber's numpy."""
+    counts = {"rfft2": 0, "irfft2": 0}
+    for name in counts:
+        original = getattr(absorber.np.fft, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(absorber.np.fft, name, counted)
+    return counts
+
+
+def test_pair_sums_transform_each_current_once(lat, currents, fft_calls):
+    """Checks 10a, 10b and 10e on three currents: one rfft2 per current a
+    call uses and one irfft2 per pair, 10 + 20 in all (80 + 40 when every
+    pair and kernel redid its transforms)."""
+    free_field_identity(currents, lat)
+    assert fft_calls == {"rfft2": 3, "irfft2": 9}
+    dplus_direction_equivalence(currents, lat)
+    free_field_identity(currents, lat, pairs=[(0, 1)])
+    dplus_direction_equivalence(currents, lat, pairs=[(0, 1)])
+    assert fft_calls == {"rfft2": 10, "irfft2": 20}
+
+
+def test_interaction_sum_transforms_a_repeated_current_once(lat, currents, fft_calls):
+    a, b, _ = currents
+    interaction_sum(a, a, KernelKind.WIGHTMAN_PLUS, lat)
+    assert fft_calls == {"rfft2": 1, "irfft2": 1}
+    interaction_sum(a, b, KernelKind.WIGHTMAN_PLUS, lat)
+    assert fft_calls == {"rfft2": 3, "irfft2": 2}
+
+
+@pytest.mark.parametrize("project", [False, True])
+def test_absorber_command_fft_counts(tmp_path, fft_calls, capsys, project):
+    """A 64x64 `absorber` call on two currents: 3 rfft2 (each current, then
+    the total) and 5 irfft2 (four pairs, then the total), against 18 and 9
+    before the transforms were shared."""
+    argv = ["absorber", "--n-space=64", "--n-time=64", "--n-currents=2",
+            f"--out={tmp_path}"] + (["--project"] if project else [])
+    assert cli.main(argv) == 0
+    assert fft_calls == {"rfft2": 3, "irfft2": 5}
+
+
+@pytest.mark.parametrize("identity", [free_field_identity, dplus_direction_equivalence])
+@pytest.mark.parametrize(
+    "pairs", [[(0, -1)], [(0, 3)], [(3, 0)], [], [(0, 1, 2)], [(0.0, 1)], [5], [(0, 1), "ab"]]
+)
+def test_bad_pairs_rejected_naming_pairs(lat, currents, identity, pairs):
+    """A negative index no longer wraps to the last current, an index past
+    the end is no bare IndexError, and an empty list is no silent 0.0."""
+    with pytest.raises(ValidationError, match="pairs"):
+        identity(currents, lat, pairs=pairs)
+
+
+@pytest.mark.parametrize("identity", [free_field_identity, dplus_direction_equivalence])
+def test_numpy_integer_pairs_accepted(lat, currents, identity):
+    pairs = [tuple(np.array([0, 2]))]
+    assert identity(currents, lat, pairs=pairs) == identity(currents, lat, pairs=[(0, 2)])
+
+
+def test_pair_sums_name_the_current_off_the_lattice(lat, currents):
+    small = CurrentDistribution(np.ones((4, 4)))
+    with pytest.raises(ValidationError, match="current #1 has grid"):
+        free_field_identity([currents[0], small], lat)
 
 
 # --- emission spectra -------------------------------------------------------

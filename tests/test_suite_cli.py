@@ -533,6 +533,35 @@ def test_unknown_tolerance_name_on_kernel_exits_2(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_tolerance_override_does_not_carry_to_the_next_run(tmp_path, capsys):
+    """main shares one parser across calls; an appended --tolerance lands
+    in that call's namespace only."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    main(["verify", "--tolerance", "07_translation_generator_order=0.5",
+          f"--out={first}"])
+    main(["verify", f"--out={second}"])
+    records = [json.loads((d / "verify_report.json").read_text())["config"]
+               for d in (first, second)]
+    assert records[0]["tolerances"] == {"07_translation_generator_order": 0.5}
+    assert records[1]["tolerances"] == {}
+
+
+def test_rejected_argv_leaves_the_next_run_unaffected(tmp_path, capsys):
+    small = ["absorber", "--n-space=16", "--n-time=16", f"--out={tmp_path}"]
+    with pytest.raises(SystemExit) as exc:
+        main(small + ["--bogus"])
+    assert exc.value.code == 2
+    assert main(small + ["--n-currents=0"]) == 2
+    capsys.readouterr()
+    assert main(small) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "absorber_summary.json").is_file()
+
+
 def test_norm_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
@@ -551,6 +580,34 @@ def test_vev_pairs_alternate_time_order():
         assert (tx[idx] > ty[idx]) == (idx % 2 == 0)
         assert abs(tx[idx] - ty[idx]) >= 1e-3
         assert 0.0 <= xx[idx] < 10.0 and 0.0 <= xy[idx] < 10.0
+
+
+def _scalar_sample_points(rng, box_length, n, min_abs_t):
+    """Oracle: one rng.uniform call per value, a rejected t redrawn
+    before its x is drawn."""
+    ts, xs = [], []
+    while len(ts) < n:
+        t = float(rng.uniform(-2.0, 2.0))
+        if abs(t) < min_abs_t:
+            continue
+        ts.append(t)
+        xs.append(float(rng.uniform(0.0, box_length)))
+    return np.array(ts), np.array(xs)
+
+
+@pytest.mark.parametrize("min_abs_t", [0.05, 0.5, 1.9])
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_block_sampler_matches_scalar_draws(min_abs_t, n):
+    """The block draws of sample_points equal the scalar loop's values and
+    leave the generator in the same state."""
+    for seed in range(30):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_points(fast, 10.0, n, min_abs_t=min_abs_t)
+        want = _scalar_sample_points(slow, 10.0, n, min_abs_t)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+            assert g.dtype == w.dtype
+        assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def test_sampler_draws_are_pinned():
