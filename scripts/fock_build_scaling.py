@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Wall time and peak memory of Fock operator matrices by basis dimension.
+"""Wall time and peak memory of Fock operator matrices by basis dimension,
+and the crossover between the two spectral-norm routes.
 
 For the field operator Psi(t, x) on the 2h+1 central modes of the default
 lattice at occupation ceiling 1 (dimension 4^(2h+1): 64, 1,024, 2^14 and
@@ -11,6 +12,14 @@ the extra memory that size needed above every smaller one; a step of 0
 means it fit in pages already touched.  One untimed call at dimension
 64 runs first, so scipy's import, which ``boxqft.fock`` defers to its
 first matrix, lands in no row.  Times are the best of ``--repeat`` runs.
+
+A second table times both norm routes of ``matrix_norm`` on the field
+operator at sides 9 to 1,024 (mode sets of 1 to 5 central modes at
+ceilings 1 to 31): the exact dense 2-norm (LAPACK on ``toarray()``) and
+ARPACK ``svds`` from the fixed start vector, with the faster route, the
+relative difference of the two norms and the route ``matrix_norm`` takes
+(dense up to ``fock.DENSE_NORM_MAX_SIDE``).  It is the measurement that
+sets that threshold.
 
 Usage:
     python3 scripts/fock_build_scaling.py [--half-widths 1,2,3,4]
@@ -28,8 +37,17 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from boxqft import fock
 from boxqft.fock import field_operator, matrix_norm, mode_spec_from_lattice, operator_matrix
 from boxqft.lattice import LatticeSpec, build_lattice
+
+# (half-width h of the 2h+1 central modes, occupation ceiling), giving
+# sides (ceiling+1)^(2(2h+1)) in ascending order: 9, 16, 36, 64, 64, 81,
+# 100, 144, 196, 256, 324, 729, 1024, 1024.
+NORM_MODE_SETS = (
+    (0, 2), (0, 3), (0, 5), (0, 7), (1, 1), (0, 8), (0, 9),
+    (0, 11), (0, 13), (0, 15), (0, 17), (1, 2), (0, 31), (2, 1),
+)
 
 
 def _peak_rss_mb() -> float:
@@ -66,6 +84,27 @@ def main() -> None:
         step = _peak_rss_mb() - before
         print(f"{spec.basis_dim:7d} {1e3 * build_s:10.2f} {1e3 * norm_s:10.2f} "
               f"{mat.nnz:9d} {step:12.1f}")
+
+    print()
+    print(f"{'side':>6} {'dense_ms':>10} {'svds_ms':>10} {'faster':>7} {'rel_diff':>10} "
+          f"{'matrix_norm':>12}")
+    for h, ceiling in NORM_MODE_SETS:
+        spec = mode_spec_from_lattice(lattice, max_occupation=ceiling, half_width=h)
+        side = spec.basis_dim
+        dense_s = svds_s = float("inf")
+        for _ in range(args.repeat):
+            t, x = rng.uniform(-2.0, 2.0), rng.uniform(0.0, spec.box_length)
+            mat = operator_matrix(field_operator(spec, float(t), float(x)), spec)
+            start = time.perf_counter()
+            dense = float(np.linalg.norm(mat.toarray(), 2))
+            dense_s = min(dense_s, time.perf_counter() - start)
+            start = time.perf_counter()
+            arpack = fock._svds_norm(mat)
+            svds_s = min(svds_s, time.perf_counter() - start)
+        route = "dense" if side <= fock.DENSE_NORM_MAX_SIDE else "svds"
+        print(f"{side:6d} {1e3 * dense_s:10.3f} {1e3 * svds_s:10.3f} "
+              f"{'dense' if dense_s < svds_s else 'svds':>7} {abs(dense - arpack) / dense:10.1e} "
+              f"{route:>12}")
 
 
 if __name__ == "__main__":

@@ -5,8 +5,9 @@ created by ``a_dag`` and antiquanta created by ``b_dag``.  States are
 sparse maps from occupation tuples to complex amplitudes; operators are
 sums of scaled ladder-factor products that can be applied symbolically
 to states or materialized as sparse CSR matrices, one numpy pass over the
-basis per term.  Matrix norms are spectral norms from ``svds`` started
-from a fixed vector, so reruns are bit-identical; only these load scipy.
+basis per term.  Matrix norms are spectral norms: the exact dense
+2-norm up to side ``DENSE_NORM_MAX_SIDE``, ``svds`` started from a fixed
+vector above it, so reruns are bit-identical; only these load scipy.
 
 The module serves as an independent cross-check on the kernel mode sums
 in :mod:`boxqft.propagators`: the time-ordered two-point function
@@ -492,7 +493,7 @@ def operator_matrix(op: ModeOperator, spec: ModeSpec) -> sp.csr_matrix:
     # roots[n - 1] = sqrt(n): a|n> = sqrt(n)|n-1>, a_dag|n> = sqrt(n+1)|n+1>.
     roots = np.sqrt(np.arange(1.0, base))
     basis = np.arange(dim, dtype=np.int64)
-    diagonals: dict[int, np.ndarray] = {}  # row - col -> entries by column
+    diagonals: dict[int, np.ndarray] = {}  # row - col -> entries by row
     for coeff, term in op.terms:
         if coeff == 0:
             continue
@@ -508,35 +509,62 @@ def operator_matrix(op: ModeOperator, spec: ModeSpec) -> sp.csr_matrix:
         if rows.size:
             if offset not in diagonals:
                 diagonals[offset] = np.zeros(dim, dtype=complex)
-            diagonals[offset][rows - offset] += vals
+            diagonals[offset][rows] += vals
     if not diagonals:
         return sp.csr_matrix((dim, dim), dtype=complex)
-    # scipy counts a diagonal's offset as col - row, and its conversion to
-    # CSR stores only the nonzero entries, columns sorted within each row.
-    offsets = [-offset for offset in diagonals]
-    return sp.dia_matrix((np.stack(list(diagonals.values())), offsets), shape=(dim, dim)).tocsr()
+    # The CSR arrays straight from the diagonals.  by_row[r, j] is the
+    # entry at (r, r - offsets[j]); with the offsets descending, its flat
+    # order runs through the rows in turn and through each row's columns
+    # in ascending order, so the flat positions of the nonzero entries
+    # (exact zeros are not stored) are the CSR order, row r's in
+    # [r * n, (r + 1) * n) for n diagonals.
+    offsets = np.array(sorted(diagonals, reverse=True))
+    by_row = np.stack([diagonals[offset] for offset in offsets], axis=1)
+    live = np.flatnonzero(by_row != 0)
+    indptr = np.searchsorted(live, np.arange(0, by_row.size + 1, offsets.size))
+    indices = np.subtract.outer(basis, offsets).take(live)
+    return sp.csr_matrix(
+        (by_row.take(live), indices.astype(np.int32), indptr.astype(np.int32)),
+        shape=(dim, dim),
+    )
+
+
+#: Largest matrix side whose spectral norm is the exact dense 2-norm
+#: (LAPACK's singular values of the dense array); larger matrices take
+#: ARPACK ``svds``.  On the field operator (``scripts/fock_build_scaling.py``,
+#: one BLAS thread) dense is 3-10 times faster up to side 100, the two
+#: tie at sides 144-196 and ``svds`` is 3 times faster at 256.
+DENSE_NORM_MAX_SIDE = 128
 
 
 def matrix_norm(mat) -> float:
     """Operator (spectral) norm of a sparse matrix.
 
-    The largest singular value comes from ARPACK ``svds`` started from a
-    fixed vector, so reruns give identical bits.  Matrices with a side
-    shorter than 3, too small for ``svds``, take the exact dense 2-norm.
-    If ``svds`` does not converge, ``ArpackNoConvergence`` propagates.
+    A matrix with no side longer than :data:`DENSE_NORM_MAX_SIDE`, or
+    with a side shorter than 3 (too small for ``svds``), takes the exact
+    dense 2-norm from LAPACK, which is faster there than ARPACK's
+    iterations.  Larger matrices take the largest singular value from
+    ARPACK ``svds`` started from a fixed vector, so reruns give identical
+    bits; if it does not converge, ``ArpackNoConvergence`` propagates.
     """
     import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
 
     mat = sp.csr_matrix(mat, dtype=complex)
     if mat.count_nonzero() == 0:
         return 0.0
-    n = min(mat.shape)
-    if n < 3:
+    if max(mat.shape) <= DENSE_NORM_MAX_SIDE or min(mat.shape) < 3:
         return float(np.linalg.norm(mat.toarray(), 2))
+    return _svds_norm(mat)
+
+
+def _svds_norm(mat) -> float:
+    """Largest singular value of a sparse matrix with both sides at least
+    3, from ARPACK ``svds``."""
+    import scipy.sparse.linalg as spla
+
     # A fixed generic start vector: ARPACK's default start is random, so
     # reruns would differ in the last bits.
-    start = np.random.default_rng(0).standard_normal((2, n))
+    start = np.random.default_rng(0).standard_normal((2, min(mat.shape)))
     top = spla.svds(
         mat,
         k=1,
@@ -698,21 +726,29 @@ def reinterpretation_check(spec: ModeSpec, t: float, x: float) -> float:
 
 
 def translation_generator_check(
-    spec: ModeSpec, t: float, x: float, dx: float
-) -> float:
-    """Residual of the momentum operator generating spatial translations.
+    spec: ModeSpec, t: float, x: float, dxs: Iterable[float]
+) -> list[float]:
+    """Residuals of the momentum operator generating spatial translations,
+    one per step dx of ``dxs``.
 
     Compares the commutator ``[P, Psi(t, x)]`` against ``i`` times the
     central difference ``(Psi(t, x+dx) - Psi(t, x-dx)) / (2 dx)`` in
     matrix norm.  The commutator equals ``i`` times the exact spatial
-    derivative, so the residual shrinks at second order in dx.
+    derivative, so the residual shrinks at second order in dx.  P,
+    Psi(t, x) and the commutator are built once for all the steps;
+    every step must be finite and positive.
     """
-    if dx <= 0:
-        raise ValidationError(f"dx must be positive, got {dx}")
+    dxs = list(dxs)
+    for dx in dxs:
+        if not (math.isfinite(dx) and dx > 0):
+            raise ValidationError(f"dx must be finite and positive, got {dx}")
     p_mat = operator_matrix(momentum_operator(spec), spec)
     psi = operator_matrix(field_operator(spec, t, x), spec)
-    psi_plus = operator_matrix(field_operator(spec, t, x + dx), spec)
-    psi_minus = operator_matrix(field_operator(spec, t, x - dx), spec)
     commutator = p_mat @ psi - psi @ p_mat
-    central = (psi_plus - psi_minus) * (1.0 / (2.0 * dx))
-    return matrix_norm(commutator - 1j * central)
+    residuals = []
+    for dx in dxs:
+        psi_plus = operator_matrix(field_operator(spec, t, x + dx), spec)
+        psi_minus = operator_matrix(field_operator(spec, t, x - dx), spec)
+        central = (psi_plus - psi_minus) * (1.0 / (2.0 * dx))
+        residuals.append(matrix_norm(commutator - 1j * central))
+    return residuals

@@ -38,19 +38,23 @@ Notes on the conventions:
 Evaluation path.  Every kind is one entry of a coefficient table
 (``_COEFFICIENTS``): the weights of D+ and D- for t > 0, for t < 0 and
 for the t = 0 extension, e.g. Feynman is (1, 0), (0, -1), (1/2, -1/2).
-kernel_values sums D+ once per call, over the points where either
-weight is nonzero, reads D- there as -conj(D+) and combines the two by
-the table, so D- = -conj(D+) holds bit for bit within a call.  The D+
-sum needs a mirror-ordered grid (momenta == -momenta[::-1], frequencies
-mirrored, as build_lattice makes them), and kernel_values rejects any
-other grid.  There each plane wave factors as exp(-i w t) exp(i k x),
-and a +-k pair folds to exp(-i w t) cos(k x) / w, so the sum reads two
-tables: exp(-i w t) per distinct t and cos(k x) per distinct x, about
-(n_t + n_x) n/2 sines and cosines for an n_t by n_x grid of n modes
-instead of one complex exp per point and mode.  Each point's value is
-the product of its two table rows summed along the columns, in blocks
-of ``_BLOCK_TERMS`` (16,384) terms, 512 points at the default 63 modes,
-so the temporaries stay small whatever the grid size.  A point's sum
+kernel_values takes one kind or a tuple of kinds and sums D+ once per
+call, over the union of the points where some kind weights D+ or D-,
+reads D- there as -conj(D+) and combines the two by each kind's table,
+so D- = -conj(D+) holds bit for bit within a call, and every kind of a
+tuple reads the bits a call of its own would (a point's D+ does not
+depend on the other points).  Check 02 takes its four kinds, and check
+10g all eight, from one such call.  The D+ sum needs a mirror-ordered
+grid (momenta == -momenta[::-1], frequencies mirrored, as build_lattice
+makes them), and kernel_values rejects any other grid, as it rejects
+any kind that is not a KernelKind.  There each plane wave factors as
+exp(-i w t) exp(i k x), and a +-k pair folds to exp(-i w t) cos(k x) / w,
+so the sum reads two tables: exp(-i w t) per distinct t and cos(k x) per
+distinct x, about (n_t + n_x) n/2 sines and cosines for an n_t by n_x
+grid of n modes instead of one complex exp per point and mode.  Each
+point's value is the product of its two table rows summed along the
+columns, in blocks of ``_BLOCK_TERMS`` (16,384) terms, 512 points at the
+default 63 modes, so the temporaries stay small whatever the grid size.  A point's sum
 reads only its own rows, so its bits do not depend on the shape of the
 grid, the other points or the blocking.  It rounds differently from a
 per-term phase fl(w t - k x), and agrees with that route (the tests'
@@ -58,8 +62,8 @@ oracle and the direct D- sum of check 01b) to a few 1e-16.
 Kernels are functions of the point difference (t, x) = (t_a - t_b,
 x_a - x_b), given as plain float arrays of times and positions; there is
 no point type.  eval_kernel_grid is the one validating entry for
-points (kind, finite times whose phases do not overflow, reduction of x
-into [0, L)); eval_kernel (one difference), the verify_* routines
+points (finite times whose phases do not overflow, reduction of x into
+[0, L)); eval_kernel (one difference), the verify_* routines
 (arrays of differences) and the CLI go through it.
 """
 
@@ -158,25 +162,33 @@ def kernel_values(
     momenta: np.ndarray,
     frequencies: np.ndarray,
     box_length: float,
-    kind: KernelKind,
+    kind: KernelKind | tuple[KernelKind, ...],
     t: np.ndarray,
     x: np.ndarray,
     step_at_zero: bool = False,
-) -> np.ndarray:
-    """Evaluate a kernel on broadcastable arrays of (t, x), without
-    validation of the points or reduction of x (eval_kernel_grid does
-    both).
+) -> np.ndarray | tuple[np.ndarray, ...]:
+    """Evaluate one kernel, or each kernel of a tuple of kinds, on
+    broadcastable arrays of (t, x), without validation of the points or
+    reduction of x (eval_kernel_grid does both).
 
-    One pass: D+ is summed once, at the points where the kind's
-    coefficient table gives D+ or D- a nonzero weight, and D- is read
-    there as -conj(D+).  That identity, and the folding of +-k partner
-    modes in the D+ sum, need a mirror-ordered grid
+    One pass for any number of kinds: D+ is summed once, at the union of
+    the points where some kind's coefficient table gives D+ or D- a
+    nonzero weight, and D- is read there as -conj(D+).  D+ at a point
+    does not depend on the other points of the sum, so each kind reads
+    the same bits as in a call of its own.  A single kind returns its
+    array; a tuple of kinds returns a tuple with one array per kind, in
+    order.  The identity D- = -conj(D+) and the folding of +-k
+    partner modes in the D+ sum need a mirror-ordered grid
     (momenta == -momenta[::-1], frequencies == frequencies[::-1]), which
-    is checked here.  With ``step_at_zero`` the step-function kinds take
-    their continuous t = 0 extension (see ``_COEFFICIENTS``), which the
-    absorber double sums use on their equal-time pairs; without it they
-    reject t = 0.
+    is checked here, as is every kind.  With ``step_at_zero`` the
+    step-function kinds take their continuous t = 0 extension (see
+    ``_COEFFICIENTS``), which the absorber double sums use on their
+    equal-time pairs; without it they reject t = 0.
     """
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    for each in kinds:
+        if not isinstance(each, KernelKind):
+            raise ValidationError(f"kind must be a KernelKind member, got {each!r}")
     if not (
         np.array_equal(momenta, -momenta[::-1]) and np.array_equal(frequencies, frequencies[::-1])
     ):
@@ -186,36 +198,45 @@ def kernel_values(
         )
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     regions = (t > 0.0, t < 0.0, t == 0.0)
-    if kind in STEP_FUNCTION_KINDS and not step_at_zero and np.any(regions[2]):
-        raise ValidationError(f"t must be nonzero for step-function kernel kind {kind.value!r}")
-    weights = np.zeros((2,) + t.shape)
-    for mask, row in zip(regions, _COEFFICIENTS[kind]):
-        weights[:, mask] = np.reshape(row, (2, 1))
-    union = np.any(weights != 0.0, axis=0)
+    steps = [each for each in kinds if each in STEP_FUNCTION_KINDS]
+    if steps and not step_at_zero and np.any(regions[2]):
+        raise ValidationError(f"t must be nonzero for step-function kernel kind {steps[0].value!r}")
+    weights = np.zeros((len(kinds), 2) + t.shape)
+    for per_kind, each in zip(weights, kinds):
+        for mask, row in zip(regions, _COEFFICIENTS[each]):
+            per_kind[:, mask] = np.reshape(row, (2, 1))
+    union = np.any(weights != 0.0, axis=(0, 1))
     dplus = _dplus(momenta, frequencies, box_length, t[union], x[union])
-    # Both weighted terms are added to a zero start; a zero weight adds a
-    # signed zero, which changes no bit of the sum.
-    combined = np.zeros(dplus.shape, dtype=complex)
-    for weight, values in zip(weights[:, union], (dplus, -np.conj(dplus))):
-        combined += weight * values
-    out = np.zeros(t.shape, dtype=complex)
-    out[union] = combined
-    return out
+    wightman = (dplus, -np.conj(dplus))
+    values = []
+    for per_kind in weights:
+        # Both weighted terms are added to a zero start; a zero weight
+        # (at a point of the union that this kind does not weight) adds
+        # a signed zero, which changes no bit of the sum.
+        combined = np.zeros(dplus.shape, dtype=complex)
+        for weight, terms in zip(per_kind[:, union], wightman):
+            combined += weight * terms
+        out = np.zeros(t.shape, dtype=complex)
+        out[union] = combined
+        values.append(out)
+    return tuple(values) if isinstance(kind, tuple) else values[0]
 
 
-def eval_kernel_grid(lattice: Lattice, kind: KernelKind, ts, xs, step_at_zero: bool = False) -> np.ndarray:
-    """Evaluate a kernel at broadcastable arrays of times and positions.
+def eval_kernel_grid(
+    lattice: Lattice, kind: KernelKind | tuple[KernelKind, ...], ts, xs, step_at_zero: bool = False
+) -> np.ndarray | tuple[np.ndarray, ...]:
+    """Evaluate a kernel, or each kernel of a tuple of kinds on one D+
+    sum (see kernel_values), at broadcastable arrays of times and
+    positions.
 
-    The validating entry to the kernel core: rejects a kind that is not a
-    KernelKind, non-finite times or positions (nan would fall into none
-    of the t > 0, t < 0, t = 0 weight regions and read 0), times whose
-    phase |t| * max w overflows (the sums would read nan) and, through
-    kernel_values, momentum grids that are not mirror-ordered and, for
+    The validating entry to the kernel core: rejects non-finite times or
+    positions (nan would fall into none of the t > 0, t < 0, t = 0
+    weight regions and read 0), times whose phase |t| * max w overflows
+    (the sums would read nan) and, through kernel_values, a kind that is
+    not a KernelKind, momentum grids that are not mirror-ordered and, for
     the step-function kinds, t = 0 unless ``step_at_zero``.  Positions
     are reduced into [0, L) first.
     """
-    if not isinstance(kind, KernelKind):
-        raise ValidationError(f"kind must be a KernelKind member, got {kind!r}")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     # |t| * max w as a Python float product is inf or nan, with no warning,
@@ -248,18 +269,19 @@ def verify_decomposition(lattice: Lattice, t, x) -> float:
     point differences (t, x).
 
     All four kinds are combinations of the same D+ and D- sums (see
-    ``_COEFFICIENTS``), so the residual tests the coefficient table and
-    the step masks (it reads 0.0 at the defaults); it is not an
-    independent route to the kernels.  Check 03 (the Fock-space vacuum
-    expectation) and the 50-digit D+ oracle are.  Times must avoid
-    t = 0 (step-function kinds).
+    ``_COEFFICIENTS``) and come from one eval_kernel_grid call, one D+
+    sum, so the residual tests the coefficient table and the step masks
+    (it reads 0.0 at the defaults); it is not an independent route to the
+    kernels.  Check 03 (the Fock-space vacuum expectation) and the
+    50-digit D+ oracle are.  Times must avoid t = 0 (step-function kinds).
     """
-
-    def k(kind):
-        return eval_kernel_grid(lattice, kind, t, x)
-
-    f, dbar = k(KernelKind.FEYNMAN), k(KernelKind.TIME_SYMMETRIC)
-    dp, dm = k(KernelKind.WIGHTMAN_PLUS), k(KernelKind.WIGHTMAN_MINUS)
+    f, dbar, dp, dm = eval_kernel_grid(
+        lattice,
+        (KernelKind.FEYNMAN, KernelKind.TIME_SYMMETRIC,
+         KernelKind.WIGHTMAN_PLUS, KernelKind.WIGHTMAN_MINUS),
+        t,
+        x,
+    )
     return float(np.max(np.abs(f - dbar - 0.5 * (dp - dm)), initial=0.0))
 
 

@@ -8,7 +8,9 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
+from boxqft import fock
 from boxqft.fock import (
+    DENSE_NORM_MAX_SIDE,
     MATRIX_DIMENSION_CAP,
     FockState,
     ModeOperator,
@@ -344,26 +346,71 @@ def test_reinterpretation_requires_closed_modes():
 
 
 def test_translation_check_is_second_order(spec3):
-    coarse = translation_generator_check(spec3, 0.3, 1.7, 0.1)
-    fine = translation_generator_check(spec3, 0.3, 1.7, 0.05)
+    coarse, fine = translation_generator_check(spec3, 0.3, 1.7, [0.1, 0.05])
     assert 3.6 < coarse / fine < 4.4
 
 
 def test_translation_check_is_second_order_on_wide_window(lattice64_module):
     spec = mode_spec_from_lattice(lattice64_module, max_occupation=1, half_width=3)
     assert spec.basis_dim == 1 << 14
-    coarse = translation_generator_check(spec, 0.3, 1.7, 0.1)
-    fine = translation_generator_check(spec, 0.3, 1.7, 0.05)
+    coarse, fine = translation_generator_check(spec, 0.3, 1.7, [0.1, 0.05])
     assert 3.6 < coarse / fine < 4.4
+
+
+def _single_step_translation(spec, t, x, dx):
+    """One step's residual, building P, Psi(t, x) and the commutator for
+    that step alone."""
+    p_mat = operator_matrix(momentum_operator(spec), spec)
+    psi = operator_matrix(field_operator(spec, t, x), spec)
+    psi_plus = operator_matrix(field_operator(spec, t, x + dx), spec)
+    psi_minus = operator_matrix(field_operator(spec, t, x - dx), spec)
+    commutator = p_mat @ psi - psi @ p_mat
+    central = (psi_plus - psi_minus) * (1.0 / (2.0 * dx))
+    return matrix_norm(commutator - 1j * central)
+
+
+@pytest.mark.parametrize("half_width", [1, 2])
+def test_translation_residuals_match_single_step_oracle(lattice64_module, half_width):
+    """Sides 64 (dense norm) and 1,024 (svds): each step's residual has the
+    bits of a call that builds everything for that step alone."""
+    spec = mode_spec_from_lattice(lattice64_module, max_occupation=1, half_width=half_width)
+    dxs = np.array([0.1, 0.05, 0.025, 0.3])
+    got = translation_generator_check(spec, -0.6, 8.2, dxs)
+    assert got == [_single_step_translation(spec, -0.6, 8.2, dx) for dx in dxs]
+    assert translation_generator_check(spec, -0.6, 8.2, [0.05]) == got[1:2]
+
+
+def test_translation_check_builds_the_commutator_once(spec3, monkeypatch):
+    builds = []
+    original = fock.operator_matrix
+
+    def counting(op, spec):
+        builds.append(len(op.terms))
+        return original(op, spec)
+
+    monkeypatch.setattr(fock, "operator_matrix", counting)
+    translation_generator_check(spec3, 0.3, 1.7, [0.1, 0.05, 0.025])
+    assert len(builds) == 2 + 2 * 3
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf, -math.inf])
+def test_translation_check_rejects_bad_steps_naming_dx(spec3, bad):
+    """A nan or inf step used to pass ``dx <= 0`` and end in an ARPACK
+    error; every element of the sequence is checked."""
+    for dxs in ([bad], [0.1, bad], (0.05, 0.025, bad)):
+        with pytest.raises(ValidationError, match="dx must be finite and positive"):
+            translation_generator_check(spec3, 0.3, 1.7, dxs)
 
 
 # --- matrix materialization -------------------------------------------------
 #
-# Two oracles for the vectorised ``operator_matrix``, each a materialization
-# it replaced.  The column-by-column route (occupations of each basis index,
-# one symbolic ``apply``, rows read back by index) came first; the sparse
-# Kronecker-product build came next.  Both sum the terms in term order, so
-# both match the vectorised build bit for bit.
+# Three oracles for the vectorised ``operator_matrix``, each a
+# materialization it replaced.  The column-by-column route (occupations of
+# each basis index, one symbolic ``apply``, rows read back by index) came
+# first; the sparse Kronecker-product build came next, then the same
+# vectorised pass handed to scipy as a DIA matrix and converted to CSR.
+# All sum the terms in term order, so all match the build bit for bit, and
+# the two CSR oracles store the same arrays.
 
 def basis_index(spec, na, nb):
     """Mixed-radix index of an occupation pair (mode 0 least significant)."""
@@ -419,12 +466,47 @@ def kronecker_matrix(op, spec):
     return total
 
 
+def dia_matrix(op, spec):
+    """CSR matrix of ``op`` through scipy's DIA format: each term pushes
+    every basis index through its ladder factors and adds into one
+    diagonal, stored by column, in term order; ``tocsr`` then drops the
+    exact zeros and sorts the columns within each row."""
+    n_modes, ceiling, dim = spec.n_modes, spec.max_occupation, spec.basis_dim
+    base = ceiling + 1
+    roots = np.sqrt(np.arange(1.0, base))
+    basis = np.arange(dim, dtype=np.int64)
+    diagonals = {}  # row - col -> entries by column
+    for coeff, term in op.terms:
+        if coeff == 0:
+            continue
+        rows, vals, offset = basis, np.full(dim, coeff, dtype=complex), 0
+        for sector, mode, dagger in reversed(term):
+            stride = base ** (mode if sector == "a" else n_modes + mode)
+            n = rows // stride % base
+            live = n < ceiling if dagger else n > 0
+            n, rows, vals = n[live], rows[live], vals[live]
+            vals = roots[n if dagger else n - 1] * vals
+            step = stride if dagger else -stride
+            rows, offset = rows + step, offset + step
+        if rows.size:
+            if offset not in diagonals:
+                diagonals[offset] = np.zeros(dim, dtype=complex)
+            diagonals[offset][rows - offset] += vals
+    if not diagonals:
+        return scipy.sparse.csr_matrix((dim, dim), dtype=complex)
+    offsets = [-offset for offset in diagonals]  # scipy's offset is col - row
+    stacked = np.stack(list(diagonals.values()))
+    return scipy.sparse.dia_matrix((stacked, offsets), shape=(dim, dim)).tocsr()
+
+
 def assert_same_csr(mat, oracle):
-    """Equal stored entries in equal order, so every matvec sums alike."""
+    """Equal stored entries in equal order and of equal dtypes, so every
+    matvec sums alike."""
     assert mat.has_sorted_indices and oracle.has_sorted_indices
-    np.testing.assert_array_equal(mat.indptr, oracle.indptr)
-    np.testing.assert_array_equal(mat.indices, oracle.indices)
-    np.testing.assert_array_equal(mat.data, oracle.data)
+    for got, want in ((mat.indptr, oracle.indptr), (mat.indices, oracle.indices),
+                      (mat.data, oracle.data)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 def random_mode_operator(rng, n_modes, n_terms=4, max_factors=3, min_factors=0):
@@ -462,6 +544,7 @@ def test_kronecker_matrix_matches_column_apply_oracle(n_modes, ceiling, seed):
     assert isinstance(mat, scipy.sparse.csr_matrix)
     np.testing.assert_array_equal(mat.toarray(), column_matrix(op, spec))
     assert_same_csr(mat, kronecker_matrix(op, spec))
+    assert_same_csr(mat, dia_matrix(op, spec))
 
 
 def _verify_shape_cases():
@@ -488,6 +571,7 @@ def _verify_shape_cases():
 def test_matrix_build_matches_both_oracles_on_verify_shapes(op, spec):
     mat = operator_matrix(op, spec)
     assert_same_csr(mat, kronecker_matrix(op, spec))
+    assert_same_csr(mat, dia_matrix(op, spec))
     np.testing.assert_array_equal(mat.toarray(), column_matrix(op, spec))
 
 
@@ -499,6 +583,7 @@ def test_exactly_cancelling_terms_store_nothing():
     mat = operator_matrix(gone + kept - gone, spec)
     assert mat.count_nonzero() == mat.nnz  # no explicit zeros stored
     assert_same_csr(mat, operator_matrix(kept, spec))
+    assert_same_csr(mat, dia_matrix(gone + kept - gone, spec))
 
 
 def test_all_zero_coefficients_give_empty_complex_matrix():
@@ -574,9 +659,46 @@ def test_matrix_norm_nonconvergence_propagates(monkeypatch):
         raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
 
     monkeypatch.setattr(scipy.sparse.linalg, "svds", no_convergence)
-    spec = make_mode_spec([0.0], 1.0, L, 2)
+    spec = make_mode_spec([0.0], 1.0, L, 15)  # side 256, above the dense sides
+    assert spec.basis_dim > DENSE_NORM_MAX_SIDE
     with pytest.raises(ArpackNoConvergence):
         matrix_norm(operator_matrix(a_dag(0), spec))
+
+
+@pytest.mark.parametrize("ceiling", [7, 8, 9, 11, 13])
+def test_dense_and_svds_norms_agree_around_the_threshold(lattice64_module, ceiling):
+    """Sides 64, 81, 100, 144 and 196: the exact dense 2-norm and ARPACK's
+    largest singular value agree to 1e-13 relative, and matrix_norm takes
+    the dense one up to DENSE_NORM_MAX_SIDE and svds above it."""
+    spec = mode_spec_from_lattice(lattice64_module, max_occupation=ceiling, half_width=0)
+    mat = operator_matrix(field_operator(spec, 0.37, 2.9) @ a_dag(0) + b_op(0), spec)
+    dense = float(np.linalg.norm(mat.toarray(), 2))
+    arpack = fock._svds_norm(mat)
+    assert arpack == pytest.approx(dense, rel=1e-13, abs=0)
+    expected = dense if spec.basis_dim <= DENSE_NORM_MAX_SIDE else arpack
+    assert matrix_norm(mat) == expected
+
+
+@pytest.mark.parametrize(("side", "route"), [
+    (DENSE_NORM_MAX_SIDE, "dense"), (DENSE_NORM_MAX_SIDE + 1, "svds"), (2, "dense"),
+])
+def test_matrix_norm_route_by_side(monkeypatch, side, route):
+    """The threshold is inclusive, and a side of 2 (too small for svds)
+    stays dense whatever the other side."""
+    calls = []
+    original = fock._svds_norm
+
+    def recording(mat):
+        calls.append(mat.shape)
+        return original(mat)
+
+    monkeypatch.setattr(fock, "_svds_norm", recording)
+    rng = np.random.default_rng(side)
+    mat = scipy.sparse.random(side, 300 if side == 2 else side, density=0.05,
+                              random_state=rng, format="csr")
+    norm = matrix_norm(mat)
+    assert calls == ([] if route == "dense" else [mat.shape])
+    assert norm == pytest.approx(np.linalg.norm(mat.toarray(), 2), rel=1e-13)
 
 
 def test_matrix_norm_of_zero_operator():

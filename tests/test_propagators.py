@@ -134,6 +134,83 @@ def test_single_pass_evaluates_each_wightman_function_once(lattice64, monkeypatc
         assert sizes == want, kind.value
 
 
+def test_kind_tuple_sums_dplus_once_over_the_union(lattice64, monkeypatch):
+    """A tuple of kinds makes one D+ sum, over the union of the points any
+    of them weights; check 02's four kinds take one."""
+    sizes = []
+    original = propagators._dplus
+
+    def recording(momenta, frequencies, box_length, t, x):
+        sizes.append(t.size)
+        return original(momenta, frequencies, box_length, t, x)
+
+    monkeypatch.setattr(propagators, "_dplus", recording)
+    t = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5])
+    x = np.linspace(0.0, 5.0, 6)
+    args = (lattice64.momenta, lattice64.frequencies, L)
+    kernel_values(*args, (KernelKind.RETARDED, KernelKind.ADVANCED), t, x, step_at_zero=True)
+    kernel_values(*args, (KernelKind.RETARDED,), t, x, step_at_zero=True)
+    kernel_values(*args, tuple(KernelKind), t, x, step_at_zero=True)
+    assert sizes == [5, 3, 6]
+    sizes.clear()
+    verify_decomposition(lattice64, t[t != 0.0], x[t != 0.0])
+    assert sizes == [5]
+
+
+def _assert_same_bits(got, want, label):
+    """Equal 64-bit patterns of every real and imaginary part."""
+    got, want = (np.ascontiguousarray(a).view(np.uint64) for a in (got, want))
+    assert got.shape == want.shape, label
+    assert np.array_equal(got, want), label
+
+
+@pytest.mark.parametrize("step_at_zero", [False, True])
+def test_kind_tuple_matches_per_kind_calls_bitwise(lattice64, step_at_zero):
+    """Random subsets of the kinds, in random order and with repeats, on
+    one call read the bits of one call per kind, signed zeros included,
+    on a broadcast grid with both signed zeros of x (and of t on the
+    step extension)."""
+    rng = np.random.default_rng(31)
+    args = (lattice64.momenta, lattice64.frequencies, L)
+    kinds = list(KernelKind)
+    for trial in range(12):
+        ts = rng.uniform(-2.5, 2.5, 9) * rng.choice([1.0, 1e-3], 9)
+        if step_at_zero:
+            ts[:2] = 0.0, -0.0
+        xs = rng.uniform(-L, 2 * L, 11)
+        xs[:2] = 0.0, -0.0
+        picks = rng.choice(len(kinds), rng.integers(1, 2 * len(kinds)))
+        subset = tuple(kinds[i] for i in picks)
+        together = kernel_values(*args, subset, ts[:, None], xs[None, :], step_at_zero)
+        assert isinstance(together, tuple) and len(together) == len(subset)
+        for kind, values in zip(subset, together):
+            alone = kernel_values(*args, kind, ts[:, None], xs[None, :], step_at_zero)
+            _assert_same_bits(values, alone, f"{trial} {kind.value}")
+    one = eval_kernel_grid(lattice64, (KernelKind.FEYNMAN,), 0.5, 1.0)
+    assert isinstance(one, tuple) and len(one) == 1
+    _assert_same_bits(one[0], eval_kernel_grid(lattice64, KernelKind.FEYNMAN, 0.5, 1.0), "one")
+
+
+def test_kind_tuple_rejects_time_zero_for_any_step_kind(lattice64):
+    with pytest.raises(ValidationError, match="'retarded'"):
+        eval_kernel_grid(lattice64, (KernelKind.WIGHTMAN_PLUS, KernelKind.RETARDED), 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["dplus", ("dplus",), (KernelKind.FEYNMAN, "dplus"), (KernelKind.HADAMARD, None),
+     [KernelKind.HADAMARD], 3],
+    ids=["string", "string-tuple", "second-element", "none-element", "list", "int"],
+)
+def test_kernel_values_rejects_a_kind_that_is_not_a_member(lattice64, kind):
+    """Every element of a tuple of kinds is checked, and a bad one is named
+    as a kind, not left to a KeyError in the coefficient table."""
+    with pytest.raises(ValidationError, match="kind must be a KernelKind member"):
+        kernel_values(lattice64.momenta, lattice64.frequencies, L, kind, 0.5, 1.0)
+    with pytest.raises(ValidationError, match="kind must be a KernelKind member"):
+        eval_kernel_grid(lattice64, kind, 0.5, 1.0)
+
+
 def _paired_sum(terms):
     """Sum the last axis by adding ends-inward pairs first: on a sorted
     negation-closed grid, terms[..., i] and terms[..., -1-i] belong to

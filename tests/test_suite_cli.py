@@ -14,7 +14,9 @@ import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import boxqft
+import boxqft.fock
 import boxqft.frequency
+import boxqft.propagators
 import boxqft.suite
 from boxqft.cli import (
     RunConfig,
@@ -210,6 +212,29 @@ def test_regulated_integral_evaluated_once_per_point(monkeypatch):
         calls.clear()
         run_all_checks(LatticeSpec(), seed=42)
         assert calls == list(boxqft.suite._FREQUENCY_POINTS)
+
+
+def test_run_shares_kernel_sums_matrix_builds_and_norms(monkeypatch):
+    """One seed-42 run makes 6 kernel_values calls (01: 2, 01b, 02, 03,
+    10g: 1 each), 33 operator_matrix builds (check 07: P, Psi and two
+    shifted fields per step, 8) and 3 ARPACK runs (07's side-1,024
+    norms; 04a, 05 and 06 take dense norms)."""
+    counts = {"kernel_values": 0, "operator_matrix": 0, "svds": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(boxqft.propagators, "kernel_values")
+    counting(boxqft.fock, "operator_matrix")
+    counting(scipy.sparse.linalg, "svds")
+    assert all_passed(run_all_checks(LatticeSpec(), seed=42))
+    assert counts == {"kernel_values": 6, "operator_matrix": 33, "svds": 3}
 
 
 def test_check_result_is_frozen():
