@@ -98,26 +98,6 @@ class CurrentDistribution:
     def shape(self) -> tuple[int, int]:
         return self.samples.shape
 
-    @property
-    def support(self) -> tuple[int, int, int, int] | None:
-        """Inclusive bounding index box (t_lo, t_hi, x_lo, x_hi) of the
-        nonzero samples, or None for the zero current."""
-        rows, cols = np.nonzero(self.samples)
-        if rows.size == 0:
-            return None
-        return int(rows.min()), int(rows.max()), int(cols.min()), int(cols.max())
-
-    def scaled(self, factor: float) -> "CurrentDistribution":
-        return CurrentDistribution(self.samples * float(factor))
-
-    def to_csv(self, path: str | Path) -> None:
-        """Write the nonzero samples as rows `t_index,x_index,value`."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_index", "x_index", "value"])
-            for i, j in zip(*np.nonzero(self.samples)):
-                writer.writerow([int(i), int(j), repr(float(self.samples[i, j]))])
-
 
 def current_from_csv(path: str | Path, n_time: int, n_space: int) -> CurrentDistribution:
     """Load a current from rows `t_index,x_index,value` onto an empty grid.

@@ -78,9 +78,9 @@ def gamma_matrices() -> DiracMatrixSet:
     return DiracMatrixSet(mats)
 
 
-def clifford_residual(matrices: DiracMatrixSet | None = None) -> float:
+def clifford_residual() -> float:
     """Max entrywise residual of {gamma^mu, gamma^nu} = 2 g^{mu nu} I."""
-    ms = matrices or gamma_matrices()
+    ms = gamma_matrices()
     eye = np.eye(4, dtype=complex)
     worst = 0.0
     for mu in range(4):
@@ -109,8 +109,8 @@ class DiracSpinorSolution:
 
 def rest_frame_solutions(m: float) -> tuple[DiracSpinorSolution, ...]:
     """The four rest-frame solutions: basis spinors with energies (+m, +m, -m, -m)."""
-    if m <= 0:
-        raise ValidationError(f"mass must be positive, got {m}")
+    if not (math.isfinite(m) and m > 0):
+        raise ValidationError(f"mass must be finite and positive, got {m}")
     out = []
     for i in range(4):
         spinor = np.zeros(4, dtype=complex)
@@ -153,8 +153,8 @@ def plane_wave_solution(
     :class:`DegenerateSolutionError`) and the built spinor must lie in
     it.
     """
-    if m <= 0:
-        raise ValidationError(f"mass must be positive, got {m}")
+    if not (math.isfinite(m) and m > 0):
+        raise ValidationError(f"mass must be finite and positive, got {m}")
     if energy_sign not in (+1, -1):
         raise ValidationError(f"energy_sign must be +1 or -1, got {energy_sign}")
     if spin not in (1, 2):
@@ -207,12 +207,9 @@ def plane_wave_solution(
     )
 
 
-def dirac_residual(
-    sol: DiracSpinorSolution, matrices: DiracMatrixSet | None = None
-) -> float:
+def dirac_residual(sol: DiracSpinorSolution) -> float:
     """Norm of (gamma^mu p_mu - m) u with the solution's signed energy as p^0."""
-    ms = matrices or gamma_matrices()
-    contraction = ms.slash(np.array([sol.energy, *sol.momentum]))
+    contraction = gamma_matrices().slash(np.array([sol.energy, *sol.momentum]))
     return float(
         np.linalg.norm(contraction @ sol.spinor - sol.mass * sol.spinor)
     )

@@ -7,9 +7,11 @@ kernel exp(-i w |t|)/(2 w) is the regulated frequency integral
 
 :func:`frequency_integral_feynman` evaluates it on a window
 [-Omega, Omega] completed by the analytic |nu| > Omega remainder (check
-08a).  :func:`principal_part` is its eps-free principal part, and
-:func:`verify_frequency_split` reassembles the integral from that part
-plus the on-shell delta term (check 08b).
+08a).  :func:`principal_part` is its eps-free principal part, with
+windows of half-width :data:`PRINCIPAL_WINDOW` cut out around the poles,
+and :func:`verify_frequency_split` reassembles the integral from that
+part plus the on-shell delta term (check 08b).  Only the remainder's
+Si/Ci values load scipy, when first evaluated.
 
 Quadrature.  Each piece of either integral is an integrand over an
 interval with interior cuts at its pole locations (see
@@ -28,10 +30,10 @@ the rule's oracle in check 08c; the two share only the segment bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sici
 
 from .lattice import QuadratureError, ValidationError
 
@@ -44,6 +46,10 @@ __all__ = [
     "segmentations",
     "verify_frequency_split",
 ]
+
+#: Half-width of the windows the principal part cuts out around nu = +-omega
+#: (halved once for its Richardson step); mode_frequency must exceed it.
+PRINCIPAL_WINDOW = 1e-3
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,10 @@ class FrequencyIntegralSpec:
     abs_tol: float = 1e-6
 
     def validate(self) -> None:
+        for name in ("mode_frequency", "time", "epsilon", "frequency_cutoff", "abs_tol"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if not self.mode_frequency > 0:
             raise ValidationError(f"mode_frequency must be positive, got {self.mode_frequency}")
         if not self.epsilon > 0:
@@ -77,15 +87,13 @@ class FrequencyIntegralSpec:
             raise ValidationError(f"abs_tol must be positive, got {self.abs_tol}")
 
 
-def _half_segment_rule(nodes: int = 16, levels: int = 30, panels: int = 64):
+def _half_segment_rule():
     """Nodes s in (0, 1/2) and weights of the composite Gauss-Legendre rule
-    for int_0^{1/2} ds: ``panels // 2`` uniform panels of width
-    u = 1/panels, the first of them split at u/2, u/4, ..., u/2^levels."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    u = 1.0 / panels
-    edges = np.concatenate(
-        ([0.0], u * 0.5 ** np.arange(levels, 0, -1), u * np.arange(1, panels // 2 + 1))
-    )
+    for int_0^{1/2} ds: 16 nodes on each of 32 uniform panels of width
+    u = 1/64, the first of them split at u/2, u/4, ..., u/2^30."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    u = 1.0 / 64
+    edges = np.concatenate(([0.0], u * 0.5 ** np.arange(30, 0, -1), u * np.arange(1, 33)))
     lo, width = edges[:-1, None], np.diff(edges)[:, None]
     return (lo + 0.5 * width * (x + 1.0)).ravel(), (0.5 * width * w).ravel()
 
@@ -119,13 +127,13 @@ def segmentations(a: float, b: float, interior) -> tuple[list[float], list[float
 def _dual_quad(fn, a: float, b: float, abs_tol: float, interior: list[float]) -> complex:
     """Evaluate int_a^b fn with break points (pole locations) as segment
     edges, twice: on the coarse segmentation and on its midpoint
-    refinement.  Disagreement beyond abs_tol raises QuadratureError;
-    returns the refined value."""
+    refinement.  Disagreement beyond abs_tol, or a non-finite one, raises
+    QuadratureError; returns the refined value."""
     v1, v2 = (
         sum(_quad_segment(fn, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
         for cuts in segmentations(a, b, interior)
     )
-    if abs(v1 - v2) > abs_tol:
+    if not abs(v1 - v2) <= abs_tol:
         raise QuadratureError(
             f"independent quadrature evaluations disagree by {abs(v1 - v2):.3e} "
             f"(abs_tol {abs_tol:.3e})"
@@ -142,6 +150,8 @@ def _tail_completion(w: float, t: float, cutoff: float) -> complex:
     carries an irreducible -i/(pi*Omega) style bias that dominates at
     small |t|.
     """
+    from scipy.special import sici
+
     tau = abs(t)
     if tau == 0.0:
         c = np.log((cutoff + w) / (cutoff - w)) / (2.0 * w)
@@ -208,16 +218,16 @@ def _principal_pieces(spec: FrequencyIntegralSpec, window: float):
     return [(bare, a, b, [0.5 * (a + b)]) for a, b in segments]
 
 
-def quadrature_pieces(spec: FrequencyIntegralSpec, window: float):
+def quadrature_pieces(spec: FrequencyIntegralSpec):
     """Every piece (integrand, a, b, interior cuts) that
-    frequency_integral_feynman and principal_part(spec, window) hand to
-    the dual quadrature: the regulated integral's, then the principal
-    part's at window and at window/2.  Each integrand's ``__name__``
+    frequency_integral_feynman and principal_part hand to the dual
+    quadrature: the regulated integral's, then the principal part's at
+    PRINCIPAL_WINDOW and at half of it.  Each integrand's ``__name__``
     (``full``, ``smooth`` or ``bare``) names it to check 08c's oracle."""
     return (
         _feynman_pieces(spec)[0]
-        + _principal_pieces(spec, window)
-        + _principal_pieces(spec, window / 2.0)
+        + _principal_pieces(spec, PRINCIPAL_WINDOW)
+        + _principal_pieces(spec, PRINCIPAL_WINDOW / 2.0)
     )
 
 
@@ -240,23 +250,25 @@ def frequency_integral_feynman(spec: FrequencyIntegralSpec, include_tail: bool =
     return complex(total)
 
 
-def principal_part(spec: FrequencyIntegralSpec, window: float = 1e-3) -> complex:
+def principal_part(spec: FrequencyIntegralSpec) -> complex:
     """The eps-free principal part of the regulated integral.
 
-    Symmetric windows of half-width ``window`` around nu = +-omega are
-    cut out of the eps-free integrand, which is completed by the same
-    analytic tail as :func:`frequency_integral_feynman`; a two-point
-    Richardson step over the window sizes {window, window/2} removes the
-    leading linear-in-window truncation.
+    Symmetric windows of half-width :data:`PRINCIPAL_WINDOW` around
+    nu = +-omega are cut out of the eps-free integrand, which is
+    completed by the same analytic tail as
+    :func:`frequency_integral_feynman`; a two-point Richardson step over
+    the window sizes {window, window/2} removes the leading
+    linear-in-window truncation.  The validated cutoff, above 10 omega,
+    clears the windows whenever omega exceeds the window.
     """
     spec.validate()
-    if not window > 0:
-        raise ValidationError(f"window must be positive, got {window}")
     w = spec.mode_frequency
     t = spec.time
     cutoff = spec.frequency_cutoff
-    if window >= w or w + window >= cutoff:
-        raise ValidationError(f"window {window} incompatible with omega {w} and cutoff {cutoff}")
+    if not w > PRINCIPAL_WINDOW:
+        raise ValidationError(
+            f"mode_frequency must exceed the principal-part window {PRINCIPAL_WINDOW}, got {w}"
+        )
 
     def pp_at(win: float) -> complex:
         acc = 0.0 + 0.0j
@@ -264,22 +276,23 @@ def principal_part(spec: FrequencyIntegralSpec, window: float = 1e-3) -> complex
             acc += _dual_quad(fn, a, b, spec.abs_tol, cuts)
         return acc / (2.0 * np.pi)
 
-    return complex(2.0 * pp_at(window / 2.0) - pp_at(window) + _tail_completion(w, t, cutoff))
+    return complex(
+        2.0 * pp_at(PRINCIPAL_WINDOW / 2.0) - pp_at(PRINCIPAL_WINDOW)
+        + _tail_completion(w, t, cutoff)
+    )
 
 
-def verify_frequency_split(
-    spec: FrequencyIntegralSpec, window: float = 1e-3
-) -> tuple[complex, complex, float]:
+def verify_frequency_split(spec: FrequencyIntegralSpec) -> tuple[complex, complex, float]:
     """Split the regulated integral into principal-part plus on-shell terms.
 
-    The principal part is :func:`principal_part` at ``window``.  The
+    The principal part is :func:`principal_part`.  The
     on-shell term is evaluated from the residue prescription:
     delta(nu^2 - w^2) splits into poles at +-omega with weight
     1/(2 omega) each, giving cos(omega t)/(2 omega) under these
     conventions.  Returns (pp_part, delta_part, residual) where residual
     compares pp + delta against the full integral.
     """
-    pp = principal_part(spec, window)
+    pp = principal_part(spec)
     w = spec.mode_frequency
     delta_part = complex(np.cos(w * spec.time) / (2.0 * w))
     full = frequency_integral_feynman(spec)

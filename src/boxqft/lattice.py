@@ -63,10 +63,6 @@ class Lattice:
     frequencies: np.ndarray
 
     @property
-    def n_modes(self) -> int:
-        return self.momenta.shape[0]
-
-    @property
     def dx(self) -> float:
         return self.spec.box_length / self.spec.n_space
 
@@ -82,11 +78,11 @@ class Lattice:
 def omega(k: float | np.ndarray, mass: float) -> float | np.ndarray:
     """Relativistic mode frequency sqrt(mass^2 + k^2).
 
-    Rejects non-positive mass: the massless limit would put a zero mode
-    on the grid and every 1/(2*omega) weight blows up.
+    Rejects a non-positive or non-finite mass: the massless limit would
+    put a zero mode on the grid and every 1/(2*omega) weight blows up.
     """
-    if mass <= 0:
-        raise ValidationError(f"mass must be positive, got {mass}")
+    if not (math.isfinite(mass) and mass > 0):
+        raise ValidationError(f"mass must be finite and positive, got {mass}")
     w = np.sqrt(mass * mass + np.asarray(k, dtype=float) ** 2)
     return float(w) if np.ndim(k) == 0 else w
 
@@ -147,8 +143,3 @@ def build_lattice(spec: LatticeSpec) -> Lattice:
     momenta.setflags(write=False)
     frequencies.setflags(write=False)
     return Lattice(spec=spec, momenta=momenta, frequencies=frequencies)
-
-
-def is_negation_closed(momenta: np.ndarray) -> bool:
-    """True when the momentum set is symmetric under k -> -k (exactly)."""
-    return bool(np.array_equal(np.sort(momenta), np.sort(-momenta)))

@@ -302,7 +302,7 @@ def verify_antisymmetry(lattice: Lattice, t, x) -> float:
 
 # The benchmark's per-layer tracer (perfbench/tracer.py) looks these two
 # frequency-plane integrals up on this module.  They live in
-# boxqft.frequency, which loads scipy, so the lookup loads it on first use.
+# boxqft.frequency, which the lookup loads on first use, not at start-up.
 _MOVED_TO_FREQUENCY = frozenset({"frequency_integral_feynman", "verify_frequency_split"})
 
 

@@ -20,22 +20,18 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 # The functions that perfbench/tracer.py wraps are called through their
 # modules: the tracer sets its wrappers on module attributes, and it also
 # patches by-name copies only in modules already loaded, which this one,
-# imported by the CLI only when needed, may not be.  ``frequency`` loads
-# scipy, so only the 08 rows import it.
-from . import absorber, dirac, fock, propagators
+# imported by the CLI only when needed, may not be.
+from . import absorber, dirac, fock, frequency, propagators
 from . import lattice as lattices
+from .frequency import FrequencyIntegralSpec
 from .lattice import Lattice, LatticeSpec, QuadratureError, ValidationError
 from .propagators import KernelKind, eval_kernel_grid
-
-if TYPE_CHECKING:
-    from .frequency import FrequencyIntegralSpec
 
 __all__ = [
     "CheckResult",
@@ -91,7 +87,11 @@ def sample_points(
     """n seeded points as arrays (t, x), t in [-2, 2] and x in [0, L), each
     t drawn just before its x.  A t below ``min_abs_t`` in magnitude is
     redrawn before its x is.  Values are drawn in blocks of the fewest the
-    missing points need, so draws and end state match one draw at a time."""
+    missing points need, so draws and end state match one draw at a time.
+    A ``min_abs_t`` no t can reach, 2 or more, or NaN raises a validation
+    error before any draw."""
+    if not min_abs_t < _T_RANGE:
+        raise ValidationError(f"min_abs_t must be below {_T_RANGE}, got {min_abs_t}")
     if not min_abs_t > 0.0:
         return tuple(rng.uniform([-_T_RANGE, 0.0], [_T_RANGE, box_length], size=(n, 2)).T)
     ts, xs = [], []
@@ -202,15 +202,21 @@ def _check_vev_oracle(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[f
     return float(np.max(diffs)), truncations
 
 
-def _check_antiparticle_phase(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float]:
-    rng = _rng(seed, 4)
+def _worst_single_mode(check, spec: LatticeSpec, lattice: Lattice, rng) -> float:
+    """Max of ``check(mode_spec, 0, t)`` over 5 seeded draws of a lattice
+    momentum k, then a time t in [-2, 2], on the one-mode set {k} at
+    ceiling 2."""
     worst = 0.0
     for _ in range(5):
         k = float(rng.choice(np.asarray(lattice.momenta)))
         t = float(rng.uniform(-2.0, 2.0))
         mode_spec = fock.make_mode_spec([k], spec.mass, spec.box_length, 2)
-        worst = max(worst, fock.antiparticle_phase_check(mode_spec, 0, t))
-    return (worst,)
+        worst = max(worst, check(mode_spec, 0, t))
+    return worst
+
+
+def _check_antiparticle_phase(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float]:
+    return (_worst_single_mode(fock.antiparticle_phase_check, spec, lattice, _rng(seed, 4)),)
 
 
 def _check_antiparticle_energy(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float]:
@@ -221,14 +227,7 @@ def _check_antiparticle_energy(spec: LatticeSpec, lattice: Lattice, seed: int) -
 
 
 def _check_momentum_sign(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float]:
-    rng = _rng(seed, 5)
-    worst = 0.0
-    for _ in range(5):
-        k = float(rng.choice(np.asarray(lattice.momenta)))
-        t = float(rng.uniform(-2.0, 2.0))
-        mode_spec = fock.make_mode_spec([k], spec.mass, spec.box_length, 2)
-        worst = max(worst, fock.momentum_sign_check(mode_spec, 0, t))
-    return (worst,)
+    return (_worst_single_mode(fock.momentum_sign_check, spec, lattice, _rng(seed, 5)),)
 
 
 def _check_reinterpretation(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float]:
@@ -266,7 +265,8 @@ def _check_matrix_build(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple
     three = fock.mode_spec_from_lattice(lattice, max_occupation=1, half_width=1)
     one = fock.make_mode_spec([k], spec.mass, spec.box_length, 2)
     return (max(
-        _matrix_vs_apply(three, fock.field_operator(three, t, x), fock.momentum_operator(three)),
+        _matrix_vs_apply(three, fock.field_operator(three, t, x),
+                         fock._number_operator(three.momenta)),
         _matrix_vs_apply(one, fock.oscillator_quadratures(one, 0, t).p_operator,
                          fock.b_dag(0) @ fock.b_dag(0)),
     ),)
@@ -301,12 +301,9 @@ def _matrix_vs_apply(mode_spec: fock.ModeSpec, *ops: fock.ModeOperator) -> float
 
 
 _FREQUENCY_POINTS = ((1.0, 0.0), (1.0, 2.0), (2.0, -1.0))
-_FREQUENCY_WINDOW = 1e-3
 
 
 def _frequency_spec(w: float, t: float) -> FrequencyIntegralSpec:
-    from .frequency import FrequencyIntegralSpec
-
     return FrequencyIntegralSpec(mode_frequency=w, time=t, epsilon=1e-6, frequency_cutoff=200.0)
 
 
@@ -327,8 +324,6 @@ def _check_frequency_plane(spec: LatticeSpec, lattice: Lattice, seed: int) -> tu
     checks as inf (through ``run_all_checks``); one in a principal part
     reports 08b alone, warned here, and keeps 08a's residual.
     """
-    from . import frequency
-
     fulls = [frequency.frequency_integral_feynman(_frequency_spec(w, t))
              for w, t in _FREQUENCY_POINTS]
     target_worst = split_worst = 0.0
@@ -336,7 +331,7 @@ def _check_frequency_plane(spec: LatticeSpec, lattice: Lattice, seed: int) -> tu
         target_worst = max(target_worst, abs(full - np.exp(-1j * w * abs(t)) / (2.0 * w)))
     try:
         for full, (w, t) in zip(fulls, _FREQUENCY_POINTS):
-            pp = frequency.principal_part(_frequency_spec(w, t), _FREQUENCY_WINDOW)
+            pp = frequency.principal_part(_frequency_spec(w, t))
             onshell = complex(np.cos(w * t) / (2.0 * w))
             split_worst = max(split_worst, abs(pp + onshell - full))
     except QuadratureError as exc:
@@ -408,13 +403,11 @@ def _check_quadrature_vs_quadpack(spec: LatticeSpec, lattice: Lattice, seed: int
     QUADPACK takes 13-24 ms against 3-6 ms for the rule (best of 9, one
     thread of a 2-vCPU host), so the check takes one point and one
     segmentation; the tests compare all three points on both."""
-    from . import frequency
-
     w, t = _FREQUENCY_POINTS[1]
     fspec = _frequency_spec(w, t)
     oracles = _oracle_integrands(fspec)
     worst = 0.0
-    for fn, a, b, interior in frequency.quadrature_pieces(fspec, _FREQUENCY_WINDOW):
+    for fn, a, b, interior in frequency.quadrature_pieces(fspec):
         oracle = oracles[fn.__name__]
         refined = frequency.segmentations(a, b, interior)[1]
         for lo, hi in zip(refined[:-1], refined[1:]):

@@ -57,24 +57,12 @@ def test_current_is_read_only():
         current.samples[0, 0] = 2.0
 
 
-def test_current_support_and_scaling():
-    samples = np.zeros((5, 6))
-    samples[1, 2] = 1.0
-    samples[3, 4] = -2.0
-    current = CurrentDistribution(samples)
-    assert current.shape == (5, 6)
-    assert current.support == (1, 3, 2, 4)
-    assert CurrentDistribution(np.zeros((2, 2))).support is None
-    doubled = current.scaled(2.0)
-    np.testing.assert_array_equal(doubled.samples, 2.0 * samples)
-
-
 def test_csv_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(3)
     samples = rng.standard_normal((6, 8))
-    current = CurrentDistribution(samples)
+    rows = [f"{i},{j},{float(samples[i, j])!r}" for i, j in np.ndindex(samples.shape)]
     path = tmp_path / "current.csv"
-    current.to_csv(path)
+    path.write_text("\n".join(["t_index,x_index,value", *rows]) + "\n")
     loaded = current_from_csv(path, 6, 8)
     np.testing.assert_array_equal(loaded.samples, samples)
 
@@ -178,7 +166,8 @@ def test_interaction_sum_is_bilinear(lat, currents):
     a, b, c = currents
     kind = KernelKind.WIGHTMAN_PLUS
     s_ab = interaction_sum(a, b, kind, lat)
-    assert interaction_sum(a.scaled(2.0), b, kind, lat) == pytest.approx(2.0 * s_ab)
+    doubled = CurrentDistribution(2.0 * a.samples)
+    assert interaction_sum(doubled, b, kind, lat) == pytest.approx(2.0 * s_ab)
     summed = CurrentDistribution(a.samples + c.samples)
     assert interaction_sum(summed, b, kind, lat) == pytest.approx(
         s_ab + interaction_sum(c, b, kind, lat)
@@ -378,7 +367,7 @@ def test_spectrum_nonnegative_and_consistent(lat, currents):
 
 def test_spectrum_scales_quadratically(lat, currents):
     base = emitted_spectrum([currents[0]], lat)
-    double = emitted_spectrum([currents[0].scaled(2.0)], lat)
+    double = emitted_spectrum([CurrentDistribution(2.0 * currents[0].samples)], lat)
     np.testing.assert_allclose(double.energies, 4.0 * base.energies, rtol=1e-12)
 
 

@@ -1,0 +1,62 @@
+"""What code outside the package relies on: the names each module exports
+and the functions the benchmark's per-layer tracer looks up."""
+import importlib
+import importlib.util
+import inspect
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import boxqft
+
+MODULES = sorted(f"boxqft.{info.name}" for info in pkgutil.iter_modules(boxqft.__path__))
+
+#: Names the package no longer defines: test-only wrappers and helpers
+#: whose work the surviving entries do.
+REMOVED = {
+    "boxqft.fock": (
+        "confirmation_inner", "hamiltonian_operator", "momentum_operator",
+        "time_ordered_vev", "vev_adjoint_field", "vev_field_adjoint",
+    ),
+    "boxqft.lattice": ("is_negation_closed",),
+}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_exists(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
+
+
+@pytest.mark.parametrize(("name", "removed"), sorted(REMOVED.items()))
+def test_removed_names_are_gone(name, removed):
+    module = importlib.import_module(name)
+    for attr in removed:
+        assert attr not in getattr(module, "__all__", ())
+        assert not hasattr(module, attr)
+
+
+def _load_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_resolves_every_layer_and_counter():
+    """Constructing a Tracer looks up every traced function (it is not
+    installed, so nothing is patched), and each work counter takes the
+    parameters of the function it counts, as ``--trace 1`` runs call it."""
+    tracer = _load_tracer()
+    tracer.Tracer()
+    functions = {
+        key: getattr(importlib.import_module(module), name)
+        for (module, name), key in tracer.LAYERS.items()
+    }
+    for key, (_, counter) in tracer.COUNTERS.items():
+        assert list(inspect.signature(counter).parameters) == list(
+            inspect.signature(functions[key]).parameters
+        ), key

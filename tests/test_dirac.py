@@ -55,6 +55,14 @@ def test_rest_frame_basis():
     np.testing.assert_array_equal(mat, np.eye(4))
 
 
+@pytest.mark.parametrize("mass", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_mass_rejected(mass):
+    with pytest.raises(ValidationError, match="mass must be finite and positive"):
+        rest_frame_solutions(mass)
+    with pytest.raises(ValidationError, match="mass must be finite and positive"):
+        plane_wave_solution([0.5, 0.0, 0.0], mass, 1, 1)
+
+
 def test_rest_frame_scales_with_mass():
     solutions = rest_frame_solutions(2.5)
     assert [s.energy for s in solutions] == [2.5, 2.5, -2.5, -2.5]

@@ -21,23 +21,17 @@ from boxqft.fock import (
     apply,
     b_dag,
     b_op,
-    confirmation_inner,
     field_operator,
-    hamiltonian_operator,
     make_mode_spec,
     matrix_norm,
     mode_spec_from_lattice,
-    momentum_operator,
     momentum_sign_check,
     operator_matrix,
     oscillator_quadratures,
     reinterpretation_check,
-    time_ordered_vev,
     time_ordered_vev_detail,
     translation_generator_check,
     vacuum,
-    vev_adjoint_field,
-    vev_field_adjoint,
 )
 from boxqft.lattice import ValidationError
 from boxqft.propagators import KernelKind, eval_kernel
@@ -64,7 +58,7 @@ def test_make_mode_spec_basic():
     spec = make_mode_spec([-TWO_PI_OVER_L, 0.0, TWO_PI_OVER_L], 1.0, L, 2)
     assert spec.n_modes == 3
     assert spec.basis_dim == 3 ** 6  # (N_max + 1)^(2 * modes)
-    assert spec.is_negation_closed
+    assert spec.negation_index() == (2, 1, 0)
     w = math.sqrt(1.0 + TWO_PI_OVER_L**2)
     assert spec.mode_coefficient(2) == pytest.approx(1.0 / math.sqrt(2.0 * w * L))
 
@@ -77,6 +71,7 @@ def test_make_mode_spec_basic():
         ([0.0], {"max_occupation": 0}, "max_occupation"),
         ([0.0], {"mass": 0.0}, "mass"),
         ([0.0], {"box_length": 0.0}, "box_length"),
+        ([0.0], {"mass": math.nan}, "mass"),
     ],
 )
 def test_mode_spec_validation(momenta, kwargs, field):
@@ -105,9 +100,18 @@ def test_negation_index_maps_partners(spec3):
         assert spec3.momenta[neg[i]] == pytest.approx(-k, abs=0)
 
 
+@pytest.mark.parametrize(
+    ("momenta", "frequencies", "box_length", "field"),
+    [((0.0,), (1.0,), math.nan, "box_length"), ((0.0,), (math.nan,), L, "frequencies"),
+     ((0.0,), (math.inf,), L, "frequencies"), ((math.nan,), (1.0,), L, "momenta")],
+)
+def test_mode_spec_rejects_non_finite_fields(momenta, frequencies, box_length, field):
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        fock.ModeSpec(momenta, frequencies, box_length)
+
+
 def test_negation_index_requires_closure():
     spec = make_mode_spec([0.0, TWO_PI_OVER_L], 1.0, L, 1)
-    assert not spec.is_negation_closed
     with pytest.raises(ValidationError, match="negation"):
         spec.negation_index()
 
@@ -218,8 +222,8 @@ def test_ordered_vevs_match_wightman_kernels(lattice16):
     comm = eval_kernel(lattice16, KernelKind.COMMUTATOR, *d)
     had = eval_kernel(lattice16, KernelKind.HADAMARD, *d)
 
-    forward = vev_field_adjoint(spec, x, y)
-    reverse = vev_adjoint_field(spec, x, y)
+    forward, _ = fock._ordered_vev(spec, x, y, adjoint_first=False)
+    reverse, _ = fock._ordered_vev(spec, x, y, adjoint_first=True)
     assert abs(forward - dp) <= 1e-14
     assert abs(reverse + dm) <= 1e-14  # <adjoint first> = -D_minus
     assert abs((forward - reverse) - comm) <= 1e-14
@@ -259,9 +263,9 @@ def test_ordered_vevs_match_two_apply_oracle(lattice16, ceiling):
         t1, t2 = rng.uniform(-2.0, 2.0, size=2)
         x1, x2 = rng.uniform(0.0, L, size=2)
         x, y = (t1, x1), (t2, x2)
-        for adjoint_first, vev in ((False, vev_field_adjoint), (True, vev_adjoint_field)):
+        for adjoint_first in (False, True):
             want, want_truncations = _two_apply_vev(spec, x, y, adjoint_first)
-            assert vev(spec, x, y) == want
+            assert fock._ordered_vev(spec, x, y, adjoint_first)[0] == want
             assert want_truncations == 0
         for later, earlier in ((x, y), (y, x)):
             got, truncations = time_ordered_vev_detail(spec, later, earlier)
@@ -273,29 +277,15 @@ def test_ordered_vevs_match_two_apply_oracle(lattice16, ceiling):
 def test_equal_times_rejected(lattice16):
     spec = mode_spec_from_lattice(lattice16, half_width=1)
     with pytest.raises(ValidationError, match="equal times"):
-        time_ordered_vev(spec, (0.5, 1.0), (0.5, 2.0))
-
-
-def test_confirmation_inner_probe(spec3):
-    vac = vacuum(spec3)
-    assert confirmation_inner(spec3, 1, vac) == 0.0
-    one_b = apply(b_dag(1), vac)
-    assert confirmation_inner(spec3, 1, one_b) == pytest.approx(1.0)
-    # applied to the field, the probe reads off the b_dag coefficient
-    t, x = 0.7, 2.9
-    state = apply(field_operator(spec3, t, x), vac)
-    k = spec3.momenta[1]
-    w = spec3.frequencies[1]
-    expected = spec3.mode_coefficient(1) * np.exp(-1j * (k * x - w * t))
-    assert confirmation_inner(spec3, 1, state) == pytest.approx(expected)
+        time_ordered_vev_detail(spec, (0.5, 1.0), (0.5, 2.0))
 
 
 # --- conserved-quantity operators ------------------------------------------
 
 def test_energy_and_momentum_eigenvalues(spec3):
     vac = vacuum(spec3)
-    h = hamiltonian_operator(spec3)
-    p = momentum_operator(spec3)
+    h = fock._number_operator(spec3.frequencies)
+    p = fock._number_operator(spec3.momenta)
     for i in range(spec3.n_modes):
         for make in (a_dag, b_dag):
             one = apply(make(i), vac)
@@ -360,7 +350,7 @@ def test_translation_check_is_second_order_on_wide_window(lattice64_module):
 def _single_step_translation(spec, t, x, dx):
     """One step's residual, building P, Psi(t, x) and the commutator for
     that step alone."""
-    p_mat = operator_matrix(momentum_operator(spec), spec)
+    p_mat = operator_matrix(fock._number_operator(spec.momenta), spec)
     psi = operator_matrix(field_operator(spec, t, x), spec)
     psi_plus = operator_matrix(field_operator(spec, t, x + dx), spec)
     psi_minus = operator_matrix(field_operator(spec, t, x - dx), spec)
@@ -556,8 +546,8 @@ def _verify_shape_cases():
     five = make_mode_spec(TWO_PI_OVER_L * np.arange(-2, 3), 1.0, L, 1)
     cases = [
         pytest.param(field_operator(five, 0.7, 2.9), five, id="psi-5-modes"),
-        pytest.param(momentum_operator(five), five, id="p-5-modes"),
-        pytest.param(hamiltonian_operator(five), five, id="h-5-modes"),
+        pytest.param(fock._number_operator(five.momenta), five, id="p-5-modes"),
+        pytest.param(fock._number_operator(five.frequencies), five, id="h-5-modes"),
     ]
     for ceiling in (2, 3):
         one = make_mode_spec([TWO_PI_OVER_L], 1.0, L, ceiling)

@@ -9,8 +9,10 @@ import boxqft.frequency
 from boxqft.frequency import (
     FrequencyIntegralSpec,
     QuadratureError,
+    _dual_quad,
     _quad_segment,
     frequency_integral_feynman,
+    principal_part,
     quadrature_pieces,
     segmentations,
     verify_frequency_split,
@@ -59,7 +61,7 @@ def test_tail_omission_leaves_cutoff_bias():
 @pytest.mark.parametrize(("w", "t"), POINTS)
 def test_principal_part_plus_onshell_reassembles(w, t):
     spec = _spec(w, t)
-    principal, onshell, residual = verify_frequency_split(spec, window=1e-3)
+    principal, onshell, residual = verify_frequency_split(spec)
     assert residual <= 1e-4
     # the on-shell lump integrates to cos(w t)/(2 w) exactly
     assert onshell == pytest.approx(np.cos(w * t) / (2.0 * w), abs=0)
@@ -71,7 +73,7 @@ def test_split_pieces_are_individually_sane():
     # at t=0 the full integral is 1/(2w): on-shell lump carries 1/(2w),
     # so the principal part must be small
     spec = _spec(1.0, 0.0)
-    principal, onshell, _ = verify_frequency_split(spec, window=1e-3)
+    principal, onshell, _ = verify_frequency_split(spec)
     assert onshell == pytest.approx(0.5)
     assert abs(principal) <= 1e-3
 
@@ -84,11 +86,34 @@ def test_split_pieces_are_individually_sane():
         (dict(mode_frequency=1.0, time=0.0, epsilon=0.0), "epsilon"),
         (dict(mode_frequency=1.0, time=0.0, frequency_cutoff=5.0), "frequency_cutoff"),
         (dict(mode_frequency=1.0, time=0.0, abs_tol=0.0), "abs_tol"),
+        (dict(mode_frequency=np.inf, time=0.0, frequency_cutoff=np.inf), "mode_frequency"),
+        (dict(mode_frequency=1.0, time=np.nan), "time"),
+        (dict(mode_frequency=1.0, time=np.inf), "time"),
+        (dict(mode_frequency=1.0, time=0.0, epsilon=np.nan), "epsilon"),
+        (dict(mode_frequency=1.0, time=0.0, frequency_cutoff=np.inf), "frequency_cutoff"),
+        (dict(mode_frequency=1.0, time=0.0, abs_tol=np.nan), "abs_tol"),
     ],
 )
 def test_invalid_spec_names_offending_field(kwargs, field):
     with pytest.raises(ValidationError, match=field):
         FrequencyIntegralSpec(**kwargs).validate()
+
+
+@pytest.mark.parametrize("integral", [frequency_integral_feynman, principal_part])
+def test_non_finite_time_rejected_by_both_integrals(integral):
+    with pytest.raises(ValidationError, match="time must be finite"):
+        integral(_spec(1.0, np.nan))
+
+
+def test_principal_part_needs_mode_frequency_above_window():
+    with pytest.raises(ValidationError, match="mode_frequency must exceed"):
+        principal_part(_spec(5e-4, 1.0))
+
+
+def test_non_finite_quadrature_disagreement_raises():
+    """A NaN integrand fails the dual quadrature instead of returning NaN."""
+    with pytest.raises(QuadratureError, match="nan"):
+        _dual_quad(lambda nu: np.full(nu.shape, np.nan, dtype=complex), 0.0, 1.0, 1e-6, [0.5])
 
 
 def test_unmeetable_quadrature_tolerance_raises():
@@ -133,7 +158,7 @@ def test_segment_rule_matches_quadpack_on_every_segment(w, t):
     rule as QUADPACK gives on the suite's oracle twin of the integrand."""
     oracles = _oracle_integrands(_spec(w, t))
     worst, count = 0.0, 0
-    for fn, a, b, interior in quadrature_pieces(_spec(w, t), window=1e-3):
+    for fn, a, b, interior in quadrature_pieces(_spec(w, t)):
         for cuts in segmentations(a, b, interior):
             for lo, hi in zip(cuts[:-1], cuts[1:]):
                 oracle = _quadpack_segment(oracles[fn.__name__], lo, hi)
@@ -150,7 +175,7 @@ def test_oracle_integrands_match_the_rule_integrands_at_its_nodes(w, t):
     spec = _spec(w, t)
     oracles = _oracle_integrands(spec)
     names = set()
-    for fn, a, b, interior in quadrature_pieces(spec, window=1e-3):
+    for fn, a, b, interior in quadrature_pieces(spec):
         names.add(fn.__name__)
         oracle = oracles[fn.__name__]
         for cuts in segmentations(a, b, interior):
@@ -192,8 +217,8 @@ def test_quadrature_pieces_are_those_integrated(monkeypatch):
 
     monkeypatch.setattr(boxqft.frequency, "_dual_quad", recording)
     spec = _spec(1.0, 2.0)
-    verify_frequency_split(spec, window=1e-3)  # evaluates the full integral too
-    listed = [(fn.__name__, a, b, list(cuts)) for fn, a, b, cuts in quadrature_pieces(spec, 1e-3)]
+    verify_frequency_split(spec)  # evaluates the full integral too
+    listed = [(fn.__name__, a, b, list(cuts)) for fn, a, b, cuts in quadrature_pieces(spec)]
     assert sorted(seen) == sorted(listed)
 
 

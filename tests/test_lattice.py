@@ -8,7 +8,6 @@ from boxqft.lattice import (
     LatticeSpec,
     ValidationError,
     build_lattice,
-    is_negation_closed,
     omega,
     validate_spec,
 )
@@ -24,8 +23,8 @@ def test_default_spec_values():
 
 
 def test_momentum_grid_shape_and_closure(lattice64):
-    assert lattice64.n_modes == 63  # edge mode excluded
-    assert is_negation_closed(lattice64.momenta)
+    assert lattice64.momenta.size == 63  # edge mode excluded
+    np.testing.assert_array_equal(lattice64.momenta, -lattice64.momenta[::-1])
     assert np.all(np.diff(lattice64.momenta) > 0)
     assert 0.0 in lattice64.momenta
 
@@ -97,9 +96,13 @@ def test_non_finite_spec_field_rejected(field, value):
 
 
 def test_negation_closure_detects_asymmetry(lattice64):
-    assert is_negation_closed(lattice64.momenta)
+    from boxqft.fock import make_mode_spec
+
+    closed = make_mode_spec(lattice64.momenta, 1.0, 10.0)
+    assert closed.negation_index() == tuple(range(62, -1, -1))
     asymmetric = np.append(lattice64.momenta, -2.0 * np.pi * 32 / 10.0)
-    assert not is_negation_closed(asymmetric)
+    with pytest.raises(ValidationError, match="negation"):
+        make_mode_spec(asymmetric, 1.0, 10.0).negation_index()
 
 
 @given(
@@ -110,6 +113,12 @@ def test_dispersion_bounds_and_parity(k, mass):
     w = omega(k, mass)
     assert w >= mass
     assert omega(-k, mass) == w
+
+
+@pytest.mark.parametrize("mass", [0.0, -1.0, float("nan"), float("inf")])
+def test_dispersion_rejects_bad_mass(mass):
+    with pytest.raises(ValidationError, match="mass must be finite and positive"):
+        omega(1.0, mass)
 
 
 def test_dispersion_vectorized():

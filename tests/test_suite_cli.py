@@ -635,6 +635,17 @@ def test_block_sampler_matches_scalar_draws(min_abs_t, n):
         assert fast.bit_generator.state == slow.bit_generator.state
 
 
+@pytest.mark.parametrize("min_abs_t", [2.0, 2.5, math.nan])
+def test_sampler_rejects_unreachable_min_abs_t(min_abs_t):
+    """No t in [-2, 2) reaches |t| >= 2, so the rejection loop would never
+    end: the sampler refuses before drawing anything."""
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValidationError, match="min_abs_t"):
+        sample_points(rng, 10.0, 3, min_abs_t=min_abs_t)
+    assert rng.bit_generator.state == before
+
+
 def test_sampler_draws_are_pinned():
     """The first draws at fixed seeds, as literals: a change in draw order
     (t before its x, a rejected t redrawn before its x, a VEV pair's two
@@ -744,14 +755,8 @@ def test_absorber_reaches_256_squared(tmp_path, capsys, project):
 
 
 def test_absorber_loads_current_from_csv(tmp_path):
-    import numpy as np
-
-    from boxqft.absorber import CurrentDistribution
-
-    samples = np.zeros((16, 16))
-    samples[4, 7] = 2.0
     source = tmp_path / "current.csv"
-    CurrentDistribution(samples).to_csv(source)
+    source.write_text("t_index,x_index,value\n4,7,2.0\n")
     argv = ["absorber", "--n-space", "16", "--n-time", "16",
             "--current", str(source), "--out", str(tmp_path)]
     assert main(argv) == 0
