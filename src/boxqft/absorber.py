@@ -61,7 +61,6 @@ __all__ = [
     "free_field_identity",
     "interaction_sum",
     "kernel_difference_table",
-    "light_tight_check",
     "project_light_tight",
     "random_current",
     "spectrum_consistency_residual",
@@ -243,15 +242,13 @@ def interaction_sum(
     ``reverse_argument`` evaluates the kernel at (y - x) instead,
     which matters for kernels that are not even under full reflection.
 
-    The sum is the difference table contracted with the cross-correlation
-    of the two currents, which is linear in time and circular in space:
-    one rfft2 per current (one when ``a is b``) and one irfft2 give every
-    lag in O(n_t n_x log(n_t n_x)).
+    The one-pair case of the pair sums: the difference table contracted
+    with the cross-correlation of the two currents, which is linear in
+    time and circular in space, so one rfft2 per current (one when
+    ``a is b``) and one irfft2 give every lag in O(n_t n_x log(n_t n_x)).
     """
-    fa = _padded_spectrum(a, lattice, "a")
-    fb = fa if b is a else _padded_spectrum(b, lattice, "b")
-    table = kernel_difference_table(lattice, kind, reverse_argument)
-    return _contract(table, _correlation(fa, fb, lattice), lattice)
+    currents, pair = ([a], (0, 0)) if b is a else ([a, b], (0, 1))
+    return _pair_sums(currents, lattice, [pair], ((kind, reverse_argument),))[0]
 
 
 def _pair_sums(
@@ -260,9 +257,10 @@ def _pair_sums(
     pairs: list[tuple[int, int]] | None,
     kernels: tuple[tuple[KernelKind, bool], ...],
 ) -> list[complex]:
-    """interaction_sum over the chosen ordered pairs (all when ``pairs`` is
-    None) for each (kind, reverse_argument) in ``kernels``, added in pair
-    order, with one transform per current and one correlation per pair."""
+    """The double sum S over the chosen ordered pairs (all when ``pairs``
+    is None) for each (kind, reverse_argument) in ``kernels``, added in
+    pair order, with one transform per current and one correlation per
+    pair; current k is named ``#k`` in errors."""
     if not currents:
         raise ValidationError("at least one current is required")
     n = len(currents)
@@ -399,15 +397,6 @@ def spectrum_consistency_residual(
     total = CurrentDistribution(sum(c.samples for c in currents))
     double_sum = interaction_sum(total, total, KernelKind.WIGHTMAN_PLUS, lattice)
     return abs(spectrum.total - double_sum)
-
-
-def light_tight_check(
-    currents: list[CurrentDistribution], lattice: Lattice
-) -> float:
-    """Total emission of the summed currents; ~0 for a sealed configuration."""
-    if not currents:
-        return 0.0
-    return emitted_spectrum(currents, lattice).total
 
 
 def project_light_tight(

@@ -16,9 +16,11 @@ and ``out``), which a ``--config`` file may also set.  They are merged
 and validated in :func:`build_run_config` before any subcommand runs.
 
 Exit codes: 0 on success, 1 when an identity check fails its tolerance
-or a numerical routine (quadrature, ARPACK norm) fails, 2 on invalid
-input (the message names the offending field).  A run that exits 2
-writes no file.
+or a numerical routine fails (every such failure, from the quadrature,
+the ARPACK norm or the spinor solver, is a
+:class:`~boxqft.lattice.NumericalFailure`, reported on stderr as
+``failure: <message>``), 2 on invalid input (the message names the
+offending field).  A run that exits 2 writes no file.
 
 Only ``verify`` and ``fock-vev`` import :mod:`boxqft.suite`, inside their
 handlers, and only ``verify`` loads scipy (operator matrices, frequency
@@ -42,7 +44,7 @@ import numpy as np
 from . import absorber, dirac
 from .lattice import (
     LatticeSpec,
-    QuadratureError,
+    NumericalFailure,
     ValidationError,
     build_lattice,
     validate_spec,
@@ -500,15 +502,6 @@ _HANDLERS = {
 }
 
 
-def _numerical_failures() -> tuple[type[Exception], ...]:
-    """The errors that end a run with exit 1.  ARPACK's can only have been
-    raised once scipy.sparse.linalg is loaded (by the Fock space's matrix
-    norms, in verify), so it is looked up only then."""
-    failures = (QuadratureError, dirac.DegenerateSolutionError)
-    linalg = sys.modules.get("scipy.sparse.linalg")
-    return failures if linalg is None else failures + (linalg.ArpackNoConvergence,)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
@@ -519,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _numerical_failures() as exc:
+    except NumericalFailure as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ValidationError
+from .lattice import NumericalFailure, ValidationError
 
 __all__ = [
     "DegenerateSolutionError",
@@ -40,7 +40,7 @@ __all__ = [
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
-class DegenerateSolutionError(RuntimeError):
+class DegenerateSolutionError(NumericalFailure):
     """The algebraic solution space did not have the expected dimension."""
 
 

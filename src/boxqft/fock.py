@@ -5,9 +5,13 @@ created by ``a_dag`` and antiquanta created by ``b_dag``.  States are
 sparse maps from occupation tuples to complex amplitudes; operators are
 sums of scaled ladder-factor products that can be applied symbolically
 to states or materialized as sparse CSR matrices, one numpy pass over the
-basis per term.  Matrix norms are spectral norms: the exact dense
-2-norm up to side ``DENSE_NORM_MAX_SIDE``, ``svds`` started from a fixed
-vector above it, so reruns are bit-identical; only these load scipy.
+basis per term.  A check's residual is formed as one operator in that
+algebra and materialized once; CSR arithmetic is left to the routes that
+need it (check 07's commutator, check 04a's scalings).  Matrix norms are spectral norms: the
+exact dense 2-norm up to side ``DENSE_NORM_MAX_SIDE``, ``svds`` started
+from a fixed vector above it, so reruns are bit-identical; only these
+load scipy, and an ``svds`` that does not converge raises
+:class:`~boxqft.lattice.NumericalFailure`.
 
 The module serves as an independent cross-check on the kernel mode sums
 in :mod:`boxqft.propagators`: the time-ordered two-point function
@@ -41,7 +45,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
-from .lattice import Lattice, ValidationError, omega
+from .lattice import Lattice, NumericalFailure, ValidationError, omega
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -500,7 +504,8 @@ def matrix_norm(mat) -> float:
     dense 2-norm from LAPACK, which is faster there than ARPACK's
     iterations.  Larger matrices take the largest singular value from
     ARPACK ``svds`` started from a fixed vector, so reruns give identical
-    bits; if it does not converge, ``ArpackNoConvergence`` propagates.
+    bits; if it does not converge, :class:`NumericalFailure` is raised
+    from ARPACK's error, with its message.
     """
     import scipy.sparse as sp
 
@@ -520,13 +525,16 @@ def _svds_norm(mat) -> float:
     # A fixed generic start vector: ARPACK's default start is random, so
     # reruns would differ in the last bits.
     start = np.random.default_rng(0).standard_normal((2, min(mat.shape)))
-    top = spla.svds(
-        mat,
-        k=1,
-        v0=start[0] + 1j * start[1],
-        return_singular_vectors=False,
-        maxiter=5000,
-    )
+    try:
+        top = spla.svds(
+            mat,
+            k=1,
+            v0=start[0] + 1j * start[1],
+            return_singular_vectors=False,
+            maxiter=5000,
+        )
+    except spla.ArpackNoConvergence as exc:
+        raise NumericalFailure(str(exc)) from exc
     return float(top[0])
 
 
@@ -633,19 +641,15 @@ def momentum_sign_check(spec: ModeSpec, mode: int, t: float) -> float:
     to a literal sign flip p_adv = -p_ret.  Returns the matrix-norm
     residual of ``p_advanced(t) + p_retarded(-t)``, zero up to rounding.
     """
-    p_adv_t = operator_matrix(
-        oscillator_quadratures(spec, mode, t, "advanced").p_operator, spec
-    )
-    p_ret_mirror = operator_matrix(
-        oscillator_quadratures(spec, mode, -t, "retarded").p_operator, spec
-    )
-    return matrix_norm(p_adv_t + p_ret_mirror)
+    p_adv = oscillator_quadratures(spec, mode, t, "advanced").p_operator
+    p_ret_mirror = oscillator_quadratures(spec, mode, -t, "retarded").p_operator
+    return matrix_norm(operator_matrix(p_adv + p_ret_mirror, spec))
 
 
 def reinterpretation_check(spec: ModeSpec, t: float, x: float) -> float:
     """Verify the antiquanta relabeling of the field expansion.
 
-    Builds the field operator two ways and compares matrices:
+    Builds the field operator two ways and materializes their difference:
 
     * form A keeps the advanced-frequency coefficient attached to the
       spatial phase exp(+i k x), writing it as ``b_dag`` at the negated
@@ -655,7 +659,7 @@ def reinterpretation_check(spec: ModeSpec, t: float, x: float) -> float:
 
     The relabeling is a bijection only on negation-closed mode sets;
     other sets raise a validation error (the meaningful negative
-    control).  Returns the matrix-norm difference, zero up to rounding.
+    control).  Returns the difference's matrix norm, zero up to rounding.
     """
     neg = spec.negation_index()
     terms_a: list[tuple[complex, tuple[Factor, ...]]] = []
@@ -664,9 +668,7 @@ def reinterpretation_check(spec: ModeSpec, t: float, x: float) -> float:
         terms_a.append((c * cmath.exp(1j * (k * x - w * t)), (("a", i, False),)))
         terms_a.append((c * cmath.exp(1j * (k * x + w * t)), (("b", neg[i], True),)))
     form_a = ModeOperator(tuple(terms_a))
-    form_b = field_operator(spec, t, x)
-    diff = operator_matrix(form_a, spec) - operator_matrix(form_b, spec)
-    return matrix_norm(diff)
+    return matrix_norm(operator_matrix(form_a - field_operator(spec, t, x), spec))
 
 
 def translation_generator_check(
@@ -679,8 +681,9 @@ def translation_generator_check(
     central difference ``(Psi(t, x+dx) - Psi(t, x-dx)) / (2 dx)`` in
     matrix norm.  The commutator equals ``i`` times the exact spatial
     derivative, so the residual shrinks at second order in dx.  P,
-    Psi(t, x) and the commutator are built once for all the steps;
-    every step must be finite and positive.
+    Psi(t, x) and the commutator are built once for all the steps, and
+    each step's difference is built as one operator; every step must be
+    finite and positive.
     """
     dxs = list(dxs)
     for dx in dxs:
@@ -691,8 +694,7 @@ def translation_generator_check(
     commutator = p_mat @ psi - psi @ p_mat
     residuals = []
     for dx in dxs:
-        psi_plus = operator_matrix(field_operator(spec, t, x + dx), spec)
-        psi_minus = operator_matrix(field_operator(spec, t, x - dx), spec)
-        central = (psi_plus - psi_minus) * (1.0 / (2.0 * dx))
+        step = field_operator(spec, t, x + dx) - field_operator(spec, t, x - dx)
+        central = operator_matrix(step, spec) * (1.0 / (2.0 * dx))
         residuals.append(matrix_norm(commutator - 1j * central))
     return residuals

@@ -17,7 +17,8 @@ Quadrature.  Each piece of either integral is an integrand over an
 interval with interior cuts at its pole locations (see
 :func:`quadrature_pieces`).  :func:`_dual_quad` integrates it twice, on
 the cut segmentation and on its midpoint refinement, and raises
-:class:`QuadratureError` when the two disagree by more than ``abs_tol``.
+:class:`QuadratureError` when the two disagree by more than
+:data:`QUAD_ABS_TOL`; both integrals sum their pieces in :func:`_integrate`.
 Every segment takes one fixed composite Gauss-Legendre rule
 (:func:`_quad_segment`), evaluating the integrand once on all its nodes
 as a numpy array: 16 nodes per panel on 64 uniform panels, of which the
@@ -51,6 +52,9 @@ __all__ = [
 #: (halved once for its Richardson step); mode_frequency must exceed it.
 PRINCIPAL_WINDOW = 1e-3
 
+#: Largest disagreement _dual_quad accepts between its two segmentations.
+QUAD_ABS_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class FrequencyIntegralSpec:
@@ -60,17 +64,15 @@ class FrequencyIntegralSpec:
     time             -- evaluation time t (any sign)
     epsilon          -- pole displacement eps > 0
     frequency_cutoff -- window half-width Omega, required > 10 * omega
-    abs_tol          -- absolute tolerance demanded of the quadrature
     """
 
     mode_frequency: float
     time: float
     epsilon: float = 1e-6
     frequency_cutoff: float = 200.0
-    abs_tol: float = 1e-6
 
     def validate(self) -> None:
-        for name in ("mode_frequency", "time", "epsilon", "frequency_cutoff", "abs_tol"):
+        for name in ("mode_frequency", "time", "epsilon", "frequency_cutoff"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value}")
@@ -83,8 +85,6 @@ class FrequencyIntegralSpec:
                 "frequency_cutoff must exceed 10 * mode_frequency, got "
                 f"{self.frequency_cutoff} for omega {self.mode_frequency}"
             )
-        if not self.abs_tol > 0:
-            raise ValidationError(f"abs_tol must be positive, got {self.abs_tol}")
 
 
 def _half_segment_rule():
@@ -124,21 +124,27 @@ def segmentations(a: float, b: float, interior) -> tuple[list[float], list[float
     return cuts, refined
 
 
-def _dual_quad(fn, a: float, b: float, abs_tol: float, interior: list[float]) -> complex:
+def _dual_quad(fn, a: float, b: float, interior: list[float]) -> complex:
     """Evaluate int_a^b fn with break points (pole locations) as segment
     edges, twice: on the coarse segmentation and on its midpoint
-    refinement.  Disagreement beyond abs_tol, or a non-finite one, raises
-    QuadratureError; returns the refined value."""
+    refinement.  Disagreement beyond QUAD_ABS_TOL, or a non-finite one,
+    raises QuadratureError; returns the refined value."""
     v1, v2 = (
         sum(_quad_segment(fn, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
         for cuts in segmentations(a, b, interior)
     )
-    if not abs(v1 - v2) <= abs_tol:
+    if not abs(v1 - v2) <= QUAD_ABS_TOL:
         raise QuadratureError(
             f"independent quadrature evaluations disagree by {abs(v1 - v2):.3e} "
-            f"(abs_tol {abs_tol:.3e})"
+            f"(abs_tol {QUAD_ABS_TOL:.3e})"
         )
     return v2
+
+
+def _integrate(pieces) -> complex:
+    """The dual quadrature of every piece (integrand, a, b, interior cuts),
+    summed in order."""
+    return sum(_dual_quad(fn, a, b, cuts) for fn, a, b, cuts in pieces)
 
 
 def _tail_completion(w: float, t: float, cutoff: float) -> complex:
@@ -243,8 +249,7 @@ def frequency_integral_feynman(spec: FrequencyIntegralSpec, include_tail: bool =
     """
     spec.validate()
     pieces, closed_form = _feynman_pieces(spec)
-    body = sum(_dual_quad(fn, a, b, spec.abs_tol, cuts) for fn, a, b, cuts in pieces)
-    total = (body + closed_form) / (2.0 * np.pi)
+    total = (_integrate(pieces) + closed_form) / (2.0 * np.pi)
     if include_tail:
         total = total + _tail_completion(spec.mode_frequency, spec.time, spec.frequency_cutoff)
     return complex(total)
@@ -271,10 +276,7 @@ def principal_part(spec: FrequencyIntegralSpec) -> complex:
         )
 
     def pp_at(win: float) -> complex:
-        acc = 0.0 + 0.0j
-        for fn, a, b, cuts in _principal_pieces(spec, win):
-            acc += _dual_quad(fn, a, b, spec.abs_tol, cuts)
-        return acc / (2.0 * np.pi)
+        return _integrate(_principal_pieces(spec, win)) / (2.0 * np.pi)
 
     return complex(
         2.0 * pp_at(PRINCIPAL_WINDOW / 2.0) - pp_at(PRINCIPAL_WINDOW)

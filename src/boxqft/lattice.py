@@ -23,13 +23,16 @@ class ValidationError(ValueError):
     """Raised when a spec field fails validation; message names the field."""
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested absolute tolerance.
+class NumericalFailure(RuntimeError):
+    """A numerical routine failed on valid input: the command line reports
+    it as ``failure: <message>`` and exits 1.  Declared here, beside
+    ValidationError, so that the command line catches every such failure
+    without loading the modules or scipy routines that raise them."""
 
-    Raised by :mod:`boxqft.frequency`; declared here, beside
-    ValidationError, so that the command line can catch it without
-    loading the quadrature module or scipy.
-    """
+
+class QuadratureError(NumericalFailure):
+    """The two segmentations of the frequency quadrature disagree beyond
+    its tolerance; raised by :mod:`boxqft.frequency`."""
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,17 @@ import boxqft
 MODULES = sorted(f"boxqft.{info.name}" for info in pkgutil.iter_modules(boxqft.__path__))
 
 #: Names the package no longer defines: test-only wrappers and helpers
-#: whose work the surviving entries do.
+#: whose work the surviving entries do, and second paths to a job that
+#: one path now does.  New modules go at the end, so test ids keep their
+#: numbers.
 REMOVED = {
     "boxqft.fock": (
         "confirmation_inner", "hamiltonian_operator", "momentum_operator",
         "time_ordered_vev", "vev_adjoint_field", "vev_field_adjoint",
     ),
     "boxqft.lattice": ("is_negation_closed",),
+    "boxqft.absorber": ("light_tight_check",),
+    "boxqft.cli": ("_numerical_failures",),
 }
 
 
@@ -30,7 +34,7 @@ def test_every_exported_name_exists(name):
     assert missing == []
 
 
-@pytest.mark.parametrize(("name", "removed"), sorted(REMOVED.items()))
+@pytest.mark.parametrize(("name", "removed"), list(REMOVED.items()))
 def test_removed_names_are_gone(name, removed):
     module = importlib.import_module(name)
     for attr in removed:

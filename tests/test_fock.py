@@ -33,7 +33,7 @@ from boxqft.fock import (
     translation_generator_check,
     vacuum,
 )
-from boxqft.lattice import ValidationError
+from boxqft.lattice import NumericalFailure, ValidationError
 from boxqft.propagators import KernelKind, eval_kernel
 
 L = 10.0
@@ -318,6 +318,46 @@ def test_momentum_sign_check_residual():
         assert momentum_sign_check(spec, 0, t) <= 1e-13
 
 
+@pytest.fixture()
+def builds(monkeypatch):
+    """The term counts of the operators fock.operator_matrix materializes."""
+    seen = []
+    original = fock.operator_matrix
+
+    def counting(op, spec):
+        seen.append(len(op.terms))
+        return original(op, spec)
+
+    monkeypatch.setattr(fock, "operator_matrix", counting)
+    return seen
+
+
+@pytest.mark.parametrize(("t", "x"), [(0.0, 0.0), (0.6, 3.3), (-1.3, 7.1), (1.97, 9.4)])
+def test_one_build_sums_match_csr_arithmetic(spec3, t, x):
+    """A + B and A - B materialized as one operator have the entries of A
+    and B materialized apart and added or subtracted in CSR, when every
+    entry gets at most one term from each side, as in the residuals of
+    checks 05, 06 and 07.  Those residuals cancel to zero, so the sides
+    here are taken at points where they do not."""
+    one_mode = make_mode_spec([TWO_PI_OVER_L * 2], 1.0, L, 2)
+    sides = [
+        (one_mode, oscillator_quadratures(one_mode, 0, t, "advanced").p_operator,
+         oscillator_quadratures(one_mode, 0, 0.5 - t, "retarded").p_operator),
+        (spec3, field_operator(spec3, t, x + 0.1), field_operator(spec3, t + 0.3, x - 0.1)),
+    ]
+    for spec, a, b in sides:
+        mat_a, mat_b = operator_matrix(a, spec), operator_matrix(b, spec)
+        assert_same_csr(operator_matrix(a + b, spec), mat_a + mat_b)
+        assert_same_csr(operator_matrix(a - b, spec), mat_a - mat_b)
+
+
+def test_momentum_sign_and_relabel_checks_build_once(spec3, builds):
+    momentum_sign_check(make_mode_spec([TWO_PI_OVER_L * 2], 1.0, L, 2), 0, 0.6)
+    assert builds == [4]  # p_adv(t) + p_ret(-t): two terms each
+    reinterpretation_check(spec3, 0.8, 3.3)
+    assert builds == [4, 4 * spec3.n_modes]  # form A - form B: two terms per mode each
+
+
 def test_invalid_quadrature_phase_rejected():
     spec = make_mode_spec([0.0], 1.0, L, 2)
     with pytest.raises(ValidationError, match="phase"):
@@ -370,17 +410,12 @@ def test_translation_residuals_match_single_step_oracle(lattice64_module, half_w
     assert translation_generator_check(spec, -0.6, 8.2, [0.05]) == got[1:2]
 
 
-def test_translation_check_builds_the_commutator_once(spec3, monkeypatch):
-    builds = []
-    original = fock.operator_matrix
-
-    def counting(op, spec):
-        builds.append(len(op.terms))
-        return original(op, spec)
-
-    monkeypatch.setattr(fock, "operator_matrix", counting)
+def test_translation_check_builds_the_commutator_once(spec3, builds):
+    """P and Psi(t, x) once, then one build of Psi(x + dx) - Psi(x - dx)
+    per step."""
     translation_generator_check(spec3, 0.3, 1.7, [0.1, 0.05, 0.025])
-    assert len(builds) == 2 + 2 * 3
+    assert len(builds) == 2 + 3
+    assert builds[2:] == [4 * spec3.n_modes] * 3
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf, -math.inf])
@@ -645,14 +680,18 @@ def test_matrix_norm_of_tiny_matrix_is_exact():
 
 
 def test_matrix_norm_nonconvergence_propagates(monkeypatch):
+    """ARPACK's error reaches the caller as a NumericalFailure with the
+    same message, raised from it."""
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
 
     monkeypatch.setattr(scipy.sparse.linalg, "svds", no_convergence)
     spec = make_mode_spec([0.0], 1.0, L, 15)  # side 256, above the dense sides
     assert spec.basis_dim > DENSE_NORM_MAX_SIDE
-    with pytest.raises(ArpackNoConvergence):
+    with pytest.raises(NumericalFailure) as caught:
         matrix_norm(operator_matrix(a_dag(0), spec))
+    assert isinstance(caught.value.__cause__, ArpackNoConvergence)
+    assert str(caught.value) == str(caught.value.__cause__)
 
 
 @pytest.mark.parametrize("ceiling", [7, 8, 9, 11, 13])

@@ -1,5 +1,6 @@
 """Regulated frequency-plane representation of the per-mode kernel."""
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -85,13 +86,13 @@ def test_split_pieces_are_individually_sane():
         (dict(mode_frequency=-1.0, time=0.0), "mode_frequency"),
         (dict(mode_frequency=1.0, time=0.0, epsilon=0.0), "epsilon"),
         (dict(mode_frequency=1.0, time=0.0, frequency_cutoff=5.0), "frequency_cutoff"),
-        (dict(mode_frequency=1.0, time=0.0, abs_tol=0.0), "abs_tol"),
+        (dict(mode_frequency=1.0, time=0.0, frequency_cutoff=10.0), "frequency_cutoff"),
         (dict(mode_frequency=np.inf, time=0.0, frequency_cutoff=np.inf), "mode_frequency"),
         (dict(mode_frequency=1.0, time=np.nan), "time"),
         (dict(mode_frequency=1.0, time=np.inf), "time"),
         (dict(mode_frequency=1.0, time=0.0, epsilon=np.nan), "epsilon"),
         (dict(mode_frequency=1.0, time=0.0, frequency_cutoff=np.inf), "frequency_cutoff"),
-        (dict(mode_frequency=1.0, time=0.0, abs_tol=np.nan), "abs_tol"),
+        (dict(mode_frequency=np.nan, time=0.0), "mode_frequency"),
     ],
 )
 def test_invalid_spec_names_offending_field(kwargs, field):
@@ -113,16 +114,22 @@ def test_principal_part_needs_mode_frequency_above_window():
 def test_non_finite_quadrature_disagreement_raises():
     """A NaN integrand fails the dual quadrature instead of returning NaN."""
     with pytest.raises(QuadratureError, match="nan"):
-        _dual_quad(lambda nu: np.full(nu.shape, np.nan, dtype=complex), 0.0, 1.0, 1e-6, [0.5])
+        _dual_quad(lambda nu: np.full(nu.shape, np.nan, dtype=complex), 0.0, 1.0, [0.5])
 
 
-def test_unmeetable_quadrature_tolerance_raises():
-    spec = FrequencyIntegralSpec(
-        mode_frequency=1.0, time=0.5, epsilon=1e-6,
-        frequency_cutoff=200.0, abs_tol=1e-30,
-    )
-    with pytest.raises(QuadratureError):
+def test_unmeetable_quadrature_tolerance_raises(monkeypatch):
+    monkeypatch.setattr(boxqft.frequency, "QUAD_ABS_TOL", 1e-30)
+    spec = FrequencyIntegralSpec(mode_frequency=1.0, time=0.5, epsilon=1e-6, frequency_cutoff=200.0)
+    with pytest.raises(QuadratureError, match=r"abs_tol 1\.000e-30"):
         frequency_integral_feynman(spec)
+
+
+def test_quadrature_tolerance_is_not_a_spec_field():
+    """The tolerance is the module constant QUAD_ABS_TOL; the spec keeps the
+    fields a study may vary."""
+    assert [f.name for f in fields(FrequencyIntegralSpec)] == [
+        "mode_frequency", "time", "epsilon", "frequency_cutoff"
+    ]
 
 
 def test_quadrature_passes_integrand_warnings_through():
@@ -211,9 +218,9 @@ def test_quadrature_pieces_are_those_integrated(monkeypatch):
     seen = []
     dual_quad = boxqft.frequency._dual_quad
 
-    def recording(fn, a, b, abs_tol, interior):
+    def recording(fn, a, b, interior):
         seen.append((fn.__name__, a, b, list(interior)))
-        return dual_quad(fn, a, b, abs_tol, interior)
+        return dual_quad(fn, a, b, interior)
 
     monkeypatch.setattr(boxqft.frequency, "_dual_quad", recording)
     spec = _spec(1.0, 2.0)

@@ -1,0 +1,95 @@
+"""Mutation audit: which named checks each planted fault fails.
+
+Every row plants one fault by monkeypatch (no source file is edited),
+runs ``run_all_checks(seed=42)`` and compares the set of failing checks,
+by their number, with the set pinned here.  A refactor that merges the
+two routes of a cross-check, or moves a check off the code it watched,
+changes some pinned set, so the audit fails.
+
+Rows pinned to the empty set are either equivalent mutants (the fault
+changes no value any check can see) or known gaps: faults that every
+named check lets through today.  The gaps are pinned as they stand, not
+dropped, so closing one is a visible change to this table.
+"""
+import cmath
+
+import pytest
+
+from boxqft import absorber, fock, propagators
+from boxqft.lattice import LatticeSpec
+from boxqft.propagators import KernelKind
+from boxqft.suite import run_all_checks
+
+
+def _weights(kind, rows):
+    def plant(monkeypatch):
+        monkeypatch.setitem(propagators._COEFFICIENTS, kind, rows)
+    return plant
+
+
+def _conjugated_bdag_phase(monkeypatch):
+    """Psi's antiquanta term with the quanta term's phase, not its conjugate."""
+    def field_operator(spec, t, x):
+        terms = []
+        for i, (k, w) in enumerate(zip(spec.momenta, spec.frequencies)):
+            c = spec.mode_coefficient(i)
+            phase = cmath.exp(1j * (k * x - w * t))
+            terms.append((c * phase, (("a", i, False),)))
+            terms.append((c * phase, (("b", i, True),)))
+        return fock.ModeOperator(tuple(terms))
+
+    monkeypatch.setattr(fock, "field_operator", field_operator)
+
+
+def _leaky_projection(monkeypatch):
+    """The light-tight projection keeps 1e-6 of the current it was given."""
+    original = absorber.project_light_tight
+
+    def project_light_tight(current, lattice):
+        kept = original(current, lattice).samples
+        return absorber.CurrentDistribution(kept + 1e-6 * current.samples)
+
+    monkeypatch.setattr(absorber, "project_light_tight", project_light_tight)
+
+
+# (row id, planting function, failing checks by number).  The weight rows
+# give a kind's (D+, D-) weights for t > 0, t < 0 and the t = 0 extension.
+AUDIT = [
+    # Known gaps: the three kernel-weight mutants below pass every named
+    # check, because every check that reads RETARDED, ADVANCED or
+    # COMMUTATOR takes both of its routes from the same weight table.
+    # ROADMAP item 14 (each kind as a frequency contour) closes them.
+    ("retarded-t>0-(1,-1)",
+     _weights(KernelKind.RETARDED, ((1.0, -1.0), (0.0, 0.0), (0.0, 0.0))), set()),
+    ("advanced-t<0-(1,1)",
+     _weights(KernelKind.ADVANCED, ((0.0, 0.0), (1.0, 1.0), (0.0, 0.0))), set()),
+    ("commutator-(1,-1)", _weights(KernelKind.COMMUTATOR, ((1.0, -1.0),) * 3), set()),
+    ("time-symmetric-t>0-(1/2,-1/2)",
+     _weights(KernelKind.TIME_SYMMETRIC, ((0.5, -0.5), (-0.5, -0.5), (0.0, 0.0))), {"02"}),
+    ("feynman-t<0-(0,1)",
+     _weights(KernelKind.FEYNMAN, ((1.0, 0.0), (0.0, 1.0), (0.5, -0.5))), {"02", "03"}),
+    ("hadamard-(1/2,1/2)", _weights(KernelKind.HADAMARD, ((0.5, 0.5),) * 3), {"10a"}),
+    # Equivalent: D-(0, x) = -D+(0, x) on this grid, so the Feynman t = 0
+    # extension (1, 0) reads the same values as (1/2, -1/2).
+    ("feynman-t=0-(1,0)",
+     _weights(KernelKind.FEYNMAN, ((1.0, 0.0), (0.0, -1.0), (1.0, 0.0))), set()),
+    ("field-operator-bdag-phase-conjugated", _conjugated_bdag_phase, {"03", "06", "07"}),
+    ("projection-leaks-1e-6", _leaky_projection, {"10h"}),
+]
+
+
+@pytest.fixture()
+def fresh_tables():
+    absorber._difference_table.cache_clear()
+    yield
+    absorber._difference_table.cache_clear()
+
+
+@pytest.mark.parametrize(
+    ("plant", "expected"), [row[1:] for row in AUDIT], ids=[row[0] for row in AUDIT]
+)
+def test_mutant_fails_its_pinned_checks(plant, expected, monkeypatch, fresh_tables):
+    plant(monkeypatch)
+    results = run_all_checks(LatticeSpec(), seed=42)
+    assert {r.name.split("_")[0] for r in results if not r.passed} == expected
+

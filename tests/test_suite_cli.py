@@ -14,6 +14,7 @@ import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import boxqft
+import boxqft.dirac
 import boxqft.fock
 import boxqft.frequency
 import boxqft.propagators
@@ -27,6 +28,7 @@ from boxqft.cli import (
     parse_tolerance_overrides,
     report_schema_version,
 )
+from boxqft.dirac import DegenerateSolutionError
 from boxqft.frequency import QuadratureError
 from boxqft.lattice import LatticeSpec, ValidationError, build_lattice
 from boxqft.propagators import KernelKind, eval_kernel, eval_kernel_grid
@@ -216,8 +218,9 @@ def test_regulated_integral_evaluated_once_per_point(monkeypatch):
 
 def test_run_shares_kernel_sums_matrix_builds_and_norms(monkeypatch):
     """One seed-42 run makes 6 kernel_values calls (01: 2, 01b, 02, 03,
-    10g: 1 each), 33 operator_matrix builds (check 07: P, Psi and two
-    shifted fields per step, 8) and 3 ARPACK runs (07's side-1,024
+    10g: 1 each), 22 operator_matrix builds (04a: 5; 05: 5, one residual
+    operator per draw; 06: 3, one per draw; 07: P, Psi and one shifted
+    difference per step, 5; 07b: 4) and 3 ARPACK runs (07's side-1,024
     norms; 04a, 05 and 06 take dense norms)."""
     counts = {"kernel_values": 0, "operator_matrix": 0, "svds": 0}
 
@@ -234,7 +237,7 @@ def test_run_shares_kernel_sums_matrix_builds_and_norms(monkeypatch):
     counting(boxqft.fock, "operator_matrix")
     counting(scipy.sparse.linalg, "svds")
     assert all_passed(run_all_checks(LatticeSpec(), seed=42))
-    assert counts == {"kernel_values": 6, "operator_matrix": 33, "svds": 3}
+    assert counts == {"kernel_values": 6, "operator_matrix": 22, "svds": 3}
 
 
 def test_check_result_is_frozen():
@@ -587,13 +590,41 @@ def test_rejected_argv_leaves_the_next_run_unaffected(tmp_path, capsys):
     assert (tmp_path / "absorber_summary.json").is_file()
 
 
+@pytest.mark.parametrize(
+    ("argv", "target", "error", "stderr"),
+    [
+        (["verify"], (boxqft.suite, "run_all_checks"),
+         QuadratureError("segment disagrees by 3e-2"),
+         "failure: segment disagrees by 3e-2\n"),
+        (["dirac"], (boxqft.dirac, "plane_wave_solution"),
+         DegenerateSolutionError("expected a 2-dimensional solution space, found 1"),
+         "failure: expected a 2-dimensional solution space, found 1\n"),
+    ],
+    ids=["quadrature", "degenerate-spinor"],
+)
+def test_numerical_failures_exit_1_with_their_message(
+    tmp_path, capsys, monkeypatch, argv, target, error, stderr
+):
+    """Every numerical failure is one type to the command line: exit 1 and
+    ``failure: <message>`` (ARPACK's case is the next test)."""
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(*target, failing)
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == stderr
+
+
 def test_norm_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
 
     monkeypatch.setattr(scipy.sparse.linalg, "svds", no_convergence)
     assert main(["verify", "--out", str(tmp_path)]) == 1
-    assert "failure: ARPACK error -1" in capsys.readouterr().err
+    # ARPACK's message exactly as ARPACK words it
+    assert capsys.readouterr().err == (
+        "failure: ARPACK error -1: ARPACK error -1: No convergence\n"
+    )
     assert not (tmp_path / "verify_report.json").exists()
 
 
@@ -620,11 +651,12 @@ def _scalar_sample_points(rng, box_length, n, min_abs_t):
     return np.array(ts), np.array(xs)
 
 
-@pytest.mark.parametrize("min_abs_t", [0.05, 0.5, 1.9])
+@pytest.mark.parametrize("min_abs_t", [0.0, 0.05, 0.5, 1.9])
 @pytest.mark.parametrize("n", [0, 1, 7, 1000])
 def test_block_sampler_matches_scalar_draws(min_abs_t, n):
     """The block draws of sample_points equal the scalar loop's values and
-    leave the generator in the same state."""
+    leave the generator in the same state, with no t rejected (the
+    default, which checks 01, 06 and 07b draw) or some."""
     for seed in range(30):
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
         got = sample_points(fast, 10.0, n, min_abs_t=min_abs_t)
