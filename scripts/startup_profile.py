@@ -19,12 +19,18 @@ Prints three tables:
    is timed on the tree that has it, and each "sum of rows" covers its
    tree's whole table.
 
+Each fresh-interpreter row of tables 1 and 2 also prints the least peak
+resident set size of its N runs, in MB (MiB, as the benchmark's
+``peak_rss_mb``), read per child from the rusage that ``os.wait4``
+returns when it reaps that child.
+
 With ``--baseline DIR`` every row is timed on both ``DIR/src`` (for
 example a ``git archive`` of the parent commit) and this checkout.  The
 runs alternate between the two trees, the first tree swapping every
 round, so both see the same host load; each row prints both best-of-N
-times and their ratio (this checkout over the baseline).  A row that
-the baseline lacks, or that fails there, prints ``-``.
+times and their ratio (this checkout over the baseline), then both
+peak sizes.  A row that the baseline lacks, or that fails there, prints
+``-``.
 
 BLAS is held at one thread.  Usage:
     python3 scripts/startup_profile.py [--repeat 5] [--baseline DIR]
@@ -115,28 +121,44 @@ def _rounds(repeat: int, n_trees: int):
         yield range(n_trees) if round_ % 2 == 0 else reversed(range(n_trees))
 
 
-def _best_runs(argv: list[str], repeat: int, cwd: str, sources) -> list[tuple[float, str]]:
-    """Best wall time of ``repeat`` fresh interpreters per source tree, the
-    runs alternating between the trees, and each tree's last stdout.  A
-    failure in this checkout raises; one in the baseline reads inf."""
-    best, outs = [math.inf] * len(sources), [""] * len(sources)
+def _run(argv: list[str], cwd: str, env: dict[str, str]) -> tuple[float, float, int, str, str]:
+    """One fresh interpreter: its wall time, its peak resident set size in
+    MB from the rusage os.wait4 returns for it, its exit code, stdout and
+    stderr.  stderr goes to a file, so the child never blocks on a full
+    pipe while stdout is read."""
+    with tempfile.TemporaryFile("w+") as err:
+        start = time.perf_counter()
+        child = subprocess.Popen(argv, cwd=cwd, env=env, text=True,
+                                 stdout=subprocess.PIPE, stderr=err)
+        with child.stdout:
+            out = child.stdout.read()
+        _, status, usage = os.wait4(child.pid, 0)
+        seconds = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        return seconds, usage.ru_maxrss / 1024.0, child.returncode, out, err.read()
+
+
+def _best_runs(argv: list[str], repeat: int, cwd: str,
+               sources) -> list[tuple[float, float, str]]:
+    """Best wall time and least peak RSS (MB) of ``repeat`` fresh
+    interpreters per source tree, the runs alternating between the trees,
+    and each tree's last stdout.  A failure in this checkout raises; one
+    in the baseline reads inf."""
+    best, rss, outs = [math.inf] * len(sources), [math.inf] * len(sources), [""] * len(sources)
     failed = [False] * len(sources)
     for order in _rounds(repeat, len(sources)):
         for i in order:
             if failed[i]:
                 continue
-            start = time.perf_counter()
-            done = subprocess.run(argv, cwd=cwd, env=_env(sources[i]),
-                                  capture_output=True, text=True)
-            seconds = time.perf_counter() - start
-            if done.returncode != 0:
+            seconds, peak, code, out, err = _run(argv, cwd, _env(sources[i]))
+            if code != 0:
                 if sources[i] == SRC:
-                    raise RuntimeError(
-                        f"{' '.join(argv)} exited {done.returncode}:\n{done.stderr}")
-                best[i], failed[i] = math.inf, True
+                    raise RuntimeError(f"{' '.join(argv)} exited {code}:\n{err}")
+                best[i], rss[i], failed[i] = math.inf, math.inf, True
                 continue
-            best[i], outs[i] = min(best[i], seconds), done.stdout
-    return list(zip(best, outs))
+            best[i], rss[i], outs[i] = min(best[i], seconds), min(rss[i], peak), out
+    return list(zip(best, rss, outs))
 
 
 def _header(unit: str, n_trees: int) -> str:
@@ -154,26 +176,38 @@ def _cells(times: list[float], scale: float, digits: int) -> str:
     return " ".join(text)
 
 
+def _rss_header(n_trees: int) -> str:
+    return f"{'peak_MB':>8}" if n_trees == 1 else f"{'base_MB':>8} {'peak_MB':>8}"
+
+
+def _rss_cells(peaks: list[float]) -> str:
+    return " ".join(f"{p:8.1f}" if math.isfinite(p) else f"{'-':>8}" for p in peaks)
+
+
 def import_table(repeat: int, cwd: str, sources) -> None:
     modules = sorted(p.stem for p in (SRC / "boxqft").glob("*.py") if p.stem != "__init__")
-    print(f"{'fresh interpreter':<28} {_header('s', len(sources))} {'scipy_modules':>14}")
+    print(f"{'fresh interpreter':<28} {_header('s', len(sources))} "
+          f"{_rss_header(len(sources))} {'scipy_modules':>14}")
     for label, stmt in [("pass", "pass"), ("import numpy", "import numpy")] + [
         (f"import boxqft.{name}", f"import boxqft.{name}") for name in modules
     ]:
         runs = _best_runs([sys.executable, "-c", COUNT_SCIPY.format(stmt=stmt)],
                           repeat, cwd, sources)
-        scipy_modules = int(runs[-1][1].split()[-1])
-        print(f"{label:<28} {_cells([t for t, _ in runs], 1.0, 3)} {scipy_modules:14d}")
+        scipy_modules = int(runs[-1][2].split()[-1])
+        print(f"{label:<28} {_cells([t for t, _, _ in runs], 1.0, 3)} "
+              f"{_rss_cells([r for _, r, _ in runs])} {scipy_modules:14d}")
 
 
 def subcommand_table(repeat: int, cwd: str, sources) -> None:
     width = max(len(label) for label, _ in SUBCOMMANDS)
-    print(f"\n{'subcommand (fresh interpreter)':<{width}} {_header('s', len(sources))}")
+    print(f"\n{'subcommand (fresh interpreter)':<{width}} {_header('s', len(sources))} "
+          f"{_rss_header(len(sources))}")
     for label, calls in SUBCOMMANDS:
         out = f"--out={pathlib.Path(cwd) / calls[0][0]}"
         argv = [sys.executable, "-c", CLI_CALLS, json.dumps([call + [out] for call in calls])]
         runs = _best_runs(argv, repeat, cwd, sources)
-        print(f"{label:<{width}} {_cells([t for t, _ in runs], 1.0, 3)}")
+        print(f"{label:<{width}} {_cells([t for t, _, _ in runs], 1.0, 3)} "
+              f"{_rss_cells([r for _, r, _ in runs])}")
 
 
 def _union_in_order(tables: list[dict]) -> list[str]:

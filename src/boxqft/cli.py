@@ -23,8 +23,10 @@ the ARPACK norm or the spinor solver, is a
 offending field).  A run that exits 2 writes no file.
 
 Only ``verify`` and ``fock-vev`` import :mod:`boxqft.suite`, inside their
-handlers, and only ``verify`` loads scipy (operator matrices, frequency
-checks); ``kernel``, ``fock-vev``, ``absorber`` and ``dirac`` load none.
+handlers, and only ``verify`` loads scipy, for the sparse operator
+matrices and their norms (``scipy.sparse``); the frequency-plane checks
+run in numpy.  ``kernel``, ``fock-vev``, ``absorber`` and ``dirac`` load
+no scipy.
 
 All file outputs format floats with ``repr`` and sort JSON keys, so
 repeated runs with the same configuration are byte-identical.

@@ -10,8 +10,8 @@ kernel exp(-i w |t|)/(2 w) is the regulated frequency integral
 08a).  :func:`principal_part` is its eps-free principal part, with
 windows of half-width :data:`PRINCIPAL_WINDOW` cut out around the poles,
 and :func:`verify_frequency_split` reassembles the integral from that
-part plus the on-shell delta term (check 08b).  Only the remainder's
-Si/Ci values load scipy, when first evaluated.
+part plus the on-shell delta term (check 08b).  The remainder's Si/Ci
+values come from :func:`_sici`, in numpy, so the module loads no scipy.
 
 Quadrature.  Each piece of either integral is an integrand over an
 interval with interior cuts at its pole locations (see
@@ -25,8 +25,9 @@ as a numpy array: 16 nodes per panel on 64 uniform panels, of which the
 two end panels are graded geometrically over 30 halvings toward the
 segment ends, where the eps-narrow pole structure and the window edges
 sit.  Uniform panels alone leave the two segmentations 0.1-0.3 apart.
-QUADPACK, on scalar integrands of its own in :mod:`boxqft.suite`, is
-the rule's oracle in check 08c; the two share only the segment bounds.
+An adaptive Gauss-Kronrod rule in :mod:`boxqft.suite`, on integrands
+of its own, is the rule's oracle in check 08c; the two share only the
+segment bounds.
 """
 
 from __future__ import annotations
@@ -147,6 +148,65 @@ def _integrate(pieces) -> complex:
     return sum(_dual_quad(fn, a, b, cuts) for fn, a, b, cuts in pieces)
 
 
+#: Euler's constant, the offset of Ci's power series.
+_EULER_GAMMA = 0.5772156649015329
+
+#: Terms of the Si/Ci power series, enough up to x = 2: the first term
+#: left out, 2^27 / (27 * 27!), is below 1e-21.
+_SICI_SERIES_TERMS = 26
+
+#: Most steps the Si/Ci continued fraction may take: it needs 87 just
+#: above x = 2 and fewer as x grows (22 at 10, 5 at 400).
+_SICI_MAX_STEPS = 100
+
+
+def _sici(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sine and cosine integrals Si(x) and Ci(x) of an array of x > 0.
+
+    Up to x = 2 they are summed from their power series,
+    Si = sum_{k odd} (-1)^((k-1)/2) x^k / (k k!) and
+    Ci = gamma + ln x + sum_{k even} (-1)^(k/2) x^k / (k k!);
+    above it they are read from the continued fraction of E1(i x),
+    evaluated by Lentz's method (Numerical Recipes, section 6.9).  A
+    continued fraction not converged in _SICI_MAX_STEPS steps raises
+    QuadratureError.
+    """
+    x = np.asarray(x, dtype=float)
+    si, ci = np.empty_like(x), np.empty_like(x)
+    small = x <= 2.0
+    t = x[small]
+    k = np.arange(1, _SICI_SERIES_TERMS + 1)
+    # x^k / (k k!) with the signs + - - + of k = 1, 2, 3, 4 repeating
+    terms = np.cumprod(t[:, None] / k, axis=1) / k * np.where(k % 4 < 2, 1.0, -1.0)
+    si[small] = terms[:, ::2].sum(axis=1)
+    ci[small] = terms[:, 1::2].sum(axis=1) + np.log(t) + _EULER_GAMMA
+
+    t = x[~small]
+    b = 1.0 + 1j * t
+    c = np.full(t.shape, 1e300 + 0j)  # Lentz's start, 1/tiny
+    d = h = 1.0 / b
+    converged = np.zeros(t.shape, dtype=bool)
+    for step in range(2, _SICI_MAX_STEPS + 1):
+        if converged.all():
+            break
+        a = -((step - 1.0) ** 2)
+        b = b + 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h = np.where(converged, h, h * delta)
+        converged |= np.abs(delta.real - 1.0) + np.abs(delta.imag) < np.finfo(float).eps
+    if not converged.all():
+        raise QuadratureError(
+            f"Si/Ci continued fraction not converged in {_SICI_MAX_STEPS} steps "
+            f"at x = {float(t[~converged][0])!r}"
+        )
+    h = (np.cos(t) - 1j * np.sin(t)) * h
+    si[~small] = 0.5 * np.pi + h.imag
+    ci[~small] = -h.real
+    return si, ci
+
+
 def _tail_completion(w: float, t: float, cutoff: float) -> complex:
     """Analytic value of (1/2pi) int_{|nu|>Omega} exp(-i nu t)/(nu^2-w^2) * i dnu.
 
@@ -156,14 +216,11 @@ def _tail_completion(w: float, t: float, cutoff: float) -> complex:
     carries an irreducible -i/(pi*Omega) style bias that dominates at
     small |t|.
     """
-    from scipy.special import sici
-
     tau = abs(t)
     if tau == 0.0:
         c = np.log((cutoff + w) / (cutoff - w)) / (2.0 * w)
     else:
-        si_p, ci_p = sici((cutoff + w) * tau)
-        si_m, ci_m = sici((cutoff - w) * tau)
+        (si_p, si_m), (ci_p, ci_m) = _sici(np.array([cutoff + w, cutoff - w]) * tau)
         c = (np.cos(w * tau) * (ci_p - ci_m) - np.sin(w * tau) * (np.pi - si_m - si_p)) / (2.0 * w)
     return 1j * c / np.pi
 

@@ -1,17 +1,23 @@
 """Regulated frequency-plane representation of the per-mode kernel."""
+import cmath
+import functools
+import math
 import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning
+from scipy.integrate import IntegrationWarning, quad
+from scipy.special import sici
 
 import boxqft.frequency
+import boxqft.suite
 from boxqft.frequency import (
     FrequencyIntegralSpec,
     QuadratureError,
     _dual_quad,
     _quad_segment,
+    _sici,
     frequency_integral_feynman,
     principal_part,
     quadrature_pieces,
@@ -20,7 +26,7 @@ from boxqft.frequency import (
 )
 from boxqft.frequency import _RULE_NODES
 from boxqft.lattice import ValidationError
-from boxqft.suite import _oracle_integrands, _quadpack_segment
+from boxqft.suite import _kronrod_rule, _kronrod_segments, _oracle_integrands
 
 POINTS = ((1.0, 0.0), (1.0, 2.0), (2.0, -1.0))
 
@@ -29,6 +35,48 @@ def _spec(w, t, **kwargs):
     defaults = dict(epsilon=1e-6, frequency_cutoff=200.0)
     defaults.update(kwargs)
     return FrequencyIntegralSpec(mode_frequency=w, time=t, **defaults)
+
+
+def _segments(spec):
+    """(integrand name, lo, hi) of every segment of both segmentations of
+    every piece the dual quadrature integrates: 60 at each of POINTS."""
+    return [
+        (fn.__name__, lo, hi)
+        for fn, a, b, interior in quadrature_pieces(spec)
+        for cuts in segmentations(a, b, interior)
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
+
+
+def _quadpack_segment(fn, a, b):
+    """QUADPACK on the real and imaginary parts of a complex scalar
+    integrand over [a, b].  Its own error estimate saturates on the
+    eps-narrow pole kinks even when the value is converged, so only its
+    IntegrationWarning is silenced."""
+    kw = dict(limit=800, epsabs=1e-10, epsrel=1e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        re = quad(lambda v: fn(v).real, a, b, **kw)[0]
+        im = quad(lambda v: fn(v).imag, a, b, **kw)[0]
+    return re + 1j * im
+
+
+@functools.cache
+def _quadpack_values(w, t):
+    """QUADPACK's value of every segment of _segments at (w, t), keyed by
+    (integrand name, lo, hi): the tier-1 oracle of both routes of check
+    08c.  It integrates scalar cmath integrands of its own, written from
+    the spec like the suite's numpy twins but sharing no code with them."""
+    spec = _spec(w, t)
+    eps = spec.epsilon
+    slope, offset = -1j * math.sin(w * t) / w, math.cos(w * t)
+    integrands = {
+        "full": lambda nu: cmath.exp(-1j * nu * t) * 1j / (nu * nu - w * w + 1j * eps),
+        "smooth": lambda nu: (cmath.exp(-1j * nu * t) - (slope * nu + offset))
+        * 1j / (nu * nu - w * w + 1j * eps),
+        "bare": lambda nu: cmath.exp(-1j * nu * t) * 1j / (nu * nu - w * w),
+    }
+    return {seg: _quadpack_segment(integrands[seg[0]], *seg[1:]) for seg in _segments(spec)}
 
 
 @pytest.mark.parametrize(("w", "t"), POINTS)
@@ -144,39 +192,107 @@ def test_quadrature_passes_integrand_warnings_through():
     assert abs(value - (0.5 - 0.5j)) <= 1e-12
 
 
-def test_quadrature_silences_integration_warning():
-    """The QUADPACK route of check 08c silences only QUADPACK's own
-    IntegrationWarning."""
-
-    def wild(v):
-        # sin(1/v)/v oscillates without bound near 0; QUADPACK reports it
-        # with an IntegrationWarning
-        return complex(np.sin(1.0 / v) / v) if v else 0j
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        _quadpack_segment(wild, -1.0, 1.0)
-
-
 @pytest.mark.parametrize(("w", "t"), POINTS)
 def test_segment_rule_matches_quadpack_on_every_segment(w, t):
     """On the 08a and 08b integrands, every segment of both segmentations
     the dual quadrature cuts takes the same value from the Gauss-Legendre
-    rule as QUADPACK gives on the suite's oracle twin of the integrand."""
-    oracles = _oracle_integrands(_spec(w, t))
-    worst, count = 0.0, 0
-    for fn, a, b, interior in quadrature_pieces(_spec(w, t)):
-        for cuts in segmentations(a, b, interior):
-            for lo, hi in zip(cuts[:-1], cuts[1:]):
-                oracle = _quadpack_segment(oracles[fn.__name__], lo, hi)
-                worst, count = max(worst, abs(_quad_segment(fn, lo, hi) - oracle)), count + 1
-    assert count == 60
+    rule as from QUADPACK."""
+    pieces = {fn.__name__: fn for fn, *_ in quadrature_pieces(_spec(w, t))}
+    quadpack = _quadpack_values(w, t)
+    assert len(quadpack) == 60
+    worst = max(abs(_quad_segment(pieces[name], lo, hi) - value)
+                for (name, lo, hi), value in quadpack.items())
     assert worst <= 1e-12
 
 
 @pytest.mark.parametrize(("w", "t"), POINTS)
+def test_kronrod_oracle_matches_quadpack_on_every_segment(w, t):
+    """Check 08c's oracle, the adaptive Gauss-Kronrod rule on the suite's
+    twins, takes QUADPACK's value on every segment of both segmentations
+    at every point (1.4e-13 at worst seen)."""
+    spec = _spec(w, t)
+    oracles = _oracle_integrands(spec)
+    quadpack = _quadpack_values(w, t)
+    residuals = []
+    for fn, a, b, interior in quadrature_pieces(spec):
+        for cuts in segmentations(a, b, interior):
+            values = _kronrod_segments(oracles[fn.__name__], cuts)
+            for lo, hi, value in zip(cuts[:-1], cuts[1:], values):
+                residuals.append(abs(value - quadpack[(fn.__name__, lo, hi)]))
+    assert len(residuals) == 60
+    assert max(residuals) <= 1e-12
+
+
+def test_kronrod_rule_is_exact_for_monomials_to_its_degree():
+    """The 21-point Kronrod rule integrates x^d over [-1, 1] exactly for
+    d <= 31 and no further; its embedded 10-point Gauss rule, on the
+    odd-indexed nodes, does so for d <= 19."""
+    nodes, weights, gauss_weights = _kronrod_rule()
+    assert np.allclose(nodes[1::2], np.polynomial.legendre.leggauss(10)[0], rtol=0, atol=1e-15)
+
+    def error(nodes, weights, degree):
+        exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+        return abs(np.sum(weights * nodes**degree) - exact)
+
+    assert max(error(nodes, weights, d) for d in range(32)) <= 1e-15
+    assert error(nodes, weights, 32) > 1e-13
+    assert max(error(nodes[1::2], gauss_weights, d) for d in range(20)) <= 1e-15
+    assert error(nodes[1::2], gauss_weights, 20) > 1e-13
+
+
+def test_kronrod_oracle_integrates_each_segment():
+    """One value per segment, each exact for a polynomial the rule holds."""
+    values = _kronrod_segments(lambda v: v**31 + 1j * v**2, [0.0, 1.0, 2.0])
+    expected = [1.0 / 32 + 1j / 3, (2.0**32 - 1.0) / 32 + 7j / 3]
+    assert values == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    ("cap", "value", "integrand", "message"),
+    [
+        # a step every 1e-4 of the segment: bisection cannot settle it
+        ("_KRONROD_MAX_INTERVALS", 64, lambda v: np.sign(np.sin(3e4 * v)) + 0j,
+         "more than 64 intervals"),
+        # a kink takes more than two rounds of bisection toward it
+        ("_KRONROD_MAX_ROUNDS", 2, lambda v: np.abs(v - 1.0 / 3.0) + 0j,
+         "not converged in 2 rounds"),
+        ("_KRONROD_MAX_ROUNDS", 50, lambda v: np.full(v.shape, np.nan + 0j),
+         "non-finite integrand value"),
+    ],
+)
+def test_kronrod_oracle_raises_at_its_bounds(monkeypatch, cap, value, integrand, message):
+    monkeypatch.setattr(boxqft.suite, cap, value)
+    with pytest.raises(QuadratureError, match=message):
+        _kronrod_segments(integrand, [0.0, 0.5, 1.0])
+
+
+# Ci's first root, where its relative error is unbounded.
+_CI_ROOT = 0.6165054856207162
+
+
+def test_sici_matches_scipy_over_its_range():
+    """Si and Ci against scipy.special.sici on a log grid over 1e-8..1e4,
+    with x = 2 (where the series hands over to the continued fraction),
+    the next float above it and Ci's first root.  Ci changes sign there
+    and at every root of its oscillating tail, so its error is held
+    relative to |Ci| plus its envelope min(1, 1/x)."""
+    x = np.concatenate((np.logspace(-8, 4, 2001), [2.0, np.nextafter(2.0, 3.0), _CI_ROOT]))
+    si, ci = _sici(x)
+    ref_si, ref_ci = sici(x)
+    assert np.all(np.abs(si - ref_si) <= 2e-15 * np.abs(ref_si))
+    assert np.all(np.abs(ci - ref_ci) <= 4e-15 * (np.abs(ref_ci) + np.minimum(1.0, 1.0 / x)))
+    assert abs(ci[-1]) <= 2e-16
+
+
+def test_sici_continued_fraction_that_does_not_converge_raises(monkeypatch):
+    monkeypatch.setattr(boxqft.frequency, "_SICI_MAX_STEPS", 4)
+    with pytest.raises(QuadratureError, match="not converged in 4 steps at x = 402.0"):
+        _sici(np.array([1.0, 402.0]))
+
+
+@pytest.mark.parametrize(("w", "t"), POINTS)
 def test_oracle_integrands_match_the_rule_integrands_at_its_nodes(w, t):
-    """Every integrand quadrature_pieces names has a cmath twin in the
+    """Every integrand quadrature_pieces names has a numpy twin in the
     suite, and the two agree to 1e-15 relative (about 4 ulp; 1 ulp seen)
     at the rule's nodes on every segment of both segmentations."""
     spec = _spec(w, t)
@@ -189,26 +305,9 @@ def test_oracle_integrands_match_the_rule_integrands_at_its_nodes(w, t):
             for lo, hi in zip(cuts[:-1], cuts[1:]):
                 length = hi - lo
                 nodes = np.concatenate((lo + length * _RULE_NODES, hi - length * _RULE_NODES))
-                twin = np.array([oracle(nu) for nu in nodes.tolist()])
+                twin = oracle(nodes)
                 assert np.all(np.abs(fn(nodes) - twin) <= 1e-15 * np.abs(twin))
     assert names == set(oracles) == {"full", "smooth", "bare"}
-
-
-def test_quadpack_segment_evaluates_each_abscissa_once():
-    """The real and imaginary QUADPACK passes share their abscissae, and
-    the integrand is evaluated once per distinct one."""
-    seen = []
-    full = _oracle_integrands(_spec(1.0, 2.0))["full"]
-
-    def counting(nu):
-        seen.append(nu)
-        return full(nu)
-
-    value = _quadpack_segment(counting, 3.0, 101.5)
-    assert len(seen) == len(set(seen)) > 21  # more than one 21-point Kronrod panel
-    seen.clear()
-    assert _quadpack_segment(counting, 3.0, 101.5) == value  # nothing kept across calls
-    assert len(seen) == len(set(seen)) > 21
 
 
 def test_quadrature_pieces_are_those_integrated(monkeypatch):

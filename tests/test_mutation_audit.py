@@ -12,10 +12,11 @@ named check lets through today.  The gaps are pinned as they stand, not
 dropped, so closing one is a visible change to this table.
 """
 import cmath
+from dataclasses import replace
 
 import pytest
 
-from boxqft import absorber, fock, propagators
+from boxqft import absorber, fock, frequency, propagators
 from boxqft.lattice import LatticeSpec
 from boxqft.propagators import KernelKind
 from boxqft.suite import run_all_checks
@@ -52,6 +53,30 @@ def _leaky_projection(monkeypatch):
     monkeypatch.setattr(absorber, "project_light_tight", project_light_tight)
 
 
+def _flipped_epsilon(monkeypatch):
+    """The regulated integrands ``full`` and ``smooth`` of the frequency
+    plane with their poles displaced by -i eps; the closed-form integral
+    of the subtracted interpolant keeps +i eps."""
+    original = frequency._feynman_pieces
+
+    def _feynman_pieces(spec):
+        pieces, _ = original(replace(spec, epsilon=-spec.epsilon))
+        return pieces, original(spec)[1]
+
+    monkeypatch.setattr(frequency, "_feynman_pieces", _feynman_pieces)
+
+
+def _negated_ci(monkeypatch):
+    """The frequency tail completion reads -Ci in place of Ci."""
+    original = frequency._sici
+
+    def _sici(x):
+        si, ci = original(x)
+        return si, -ci
+
+    monkeypatch.setattr(frequency, "_sici", _sici)
+
+
 # (row id, planting function, failing checks by number).  The weight rows
 # give a kind's (D+, D-) weights for t > 0, t < 0 and the t = 0 extension.
 AUDIT = [
@@ -75,6 +100,12 @@ AUDIT = [
      _weights(KernelKind.FEYNMAN, ((1.0, 0.0), (0.0, -1.0), (1.0, 0.0))), set()),
     ("field-operator-bdag-phase-conjugated", _conjugated_bdag_phase, {"03", "06", "07"}),
     ("projection-leaks-1e-6", _leaky_projection, {"10h"}),
+    # 08a and 08b hold the whole integral, where the flip moves only the
+    # eps-wide pole structure; 08c holds each segment against its twin.
+    ("regulated-integrand-epsilon-flipped", _flipped_epsilon, {"08c"}),
+    # 08b passes: the principal part and the regulated integral share the
+    # tail, which cancels in their difference.
+    ("tail-ci-negated", _negated_ci, {"08a"}),
 ]
 
 

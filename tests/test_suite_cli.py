@@ -199,6 +199,53 @@ def test_principal_part_failure_reports_only_08b(monkeypatch):
     assert all(r.passed for r in results if not r.name.startswith("08b"))
 
 
+@pytest.mark.parametrize(
+    ("module", "bound", "checks", "message"),
+    [
+        (boxqft.frequency, "_SICI_MAX_STEPS",
+         ("08a_frequency_integral_target", "08b_frequency_split_reassembly"),
+         "Si/Ci continued fraction not converged in 3 steps at x = 402.0"),
+        (boxqft.suite, "_KRONROD_MAX_ROUNDS", ("08c_frequency_quadrature_vs_quadpack",),
+         "Gauss-Kronrod oracle not converged in 3 rounds"),
+    ],
+)
+def test_si_ci_and_kronrod_failures_report_inf(monkeypatch, module, bound, checks, message):
+    """The Si/Ci continued fraction and 08c's Gauss-Kronrod oracle, cut
+    short, raise QuadratureError, which reports their checks as inf with
+    a warning that names them; every other check passes."""
+    monkeypatch.setattr(module, bound, 3)
+    with pytest.warns(RuntimeWarning) as caught:
+        results = run_all_checks(LatticeSpec(), seed=42)
+    assert [str(w.message) for w in caught] == [
+        f"check {', '.join(checks)} reported as inf: {message}"
+    ]
+    for result in results:
+        if result.name in checks:
+            assert result.max_residual == math.inf and not result.passed
+        else:
+            assert result.passed
+
+
+def test_nan_residual_fails_and_verify_exits_1(monkeypatch, tmp_path, capsys):
+    """A NaN residual reads as a FAIL: the suite's reductions keep it,
+    where builtin max(0.0, nan) is 0.0, and ``verify`` exits 1."""
+    monkeypatch.setattr(boxqft.fock, "momentum_sign_check", lambda *args: math.nan)
+    results = {r.name: r for r in run_all_checks(LatticeSpec(), seed=42)}
+    nan_check = results.pop("05_momentum_sign_reversal")
+    assert math.isnan(nan_check.max_residual) and not nan_check.passed
+    assert all(r.passed for r in results.values())
+    assert main(["verify", "--out", str(tmp_path)]) == 1
+    assert "FAIL 05_momentum_sign_reversal max_residual=nan" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_worst_residual_keeps_a_nan_in_any_position(position):
+    residuals = [0.0, 1e-3, 2.0]
+    residuals[position] = math.nan
+    assert math.isnan(boxqft.suite._worst(residuals))
+    assert boxqft.suite._worst([0.0, 1e-3, 2.0]) == 2.0
+
+
 def test_regulated_integral_evaluated_once_per_point(monkeypatch):
     """08a and 08b share one regulated integral per frequency point, and
     nothing computed in one run is reused by the next."""
@@ -525,6 +572,18 @@ def test_fock_and_kernel_core_load_apart(module, absent):
     mode-sum kernels each load without the other."""
     code = f"import sys, {module}; print({absent!r} in sys.modules)"
     assert _fresh_interpreter(code) == "False"
+
+
+def test_verify_loads_neither_scipy_integrate_nor_special(tmp_path):
+    """``verify`` integrates and reads Si/Ci in numpy: of scipy it loads
+    only the sparse matrices and their norms."""
+    code = (
+        "import sys; from boxqft.cli import main; "
+        f"code = main(['verify', '--out', {str(tmp_path)!r}]); "
+        f"print(code, 'scipy.sparse.linalg' in sys.modules, "
+        f"[m for m in {_SCIPY_MODULES} if m.split('.')[1:2] in (['integrate'], ['special'])])"
+    )
+    assert _fresh_interpreter(code).splitlines()[-1] == "0 True []"
 
 
 def test_importing_the_cli_and_kernel_modules_loads_no_scipy():
