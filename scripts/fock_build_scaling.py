@@ -10,16 +10,17 @@ entries, and the step in the process's peak resident set size
 (ru_maxrss) across both.  Sizes run in ascending order, so each step is
 the extra memory that size needed above every smaller one; a step of 0
 means it fit in pages already touched.  One untimed call at dimension
-64 runs first, so scipy's import, which ``boxqft.fock`` defers to its
-first matrix, lands in no row.  Times are the best of ``--repeat`` runs.
+64 runs first, so first-call costs (LAPACK's workspace queries, numpy's
+dispatch caches) land in no row.  Times are the best of ``--repeat`` runs.
 
 A second table times both norm routes of ``matrix_norm`` on the field
 operator at sides 9 to 1,024 (mode sets of 1 to 5 central modes at
 ceilings 1 to 31): the exact dense 2-norm (LAPACK on ``toarray()``) and
-ARPACK ``svds`` from the fixed start vector, with the faster route, the
-relative difference of the two norms and the route ``matrix_norm`` takes
-(dense up to ``fock.DENSE_NORM_MAX_SIDE``).  It is the measurement that
-sets that threshold.
+Lanczos on A^H A from the fixed start vector (``fock._lanczos_norm``),
+with the faster route, the relative difference of the two norms and the
+route ``matrix_norm`` takes (dense up to ``fock.DENSE_NORM_MAX_SIDE``).
+It is the measurement that sets that threshold.  Pin BLAS to one thread
+(``OPENBLAS_NUM_THREADS=1``) to read it as the threshold's comment does.
 
 Usage:
     python3 scripts/fock_build_scaling.py [--half-widths 1,2,3,4]
@@ -54,6 +55,25 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def norm_row(lattice, half_width: int, ceiling: int, rng, repeat: int):
+    """One row of the norm table: (side, best dense seconds, best Lanczos
+    seconds, relative difference of the two norms, route matrix_norm
+    takes), over ``repeat`` field operators at points drawn from ``rng``."""
+    spec = mode_spec_from_lattice(lattice, max_occupation=ceiling, half_width=half_width)
+    dense_s = lanczos_s = float("inf")
+    for _ in range(repeat):
+        t, x = rng.uniform(-2.0, 2.0), rng.uniform(0.0, spec.box_length)
+        mat = operator_matrix(field_operator(spec, float(t), float(x)), spec)
+        start = time.perf_counter()
+        dense = float(np.linalg.norm(mat.toarray(), 2))
+        dense_s = min(dense_s, time.perf_counter() - start)
+        start = time.perf_counter()
+        lanczos = fock._lanczos_norm(mat)
+        lanczos_s = min(lanczos_s, time.perf_counter() - start)
+    route = "dense" if spec.basis_dim <= fock.DENSE_NORM_MAX_SIDE else "lanczos"
+    return spec.basis_dim, dense_s, lanczos_s, abs(dense - lanczos) / dense, route
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--half-widths", default="1,2,3,4",
@@ -86,24 +106,12 @@ def main() -> None:
               f"{mat.nnz:9d} {step:12.1f}")
 
     print()
-    print(f"{'side':>6} {'dense_ms':>10} {'svds_ms':>10} {'faster':>7} {'rel_diff':>10} "
+    print(f"{'side':>6} {'dense_ms':>10} {'lanczos_ms':>10} {'faster':>7} {'rel_diff':>10} "
           f"{'matrix_norm':>12}")
     for h, ceiling in NORM_MODE_SETS:
-        spec = mode_spec_from_lattice(lattice, max_occupation=ceiling, half_width=h)
-        side = spec.basis_dim
-        dense_s = svds_s = float("inf")
-        for _ in range(args.repeat):
-            t, x = rng.uniform(-2.0, 2.0), rng.uniform(0.0, spec.box_length)
-            mat = operator_matrix(field_operator(spec, float(t), float(x)), spec)
-            start = time.perf_counter()
-            dense = float(np.linalg.norm(mat.toarray(), 2))
-            dense_s = min(dense_s, time.perf_counter() - start)
-            start = time.perf_counter()
-            arpack = fock._svds_norm(mat)
-            svds_s = min(svds_s, time.perf_counter() - start)
-        route = "dense" if side <= fock.DENSE_NORM_MAX_SIDE else "svds"
-        print(f"{side:6d} {1e3 * dense_s:10.3f} {1e3 * svds_s:10.3f} "
-              f"{'dense' if dense_s < svds_s else 'svds':>7} {abs(dense - arpack) / dense:10.1e} "
+        side, dense_s, lanczos_s, rel_diff, route = norm_row(lattice, h, ceiling, rng, args.repeat)
+        print(f"{side:6d} {1e3 * dense_s:10.3f} {1e3 * lanczos_s:10.3f} "
+              f"{'dense' if dense_s < lanczos_s else 'lanczos':>7} {rel_diff:10.1e} "
               f"{route:>12}")
 
 

@@ -17,16 +17,14 @@ and validated in :func:`build_run_config` before any subcommand runs.
 
 Exit codes: 0 on success, 1 when an identity check fails its tolerance
 or a numerical routine fails (every such failure, from the quadrature,
-the ARPACK norm or the spinor solver, is a
+the Lanczos norm or the spinor solver, is a
 :class:`~boxqft.lattice.NumericalFailure`, reported on stderr as
 ``failure: <message>``), 2 on invalid input (the message names the
 offending field).  A run that exits 2 writes no file.
 
 Only ``verify`` and ``fock-vev`` import :mod:`boxqft.suite`, inside their
-handlers, and only ``verify`` loads scipy, for the sparse operator
-matrices and their norms (``scipy.sparse``); the frequency-plane checks
-run in numpy.  ``kernel``, ``fock-vev``, ``absorber`` and ``dirac`` load
-no scipy.
+handlers, which keeps its import out of the other subcommands' startup.
+The package runs on numpy alone: no subcommand loads scipy.
 
 All file outputs format floats with ``repr`` and sort JSON keys, so
 repeated runs with the same configuration are byte-identical.

@@ -4,14 +4,16 @@ Each momentum mode carries two independent oscillator sectors: quanta
 created by ``a_dag`` and antiquanta created by ``b_dag``.  States are
 sparse maps from occupation tuples to complex amplitudes; operators are
 sums of scaled ladder-factor products that can be applied symbolically
-to states or materialized as sparse CSR matrices, one numpy pass over the
-basis per term.  A check's residual is formed as one operator in that
-algebra and materialized once; CSR arithmetic is left to the routes that
-need it (check 07's commutator, check 04a's scalings).  Matrix norms are spectral norms: the
-exact dense 2-norm up to side ``DENSE_NORM_MAX_SIDE``, ``svds`` started
-from a fixed vector above it, so reruns are bit-identical; only these
-load scipy, and an ``svds`` that does not converge raises
-:class:`~boxqft.lattice.NumericalFailure`.
+to states or materialized as a :class:`FockMatrix`, the matrix stored as
+its diagonals, one numpy pass over the basis per term.  A check's
+residual is formed as one operator in that algebra and materialized
+once; matrix arithmetic is left to the routes that need it (check 07's
+commutator, check 04a's scalings).  Matrix norms are spectral norms: the
+exact dense 2-norm up to side ``DENSE_NORM_MAX_SIDE``, Lanczos on A^H A
+from a fixed start vector above it, so reruns are bit-identical.  A
+Lanczos run that does not converge, or a matrix with a non-finite entry,
+raises :class:`~boxqft.lattice.NumericalFailure`.  The module loads no
+scipy.
 
 The module serves as an independent cross-check on the kernel mode sums
 in :mod:`boxqft.propagators`: the time-ordered two-point function
@@ -41,16 +43,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .lattice import Lattice, NumericalFailure, ValidationError, omega
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 __all__ = [
+    "FockMatrix",
     "FockState",
     "ModeOperator",
     "ModeSpec",
@@ -317,6 +317,14 @@ def _check_modes(op: ModeOperator, n_modes: int) -> None:
                 raise ValidationError(f"mode index {mode} outside mode set of size {n_modes}")
 
 
+def _require_finite(**values: float) -> None:
+    """Raise a validation error naming the first of ``values`` that is
+    not finite: a nan or inf time or position has no field operator."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
+
+
 def apply(op: ModeOperator, state: FockState) -> FockState:
     """Apply an operator to a state with sqrt(n) ladder factors.
 
@@ -371,8 +379,10 @@ def field_operator(spec: ModeSpec, t: float, x: float) -> ModeOperator:
 
     ``Psi = sum_k c_k (a_k exp(i(k x - w t)) + b_dag_k exp(-i(k x - w t)))``
     with box normalization ``c_k = 1/sqrt(2 w_k L)``.  The adjoint field
-    is ``field_operator(spec, t, x).adjoint()``.
+    is ``field_operator(spec, t, x).adjoint()``.  ``t`` and ``x`` must be
+    finite.
     """
+    _require_finite(t=t, x=x)
     terms: list[tuple[complex, tuple[Factor, ...]]] = []
     for i, (k, w) in enumerate(zip(spec.momenta, spec.frequencies)):
         c = spec.mode_coefficient(i)
@@ -424,19 +434,104 @@ def time_ordered_vev_detail(
 
 
 # ---------------------------------------------------------------------------
-# Matrix materialization
+# Matrices by diagonal
 # ---------------------------------------------------------------------------
 
-def operator_matrix(op: ModeOperator, spec: ModeSpec) -> sp.csr_matrix:
+@dataclass(frozen=True)
+class FockMatrix:
+    """Square complex matrix of side ``dim`` stored as its diagonals.
+
+    ``diagonals[offset][r]`` is the entry at row ``r``, column
+    ``r - offset`` (offset = row - col); positions whose column lies
+    outside the matrix hold zero.  A ladder-factor product lies on one
+    diagonal, so an operator over a few modes fills a few of them, and
+    sums, scalings, products and matvecs are a few whole-array numpy
+    operations per diagonal.
+    """
+
+    dim: int
+    diagonals: Mapping[int, np.ndarray]
+
+    @property
+    def nnz(self) -> int:
+        """Number of nonzero entries."""
+        return sum(int(np.count_nonzero(entries)) for entries in self.diagonals.values())
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros((self.dim, self.dim), dtype=complex)
+        index = np.arange(self.dim)
+        for offset, entries in self.diagonals.items():
+            rows, cols = _overlap(offset, self.dim)
+            dense[index[rows], index[cols]] = entries[rows]
+        return dense
+
+    def __add__(self, other: "FockMatrix") -> "FockMatrix":
+        diagonals = dict(self.diagonals)
+        for offset, entries in other.diagonals.items():
+            diagonals[offset] = diagonals[offset] + entries if offset in diagonals else entries
+        return FockMatrix(self.dim, diagonals)
+
+    def __sub__(self, other: "FockMatrix") -> "FockMatrix":
+        return self + (-other)
+
+    def __neg__(self) -> "FockMatrix":
+        return FockMatrix(self.dim, {offset: -entries for offset, entries in self.diagonals.items()})
+
+    def __mul__(self, scalar: complex) -> "FockMatrix":
+        return FockMatrix(
+            self.dim, {offset: entries * scalar for offset, entries in self.diagonals.items()}
+        )
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other: "FockMatrix") -> "FockMatrix":
+        """Matrix product: C[a + b][r] += A[a][r] B[b][r - a]."""
+        product: dict[int, np.ndarray] = {}
+        for a, left in self.diagonals.items():
+            rows, cols = _overlap(a, self.dim)
+            for b, right in other.diagonals.items():
+                if abs(a + b) < self.dim:
+                    term = np.zeros(self.dim, dtype=complex)
+                    term[rows] = left[rows] * right[cols]
+                    product[a + b] = product[a + b] + term if a + b in product else term
+        return FockMatrix(self.dim, product)
+
+    def matvec(self, vec: np.ndarray) -> np.ndarray:
+        """``A @ vec``: (A vec)[r] is the sum over offsets of A[offset][r] vec[r - offset]."""
+        out = np.zeros(self.dim, dtype=complex)
+        for offset, entries in self.diagonals.items():
+            rows, cols = _overlap(offset, self.dim)
+            out[rows] += entries[rows] * vec[cols]
+        return out
+
+    def rmatvec(self, vec: np.ndarray) -> np.ndarray:
+        """``A^H @ vec``: (A^H vec)[c] is the sum over offsets of
+        conj(A[offset][c + offset]) vec[c + offset], formed as the
+        conjugate of the transposed product with conj(vec)."""
+        vec = vec.conj()
+        out = np.zeros(self.dim, dtype=complex)
+        for offset, entries in self.diagonals.items():
+            rows, cols = _overlap(offset, self.dim)
+            out[cols] += entries[rows] * vec[rows]
+        return out.conj()
+
+
+def _overlap(offset: int, dim: int) -> tuple[slice, slice]:
+    """The rows r of diagonal ``offset`` whose column r - offset lies
+    inside a matrix of side ``dim``, and those columns."""
+    return slice(max(offset, 0), dim + min(offset, 0)), slice(max(-offset, 0), dim - max(offset, 0))
+
+
+def operator_matrix(op: ModeOperator, spec: ModeSpec) -> FockMatrix:
     """Materialize an operator on the truncated occupation basis.
 
-    Returns a complex ``scipy.sparse.csr_matrix``.  Each term pushes all
-    basis indices (mixed-radix over the slots ``a_0.., b_0..``, slot 0 least
-    significant) through its ladder factors, rightmost first as :func:`apply`
-    acts: a factor scales by sqrt(n) or sqrt(n+1), drops the columns that
-    annihilate the vacuum or create above the ceiling, and shifts the index
-    by ``+-base**slot``.  So a term lies on one diagonal; terms add into it
-    in term order and exact zeros are dropped, as :func:`apply` sums them.
+    Each term pushes all basis indices (mixed-radix over the slots
+    ``a_0.., b_0..``, slot 0 least significant) through its ladder factors,
+    rightmost first as :func:`apply` acts: a factor scales by sqrt(n) or
+    sqrt(n+1), drops the columns that annihilate the vacuum or create above
+    the ceiling, and shifts the index by ``+-base**slot``.  So a term lies on
+    one diagonal of the returned :class:`FockMatrix`; terms add into it in
+    term order, as :func:`apply` sums them.
     """
     dim = spec.basis_dim
     if dim > MATRIX_DIMENSION_CAP:
@@ -446,8 +541,6 @@ def operator_matrix(op: ModeOperator, spec: ModeSpec) -> sp.csr_matrix:
         )
     n_modes, ceiling = spec.n_modes, spec.max_occupation
     _check_modes(op, n_modes)
-    import scipy.sparse as sp
-
     base = ceiling + 1
     # roots[n - 1] = sqrt(n): a|n> = sqrt(n)|n-1>, a_dag|n> = sqrt(n+1)|n+1>.
     roots = np.sqrt(np.arange(1.0, base))
@@ -469,73 +562,80 @@ def operator_matrix(op: ModeOperator, spec: ModeSpec) -> sp.csr_matrix:
             if offset not in diagonals:
                 diagonals[offset] = np.zeros(dim, dtype=complex)
             diagonals[offset][rows] += vals
-    if not diagonals:
-        return sp.csr_matrix((dim, dim), dtype=complex)
-    # The CSR arrays straight from the diagonals.  by_row[r, j] is the
-    # entry at (r, r - offsets[j]); with the offsets descending, its flat
-    # order runs through the rows in turn and through each row's columns
-    # in ascending order, so the flat positions of the nonzero entries
-    # (exact zeros are not stored) are the CSR order, row r's in
-    # [r * n, (r + 1) * n) for n diagonals.
-    offsets = np.array(sorted(diagonals, reverse=True))
-    by_row = np.stack([diagonals[offset] for offset in offsets], axis=1)
-    live = np.flatnonzero(by_row != 0)
-    indptr = np.searchsorted(live, np.arange(0, by_row.size + 1, offsets.size))
-    indices = np.subtract.outer(basis, offsets).take(live)
-    return sp.csr_matrix(
-        (by_row.take(live), indices.astype(np.int32), indptr.astype(np.int32)),
-        shape=(dim, dim),
-    )
+    return FockMatrix(dim, diagonals)
 
 
 #: Largest matrix side whose spectral norm is the exact dense 2-norm
 #: (LAPACK's singular values of the dense array); larger matrices take
-#: ARPACK ``svds``.  On the field operator (``scripts/fock_build_scaling.py``,
-#: one BLAS thread) dense is 3-10 times faster up to side 100, the two
-#: tie at sides 144-196 and ``svds`` is 3 times faster at 256.
+#: Lanczos.  On the field operator (``scripts/fock_build_scaling.py``,
+#: one BLAS thread) dense is 2-4 times faster up to side 100 and still
+#: ahead at 144, Lanczos is ahead from 196 and 2 times faster at 256.
 DENSE_NORM_MAX_SIDE = 128
 
+#: Most Lanczos steps a norm may take before it raises; check 07's
+#: residuals take about 30.
+LANCZOS_MAX_STEPS = 300
 
-def matrix_norm(mat) -> float:
-    """Operator (spectral) norm of a sparse matrix.
 
-    A matrix with no side longer than :data:`DENSE_NORM_MAX_SIDE`, or
-    with a side shorter than 3 (too small for ``svds``), takes the exact
-    dense 2-norm from LAPACK, which is faster there than ARPACK's
-    iterations.  Larger matrices take the largest singular value from
-    ARPACK ``svds`` started from a fixed vector, so reruns give identical
-    bits; if it does not converge, :class:`NumericalFailure` is raised
-    from ARPACK's error, with its message.
+def matrix_norm(mat: FockMatrix) -> float:
+    """Operator (spectral) norm of a Fock matrix.
+
+    Up to side :data:`DENSE_NORM_MAX_SIDE` it is the exact dense 2-norm
+    from LAPACK, which is faster there than iterating; above it,
+    :func:`_lanczos_norm`.  A matrix with a non-finite entry has no norm
+    to report, and raises :class:`NumericalFailure`.
     """
-    import scipy.sparse as sp
-
-    mat = sp.csr_matrix(mat, dtype=complex)
-    if mat.count_nonzero() == 0:
-        return 0.0
-    if max(mat.shape) <= DENSE_NORM_MAX_SIDE or min(mat.shape) < 3:
+    if not all(np.isfinite(entries).all() for entries in mat.diagonals.values()):
+        raise NumericalFailure(f"matrix of side {mat.dim} has a non-finite entry")
+    if mat.dim <= DENSE_NORM_MAX_SIDE:
         return float(np.linalg.norm(mat.toarray(), 2))
-    return _svds_norm(mat)
+    return _lanczos_norm(mat)
 
 
-def _svds_norm(mat) -> float:
-    """Largest singular value of a sparse matrix with both sides at least
-    3, from ARPACK ``svds``."""
-    import scipy.sparse.linalg as spla
+def _lanczos_norm(mat: FockMatrix) -> float:
+    """Largest singular value of ``mat``: the square root of the largest
+    Ritz value theta of Hermitian Lanczos on A^H A.
 
-    # A fixed generic start vector: ARPACK's default start is random, so
-    # reruns would differ in the last bits.
-    start = np.random.default_rng(0).standard_normal((2, min(mat.shape)))
-    try:
-        top = spla.svds(
-            mat,
-            k=1,
-            v0=start[0] + 1j * start[1],
-            return_singular_vectors=False,
-            maxiter=5000,
-        )
-    except spla.ArpackNoConvergence as exc:
-        raise NumericalFailure(str(exc)) from exc
-    return float(top[0])
+    The entries are first scaled by a power of two, which changes no
+    bits but the exponents.  The start vector is fixed (``default_rng(0)``),
+    so reruns give identical bits.  Each new vector is orthogonalised against the whole
+    basis twice, in place in one preallocated array.  The run stops once
+    the Ritz residual bound ``beta_k |y_k|`` of theta is at most
+    ``4 eps theta``, or once the basis spans the whole space; a run that
+    takes :data:`LANCZOS_MAX_STEPS` steps without either raises
+    :class:`NumericalFailure`.
+    """
+    # A^H A squares the entries: a power of two (exact) brings the largest
+    # to about 1, so that tiny or huge entries neither under- nor overflow.
+    largest = max((float(np.abs(entries).max()) for entries in mat.diagonals.values()),
+                  default=0.0)
+    scale = math.ldexp(1.0, -math.frexp(largest)[1])
+    mat = mat * scale
+    dim = mat.dim
+    steps = min(LANCZOS_MAX_STEPS, dim)
+    start = np.random.default_rng(0).standard_normal((2, dim))
+    basis = np.empty((steps + 1, dim), dtype=complex)  # one Lanczos vector per row
+    basis[0] = start[0] + 1j * start[1]
+    basis[0] /= np.linalg.norm(basis[0])
+    tridiagonal = np.zeros((steps + 1, steps + 1))  # alphas on the diagonal, betas beside it
+    tolerance = 4.0 * np.finfo(float).eps
+    for k in range(steps):
+        w = mat.rmatvec(mat.matvec(basis[k]))
+        done = basis[:k + 1]
+        coefficients = (done @ w.conj()).conj()
+        tridiagonal[k, k] = coefficients[k].real
+        w -= coefficients @ done
+        w -= (done @ w.conj()).conj() @ done
+        beta = np.linalg.norm(w)
+        ritz, vectors = np.linalg.eigh(tridiagonal[:k + 1, :k + 1])
+        theta = ritz[-1]
+        if beta * abs(vectors[-1, -1]) <= tolerance * theta or k + 1 == dim:
+            return math.sqrt(theta) / scale
+        tridiagonal[k, k + 1] = tridiagonal[k + 1, k] = beta
+        basis[k + 1] = w / beta
+    raise NumericalFailure(
+        f"Lanczos norm of a side-{dim} matrix did not converge in {steps} steps"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +666,11 @@ def antiparticle_phase_check(spec: ModeSpec, mode: int, t: float) -> float:
     With ``b_dag(mode, t) = b_dag(mode) exp(+i w t)``, the analytic time
     derivative gives ``i d/dt b_dag(t) = -w b_dag(t)``.  Returns the
     matrix norm of ``i d/dt b_dag(t) + w b_dag(t)``, zero up to
-    rounding.
+    rounding.  ``t`` must be finite.
     """
     if not 0 <= mode < spec.n_modes:
         raise ValidationError(f"mode index {mode} outside mode set of size {spec.n_modes}")
+    _require_finite(t=t)
     w = spec.frequencies[mode]
     base = operator_matrix(b_dag(mode), spec)
     phase = cmath.exp(1j * w * t)
@@ -613,12 +714,13 @@ def oscillator_quadratures(
     ``a(t) = a exp(-i w t)``; ``'advanced'`` uses ``a exp(+i w t)``.
     ``q = (a(t) + a_dag(t))/sqrt(2)`` is self-adjoint either way, and
     ``p = dq/dt`` carries opposite overall sign between the two
-    choices.
+    choices.  ``t`` must be finite.
     """
     if phase not in ("retarded", "advanced"):
         raise ValidationError(f"phase must be 'retarded' or 'advanced', got {phase!r}")
     if not 0 <= mode < spec.n_modes:
         raise ValidationError(f"mode index {mode} outside mode set of size {spec.n_modes}")
+    _require_finite(t=t)
     w = spec.frequencies[mode]
     sign = -1.0 if phase == "retarded" else 1.0
     # a(t) = a exp(sign * i w t); a_dag(t) is its adjoint.

@@ -19,7 +19,7 @@ MODULES = sorted(f"boxqft.{info.name}" for info in pkgutil.iter_modules(boxqft._
 REMOVED = {
     "boxqft.fock": (
         "confirmation_inner", "hamiltonian_operator", "momentum_operator",
-        "time_ordered_vev", "vev_adjoint_field", "vev_field_adjoint",
+        "time_ordered_vev", "vev_adjoint_field", "vev_field_adjoint", "_svds_norm",
     ),
     "boxqft.lattice": ("is_negation_closed",),
     "boxqft.absorber": ("light_tight_check",),

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from boxqft import fock
 from boxqft.fock import (
     DENSE_NORM_MAX_SIDE,
     MATRIX_DIMENSION_CAP,
+    FockMatrix,
     FockState,
     ModeOperator,
     a_dag,
@@ -200,7 +200,7 @@ def test_adjoint_matches_conjugate_transpose(spec3):
     op = field_operator(spec3, 0.3, 1.2)
     mat = operator_matrix(op, spec3)
     mat_dag = operator_matrix(op.adjoint(), spec3)
-    assert matrix_norm(mat_dag - mat.conj().T) <= 1e-15
+    np.testing.assert_array_equal(mat_dag.toarray(), mat.toarray().conj().T)
 
 
 def test_operator_product_matches_matrix_product():
@@ -335,7 +335,8 @@ def builds(monkeypatch):
 @pytest.mark.parametrize(("t", "x"), [(0.0, 0.0), (0.6, 3.3), (-1.3, 7.1), (1.97, 9.4)])
 def test_one_build_sums_match_csr_arithmetic(spec3, t, x):
     """A + B and A - B materialized as one operator have the entries of A
-    and B materialized apart and added or subtracted in CSR, when every
+    and B materialized apart and added or subtracted, both as Fock
+    matrices and as scipy CSR matrices, when every
     entry gets at most one term from each side, as in the residuals of
     checks 05, 06 and 07.  Those residuals cancel to zero, so the sides
     here are taken at points where they do not."""
@@ -347,8 +348,13 @@ def test_one_build_sums_match_csr_arithmetic(spec3, t, x):
     ]
     for spec, a, b in sides:
         mat_a, mat_b = operator_matrix(a, spec), operator_matrix(b, spec)
-        assert_same_csr(operator_matrix(a + b, spec), mat_a + mat_b)
-        assert_same_csr(operator_matrix(a - b, spec), mat_a - mat_b)
+        csr_a, csr_b = to_csr(mat_a), to_csr(mat_b)
+        for one_build, fock_sum, csr_sum in (
+            (operator_matrix(a + b, spec), mat_a + mat_b, csr_a + csr_b),
+            (operator_matrix(a - b, spec), mat_a - mat_b, csr_a - csr_b),
+        ):
+            assert_same_entries(one_build, csr_sum)
+            assert_same_entries(fock_sum, csr_sum)
 
 
 def test_momentum_sign_and_relabel_checks_build_once(spec3, builds):
@@ -375,6 +381,25 @@ def test_reinterpretation_requires_closed_modes():
         reinterpretation_check(spec, 0.5, 1.0)
 
 
+@pytest.mark.parametrize(("call", "field"), [
+    (lambda spec: antiparticle_phase_check(spec, 0, math.inf), "t"),
+    (lambda spec: momentum_sign_check(spec, 0, math.nan), "t"),
+    (lambda spec: reinterpretation_check(spec, math.nan, 1.0), "t"),
+    (lambda spec: reinterpretation_check(spec, 0.5, -math.inf), "x"),
+    (lambda spec: translation_generator_check(spec, 0.3, math.nan, [0.1]), "x"),
+    (lambda spec: oscillator_quadratures(spec, 0, -math.inf), "t"),
+    (lambda spec: field_operator(spec, 0.2, math.inf), "x"),
+    (lambda spec: time_ordered_vev_detail(spec, (math.nan, 0.0), (0.5, 1.0)), "t"),
+], ids=["phase-inf", "momentum-nan", "relabel-t-nan", "relabel-x-inf", "translation-x-nan",
+        "quadratures-t-inf", "field-x-inf", "vev-t-nan"])
+def test_non_finite_times_and_positions_rejected_naming_the_field(spec3, call, field):
+    """A nan or inf time or position is rejected where it enters, not
+    carried into a matrix whose norm LAPACK cannot take ("SVD did not
+    converge")."""
+    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+        call(spec3)
+
+
 def test_translation_check_is_second_order(spec3):
     coarse, fine = translation_generator_check(spec3, 0.3, 1.7, [0.1, 0.05])
     assert 3.6 < coarse / fine < 4.4
@@ -387,26 +412,26 @@ def test_translation_check_is_second_order_on_wide_window(lattice64_module):
     assert 3.6 < coarse / fine < 4.4
 
 
-def _single_step_translation(spec, t, x, dx):
-    """One step's residual, building P, Psi(t, x) and the commutator for
-    that step alone."""
+def _single_step_residual(spec, t, x, dx):
+    """One step's residual matrix, building P, Psi(t, x) and the
+    commutator for that step alone."""
     p_mat = operator_matrix(fock._number_operator(spec.momenta), spec)
     psi = operator_matrix(field_operator(spec, t, x), spec)
     psi_plus = operator_matrix(field_operator(spec, t, x + dx), spec)
     psi_minus = operator_matrix(field_operator(spec, t, x - dx), spec)
     commutator = p_mat @ psi - psi @ p_mat
     central = (psi_plus - psi_minus) * (1.0 / (2.0 * dx))
-    return matrix_norm(commutator - 1j * central)
+    return commutator - 1j * central
 
 
 @pytest.mark.parametrize("half_width", [1, 2])
 def test_translation_residuals_match_single_step_oracle(lattice64_module, half_width):
-    """Sides 64 (dense norm) and 1,024 (svds): each step's residual has the
+    """Sides 64 (dense norm) and 1,024 (Lanczos): each step's residual has the
     bits of a call that builds everything for that step alone."""
     spec = mode_spec_from_lattice(lattice64_module, max_occupation=1, half_width=half_width)
     dxs = np.array([0.1, 0.05, 0.025, 0.3])
     got = translation_generator_check(spec, -0.6, 8.2, dxs)
-    assert got == [_single_step_translation(spec, -0.6, 8.2, dx) for dx in dxs]
+    assert got == [matrix_norm(_single_step_residual(spec, -0.6, 8.2, dx)) for dx in dxs]
     assert translation_generator_check(spec, -0.6, 8.2, [0.05]) == got[1:2]
 
 
@@ -420,8 +445,8 @@ def test_translation_check_builds_the_commutator_once(spec3, builds):
 
 @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf, -math.inf])
 def test_translation_check_rejects_bad_steps_naming_dx(spec3, bad):
-    """A nan or inf step used to pass ``dx <= 0`` and end in an ARPACK
-    error; every element of the sequence is checked."""
+    """A nan or inf step used to pass ``dx <= 0`` and end in a norm
+    failure; every element of the sequence is checked."""
     for dxs in ([bad], [0.1, bad], (0.05, 0.025, bad)):
         with pytest.raises(ValidationError, match="dx must be finite and positive"):
             translation_generator_check(spec3, 0.3, 1.7, dxs)
@@ -434,8 +459,9 @@ def test_translation_check_rejects_bad_steps_naming_dx(spec3, bad):
 # each basis index, one symbolic ``apply``, rows read back by index) came
 # first; the sparse Kronecker-product build came next, then the same
 # vectorised pass handed to scipy as a DIA matrix and converted to CSR.
-# All sum the terms in term order, so all match the build bit for bit, and
-# the two CSR oracles store the same arrays.
+# All sum the terms in term order, so all match the build bit for bit.  A
+# Fock matrix meets the two CSR oracles through ``to_csr``, which reads its
+# diagonals into scipy's COO format and knows nothing else of the type.
 
 def basis_index(spec, na, nb):
     """Mixed-radix index of an occupation pair (mode 0 least significant)."""
@@ -524,14 +550,38 @@ def dia_matrix(op, spec):
     return scipy.sparse.dia_matrix((stacked, offsets), shape=(dim, dim)).tocsr()
 
 
-def assert_same_csr(mat, oracle):
-    """Equal stored entries in equal order and of equal dtypes, so every
-    matvec sums alike."""
-    assert mat.has_sorted_indices and oracle.has_sorted_indices
-    for got, want in ((mat.indptr, oracle.indptr), (mat.indices, oracle.indices),
-                      (mat.data, oracle.data)):
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
+def to_csr(mat):
+    """scipy CSR copy of a Fock matrix: the nonzero entries of each
+    diagonal, at (row, row - offset), through COO.  Every entry it keeps
+    must lie inside the matrix."""
+    rows, cols, data = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0, complex)]
+    for offset, entries in mat.diagonals.items():
+        assert entries.shape == (mat.dim,) and entries.dtype == complex
+        live = np.flatnonzero(entries)
+        assert ((live - offset >= 0) & (live - offset < mat.dim)).all()
+        rows.append(live)
+        cols.append(live - offset)
+        data.append(entries[live])
+    coo = scipy.sparse.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(mat.dim, mat.dim),
+    )
+    return coo.tocsr()
+
+
+def assert_same_entries(mat, oracle):
+    """The Fock matrix ``mat`` holds exactly the nonzero entries of the
+    scipy matrix ``oracle``, at the same places and with the same bits."""
+    assert isinstance(mat, FockMatrix)
+    got = to_csr(mat)
+    want = scipy.sparse.csr_matrix(oracle, dtype=complex, copy=True)
+    want.eliminate_zeros()
+    got.sort_indices()
+    want.sort_indices()
+    assert got.shape == want.shape and mat.nnz == want.nnz
+    for got_part, want_part in ((got.indptr, want.indptr), (got.indices, want.indices),
+                                (got.data, want.data)):
+        np.testing.assert_array_equal(got_part, want_part)
 
 
 def random_mode_operator(rng, n_modes, n_terms=4, max_factors=3, min_factors=0):
@@ -544,6 +594,20 @@ def random_mode_operator(rng, n_modes, n_terms=4, max_factors=3, min_factors=0):
         coeff = complex(rng.standard_normal(), rng.standard_normal())
         terms.append((coeff, factors))
     return ModeOperator(tuple(terms))
+
+
+def random_fock_matrix(rng, side, n_diagonals=4):
+    """Fock matrix with ``n_diagonals`` random diagonals (at most all
+    2 side - 1 of them) of random complex entries."""
+    offsets = rng.choice(np.arange(1 - side, side), size=min(n_diagonals, 2 * side - 1),
+                         replace=False)
+    rows = np.arange(side)
+    diagonals = {}
+    for offset in offsets.tolist():
+        entries = rng.standard_normal(side) + 1j * rng.standard_normal(side)
+        entries[(rows - offset < 0) | (rows - offset >= side)] = 0.0
+        diagonals[offset] = entries
+    return FockMatrix(side, diagonals)
 
 
 def test_basis_index_round_trip():
@@ -566,10 +630,10 @@ def test_kronecker_matrix_matches_column_apply_oracle(n_modes, ceiling, seed):
     spec = make_mode_spec(TWO_PI_OVER_L * np.arange(n_modes), 1.0, L, ceiling)
     op = random_mode_operator(rng, n_modes)
     mat = operator_matrix(op, spec)
-    assert isinstance(mat, scipy.sparse.csr_matrix)
+    assert isinstance(mat, FockMatrix)
     np.testing.assert_array_equal(mat.toarray(), column_matrix(op, spec))
-    assert_same_csr(mat, kronecker_matrix(op, spec))
-    assert_same_csr(mat, dia_matrix(op, spec))
+    assert_same_entries(mat, kronecker_matrix(op, spec))
+    assert_same_entries(mat, dia_matrix(op, spec))
 
 
 def _verify_shape_cases():
@@ -595,9 +659,45 @@ def _verify_shape_cases():
 @pytest.mark.parametrize(("op", "spec"), _verify_shape_cases())
 def test_matrix_build_matches_both_oracles_on_verify_shapes(op, spec):
     mat = operator_matrix(op, spec)
-    assert_same_csr(mat, kronecker_matrix(op, spec))
-    assert_same_csr(mat, dia_matrix(op, spec))
+    assert_same_entries(mat, kronecker_matrix(op, spec))
+    assert_same_entries(mat, dia_matrix(op, spec))
     np.testing.assert_array_equal(mat.toarray(), column_matrix(op, spec))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fock_matrix_arithmetic_matches_csr(seed):
+    """Every operation of a Fock matrix against the same operation on its
+    CSR copy: sums, differences, negation and scalings bit for bit;
+    products and both matvecs, whose entries sum several terms in an order
+    of their own, to rounding."""
+    rng = np.random.default_rng(seed)
+    spec = make_mode_spec([0.0, TWO_PI_OVER_L], 1.0, L, 2)  # dim 81
+    a, b = (operator_matrix(random_mode_operator(rng, 2, n_terms=6), spec) for _ in range(2))
+    csr_a, csr_b = to_csr(a), to_csr(b)
+    scalar = complex(rng.standard_normal(), rng.standard_normal())
+    assert_same_entries(a + b, csr_a + csr_b)
+    assert_same_entries(a - b, csr_a - csr_b)
+    assert_same_entries(-a, -csr_a)
+    assert_same_entries(a * scalar, csr_a * scalar)
+    assert_same_entries(np.complex128(scalar) * a, csr_a * scalar)
+    assert_same_entries(2.5 * a, csr_a * 2.5)
+    np.testing.assert_array_equal(a.toarray(), csr_a.toarray())
+    product = (csr_a @ csr_b).toarray()
+    np.testing.assert_allclose((a @ b).toarray(), product, rtol=0,
+                               atol=1e-14 * np.abs(product).max())
+    vec = rng.standard_normal(spec.basis_dim) + 1j * rng.standard_normal(spec.basis_dim)
+    for got, want in ((a.matvec(vec), csr_a @ vec), (a.rmatvec(vec), csr_a.conj().T @ vec)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
+def test_check_07_commutator_matches_csr_bit_for_bit(lattice64_module):
+    """P is diagonal, so every entry of P Psi - Psi P is one product less
+    one product, and the Fock-matrix commutator has the CSR one's bits."""
+    spec = mode_spec_from_lattice(lattice64_module, max_occupation=1, half_width=2)
+    p_mat = operator_matrix(fock._number_operator(spec.momenta), spec)
+    psi = operator_matrix(field_operator(spec, -0.6, 8.2), spec)
+    csr_p, csr_psi = to_csr(p_mat), to_csr(psi)
+    assert_same_entries(p_mat @ psi - psi @ p_mat, csr_p @ csr_psi - csr_psi @ csr_p)
 
 
 def test_exactly_cancelling_terms_store_nothing():
@@ -606,9 +706,8 @@ def test_exactly_cancelling_terms_store_nothing():
     gone = 0.7 * (a_dag(1) @ a_op(0)) - 0.25j * b_dag(0)
     assert operator_matrix(gone - gone, spec).nnz == 0
     mat = operator_matrix(gone + kept - gone, spec)
-    assert mat.count_nonzero() == mat.nnz  # no explicit zeros stored
-    assert_same_csr(mat, operator_matrix(kept, spec))
-    assert_same_csr(mat, dia_matrix(gone + kept - gone, spec))
+    assert_same_entries(mat, to_csr(operator_matrix(kept, spec)))
+    assert_same_entries(mat, dia_matrix(gone + kept - gone, spec))
 
 
 def test_all_zero_coefficients_give_empty_complex_matrix():
@@ -616,9 +715,9 @@ def test_all_zero_coefficients_give_empty_complex_matrix():
     zeroed = 0.0 * (a_dag(0) @ b_op(1)) + 0j * field_operator(spec, 0.2, 1.0)
     for op in (ModeOperator.zero(), zeroed):
         mat = operator_matrix(op, spec)
-        assert isinstance(mat, scipy.sparse.csr_matrix)
-        assert mat.shape == (spec.basis_dim, spec.basis_dim) and mat.dtype == complex
-        assert mat.nnz == 0
+        assert isinstance(mat, FockMatrix)
+        assert mat.dim == spec.basis_dim and mat.toarray().dtype == complex
+        assert mat.nnz == 0 and not mat.toarray().any()
 
 
 def test_matrix_cap_rejects_before_allocating():
@@ -653,17 +752,30 @@ def test_operator_matrix_rejects_mode_outside_set(spec3):
 
 
 def test_dense_and_sparse_matrix_paths():
-    # dimensions that once took separate dense and sparse paths: both CSR now
+    # dimensions that once took separate dense and sparse paths: one Fock matrix now
     small = make_mode_spec([0.0], 1.0, L, 1)  # dim 4
-    small_mat = operator_matrix(a_dag(0), small)
-    assert isinstance(small_mat, scipy.sparse.csr_matrix)
-    assert matrix_norm(small_mat) == pytest.approx(1.0)
-
     momenta = [TWO_PI_OVER_L * n for n in range(-3, 4)]
     big = make_mode_spec(momenta, 1.0, L, 1)  # dim 2^14
-    big_mat = operator_matrix(a_dag(0), big)
-    assert isinstance(big_mat, scipy.sparse.csr_matrix)
-    assert matrix_norm(big_mat) == pytest.approx(1.0)
+    for spec in (small, big):
+        mat = operator_matrix(a_dag(0), spec)
+        assert isinstance(mat, FockMatrix)
+        assert_same_entries(mat, kronecker_matrix(a_dag(0), spec))
+        assert matrix_norm(mat) == pytest.approx(1.0)
+
+
+# --- matrix norms -------------------------------------------------------------
+#
+# ARPACK ``svds``, the sparse norm before Lanczos, and LAPACK's dense
+# 2-norm are the oracles of ``matrix_norm``'s Lanczos route.
+
+def svds_norm(mat):
+    """Largest singular value of a Fock matrix from ARPACK ``svds``, on its
+    CSR copy, started from a fixed vector."""
+    start = np.random.default_rng(0).standard_normal((2, mat.dim))
+    return float(scipy.sparse.linalg.svds(
+        to_csr(mat), k=1, v0=start[0] + 1j * start[1], return_singular_vectors=False,
+        maxiter=5000,
+    )[0])
 
 
 def test_matrix_norm_is_reproducible_and_matches_dense():
@@ -675,59 +787,100 @@ def test_matrix_norm_is_reproducible_and_matches_dense():
 
 
 def test_matrix_norm_of_tiny_matrix_is_exact():
-    mat = scipy.sparse.csr_matrix(np.array([[3.0, 0.0], [4.0, 0.0]]))
+    # [[3, 0], [4, 0]]: the 4 sits at row 1, column 0, on diagonal 1
+    mat = FockMatrix(2, {0: np.array([3.0, 0.0], dtype=complex),
+                         1: np.array([0.0, 4.0], dtype=complex)})
     assert matrix_norm(mat) == 5.0
 
 
 def test_matrix_norm_nonconvergence_propagates(monkeypatch):
-    """ARPACK's error reaches the caller as a NumericalFailure with the
-    same message, raised from it."""
-    def no_convergence(*args, **kwargs):
-        raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
-
-    monkeypatch.setattr(scipy.sparse.linalg, "svds", no_convergence)
+    """A Lanczos run that reaches its step cap unconverged raises a
+    NumericalFailure naming the side and the cap."""
+    monkeypatch.setattr(fock, "LANCZOS_MAX_STEPS", 3)
     spec = make_mode_spec([0.0], 1.0, L, 15)  # side 256, above the dense sides
     assert spec.basis_dim > DENSE_NORM_MAX_SIDE
-    with pytest.raises(NumericalFailure) as caught:
+    # a a_dag is diagonal with 16 distinct eigenvalues: 3 steps cannot reach the top
+    with pytest.raises(NumericalFailure, match="side-256 matrix did not converge in 3 steps"):
         matrix_norm(operator_matrix(a_dag(0), spec))
-    assert isinstance(caught.value.__cause__, ArpackNoConvergence)
-    assert str(caught.value) == str(caught.value.__cause__)
 
 
 @pytest.mark.parametrize("ceiling", [7, 8, 9, 11, 13])
 def test_dense_and_svds_norms_agree_around_the_threshold(lattice64_module, ceiling):
-    """Sides 64, 81, 100, 144 and 196: the exact dense 2-norm and ARPACK's
-    largest singular value agree to 1e-13 relative, and matrix_norm takes
-    the dense one up to DENSE_NORM_MAX_SIDE and svds above it."""
+    """Sides 64, 81, 100, 144 and 196: Lanczos agrees with the exact dense
+    2-norm and with ARPACK's largest singular value to 1e-14 relative, and
+    matrix_norm takes the dense one up to DENSE_NORM_MAX_SIDE and Lanczos
+    above it."""
     spec = mode_spec_from_lattice(lattice64_module, max_occupation=ceiling, half_width=0)
     mat = operator_matrix(field_operator(spec, 0.37, 2.9) @ a_dag(0) + b_op(0), spec)
     dense = float(np.linalg.norm(mat.toarray(), 2))
-    arpack = fock._svds_norm(mat)
-    assert arpack == pytest.approx(dense, rel=1e-13, abs=0)
-    expected = dense if spec.basis_dim <= DENSE_NORM_MAX_SIDE else arpack
+    lanczos = fock._lanczos_norm(mat)
+    assert lanczos == pytest.approx(dense, rel=1e-14, abs=0)
+    assert lanczos == pytest.approx(svds_norm(mat), rel=1e-14, abs=0)
+    expected = dense if spec.basis_dim <= DENSE_NORM_MAX_SIDE else lanczos
     assert matrix_norm(mat) == expected
 
 
+@pytest.mark.parametrize("dx", [0.1, 0.05, 0.025])
+def test_lanczos_matches_dense_and_svds_on_check_07_residuals(lattice64_module, dx):
+    """Check 07's side-1,024 residuals, the norms ``verify`` takes by
+    Lanczos: within 1e-14 relative of the dense 2-norm and of svds."""
+    spec = mode_spec_from_lattice(lattice64_module, max_occupation=1, half_width=2)
+    residual = _single_step_residual(spec, -0.6, 8.2, dx)
+    lanczos = matrix_norm(residual)
+    assert lanczos == fock._lanczos_norm(residual)
+    assert lanczos == pytest.approx(float(np.linalg.norm(residual.toarray(), 2)), rel=1e-14, abs=0)
+    assert lanczos == pytest.approx(svds_norm(residual), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("side", [1, 2, 5, 12])
+def test_lanczos_norm_of_small_full_matrices(side):
+    """Every diagonal filled: the basis can span the whole space before
+    the residual bound is met, which ends the run too."""
+    mat = random_fock_matrix(np.random.default_rng(side), side, n_diagonals=2 * side)
+    assert fock._lanczos_norm(mat) == pytest.approx(
+        np.linalg.norm(mat.toarray(), 2), rel=1e-14, abs=0
+    )
+
+
+@pytest.mark.parametrize("factor", [1e-300, 1e300])
+def test_lanczos_norm_scales_with_tiny_and_huge_entries(factor):
+    """A^H A of entries near 1e-300 underflows to zero and of entries near
+    1e300 overflows, unless the entries are scaled first."""
+    mat = random_fock_matrix(np.random.default_rng(3), DENSE_NORM_MAX_SIDE + 1)
+    assert fock._lanczos_norm(mat * factor) == pytest.approx(
+        factor * fock._lanczos_norm(mat), rel=1e-14, abs=0
+    )
+
+
 @pytest.mark.parametrize(("side", "route"), [
-    (DENSE_NORM_MAX_SIDE, "dense"), (DENSE_NORM_MAX_SIDE + 1, "svds"), (2, "dense"),
+    (DENSE_NORM_MAX_SIDE, "dense"), (DENSE_NORM_MAX_SIDE + 1, "lanczos"), (2, "dense"),
 ])
 def test_matrix_norm_route_by_side(monkeypatch, side, route):
-    """The threshold is inclusive, and a side of 2 (too small for svds)
-    stays dense whatever the other side."""
+    """The side alone picks the route, and the threshold is inclusive."""
     calls = []
-    original = fock._svds_norm
+    original = fock._lanczos_norm
 
     def recording(mat):
-        calls.append(mat.shape)
+        calls.append(mat.dim)
         return original(mat)
 
-    monkeypatch.setattr(fock, "_svds_norm", recording)
-    rng = np.random.default_rng(side)
-    mat = scipy.sparse.random(side, 300 if side == 2 else side, density=0.05,
-                              random_state=rng, format="csr")
+    monkeypatch.setattr(fock, "_lanczos_norm", recording)
+    mat = random_fock_matrix(np.random.default_rng(side), side)
     norm = matrix_norm(mat)
-    assert calls == ([] if route == "dense" else [mat.shape])
-    assert norm == pytest.approx(np.linalg.norm(mat.toarray(), 2), rel=1e-13)
+    assert calls == ([] if route == "dense" else [side])
+    assert norm == pytest.approx(np.linalg.norm(mat.toarray(), 2), rel=1e-14)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("side", [DENSE_NORM_MAX_SIDE, DENSE_NORM_MAX_SIDE + 1])
+def test_matrix_norm_of_non_finite_matrix_raises(side, bad):
+    """Either route: LAPACK would fail with 'SVD did not converge' and
+    Lanczos would iterate on NaNs."""
+    entries = np.ones(side, dtype=complex)
+    entries[0] = 0.0  # row 0 has no column 0 - 1 on diagonal 1
+    entries[side // 2] = bad
+    with pytest.raises(NumericalFailure, match=f"side {side} has a non-finite entry"):
+        matrix_norm(FockMatrix(side, {1: entries}))
 
 
 def test_matrix_norm_of_zero_operator():

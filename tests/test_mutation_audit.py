@@ -77,6 +77,27 @@ def _negated_ci(monkeypatch):
     monkeypatch.setattr(frequency, "_sici", _sici)
 
 
+def _scaled_creation_diagonals(monkeypatch):
+    """Every built matrix with its creation diagonals (row above column,
+    offset > 0) scaled by 1.3."""
+    original = fock.operator_matrix
+
+    def operator_matrix(op, spec):
+        mat = original(op, spec)
+        return fock.FockMatrix(mat.dim, {
+            offset: 1.3 * entries if offset > 0 else entries
+            for offset, entries in mat.diagonals.items()
+        })
+
+    monkeypatch.setattr(fock, "operator_matrix", operator_matrix)
+
+
+def _halved_norm(monkeypatch):
+    """Every spectral norm reads half its value."""
+    original = fock.matrix_norm
+    monkeypatch.setattr(fock, "matrix_norm", lambda mat: 0.5 * original(mat))
+
+
 # (row id, planting function, failing checks by number).  The weight rows
 # give a kind's (D+, D-) weights for t > 0, t < 0 and the t = 0 extension.
 AUDIT = [
@@ -106,6 +127,15 @@ AUDIT = [
     # 08b passes: the principal part and the regulated integral share the
     # tail, which cancels in their difference.
     ("tail-ci-negated", _negated_ci, {"08a"}),
+    # 07b holds the build against apply column by column.  The residuals
+    # of 04a-07 are each one build, or a diagonal P with builds, so the
+    # scaling moves both of their sides alike.
+    ("matrix-creation-diagonals-x1.3", _scaled_creation_diagonals, {"07b"}),
+    # Known gap: 04a-06 read norms of residuals that are about zero, and 07
+    # reads the slope of log norm against log dx, which a constant factor
+    # leaves alone; only the tier-1 oracles of matrix_norm (dense LAPACK,
+    # svds) hold its value.
+    ("matrix-norm-halved", _halved_norm, set()),
 ]
 
 

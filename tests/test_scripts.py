@@ -3,7 +3,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from boxqft.lattice import LatticeSpec, build_lattice
 
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
@@ -40,3 +43,14 @@ def test_startup_profile_times_the_rows_of_both_trees(monkeypatch):
         "07b", "08ab", "08a", "08b", "08c", "09a", "10"
     ]
     assert module._union_in_order([change]) == list(change)
+
+
+def test_fock_build_scaling_runs_one_norm_row(monkeypatch):
+    """One row of the norm-threshold table, side 144 (one mode at ceiling
+    11): both routes run and agree, and matrix_norm takes Lanczos there."""
+    module = _load(next(p for p in SCRIPTS if p.name == "fock_build_scaling.py"), monkeypatch)
+    side, dense_s, lanczos_s, rel_diff, route = module.norm_row(
+        build_lattice(LatticeSpec()), 0, 11, np.random.default_rng(0), repeat=1
+    )
+    assert (side, route) == (144, "lanczos")
+    assert dense_s > 0 and lanczos_s > 0 and rel_diff <= 1e-14

@@ -10,8 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
-from scipy.sparse.linalg import ArpackNoConvergence
 
 import boxqft
 import boxqft.dirac
@@ -267,9 +265,9 @@ def test_run_shares_kernel_sums_matrix_builds_and_norms(monkeypatch):
     """One seed-42 run makes 6 kernel_values calls (01: 2, 01b, 02, 03,
     10g: 1 each), 22 operator_matrix builds (04a: 5; 05: 5, one residual
     operator per draw; 06: 3, one per draw; 07: P, Psi and one shifted
-    difference per step, 5; 07b: 4) and 3 ARPACK runs (07's side-1,024
-    norms; 04a, 05 and 06 take dense norms)."""
-    counts = {"kernel_values": 0, "operator_matrix": 0, "svds": 0}
+    difference per step, 5; 07b: 4) and 3 Lanczos norms (07's side-1,024
+    residuals; 04a, 05 and 06 take dense norms)."""
+    counts = {"kernel_values": 0, "operator_matrix": 0, "_lanczos_norm": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -282,9 +280,9 @@ def test_run_shares_kernel_sums_matrix_builds_and_norms(monkeypatch):
 
     counting(boxqft.propagators, "kernel_values")
     counting(boxqft.fock, "operator_matrix")
-    counting(scipy.sparse.linalg, "svds")
+    counting(boxqft.fock, "_lanczos_norm")
     assert all_passed(run_all_checks(LatticeSpec(), seed=42))
-    assert counts == {"kernel_values": 6, "operator_matrix": 22, "svds": 3}
+    assert counts == {"kernel_values": 6, "operator_matrix": 22, "_lanczos_norm": 3}
 
 
 def test_check_result_is_frozen():
@@ -574,16 +572,21 @@ def test_fock_and_kernel_core_load_apart(module, absent):
     assert _fresh_interpreter(code) == "False"
 
 
-def test_verify_loads_neither_scipy_integrate_nor_special(tmp_path):
-    """``verify`` integrates and reads Si/Ci in numpy: of scipy it loads
-    only the sparse matrices and their norms."""
-    code = (
-        "import sys; from boxqft.cli import main; "
-        f"code = main(['verify', '--out', {str(tmp_path)!r}]); "
-        f"print(code, 'scipy.sparse.linalg' in sys.modules, "
-        f"[m for m in {_SCIPY_MODULES} if m.split('.')[1:2] in (['integrate'], ['special'])])"
-    )
-    assert _fresh_interpreter(code).splitlines()[-1] == "0 True []"
+def test_verify_and_fock_vev_run_without_scipy(tmp_path):
+    """With every scipy import made to fail, ``verify`` and ``fock-vev``
+    exit 0 and write the bytes of a run that could load it."""
+    outputs = {}
+    for label, block in (("blocked", "sys.modules['scipy'] = None; "), ("free", "")):
+        out = tmp_path / label
+        code = (
+            f"import sys; {block}from boxqft.cli import main; "
+            f"print([main([cmd, '--out', {str(out)!r} + '/' + cmd]) for cmd in ('verify', 'fock-vev')])"
+        )
+        assert _fresh_interpreter(code).splitlines()[-1] == "[0, 0]"
+        outputs[label] = {path.relative_to(out): path.read_bytes()
+                          for path in sorted(out.rglob("*")) if path.is_file()}
+    assert len(outputs["blocked"]) == 2
+    assert outputs["blocked"] == outputs["free"]
 
 
 def test_importing_the_cli_and_kernel_modules_loads_no_scipy():
@@ -665,7 +668,7 @@ def test_numerical_failures_exit_1_with_their_message(
     tmp_path, capsys, monkeypatch, argv, target, error, stderr
 ):
     """Every numerical failure is one type to the command line: exit 1 and
-    ``failure: <message>`` (ARPACK's case is the next test)."""
+    ``failure: <message>`` (the Lanczos norm's case is the next test)."""
     def failing(*args, **kwargs):
         raise error
 
@@ -675,14 +678,11 @@ def test_numerical_failures_exit_1_with_their_message(
 
 
 def test_norm_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
-
-    monkeypatch.setattr(scipy.sparse.linalg, "svds", no_convergence)
+    """Check 07's Lanczos norms held to two steps cannot converge."""
+    monkeypatch.setattr(boxqft.fock, "LANCZOS_MAX_STEPS", 2)
     assert main(["verify", "--out", str(tmp_path)]) == 1
-    # ARPACK's message exactly as ARPACK words it
     assert capsys.readouterr().err == (
-        "failure: ARPACK error -1: ARPACK error -1: No convergence\n"
+        "failure: Lanczos norm of a side-1024 matrix did not converge in 2 steps\n"
     )
     assert not (tmp_path / "verify_report.json").exists()
 
