@@ -5,8 +5,8 @@ Tabulates the error of the contour-regulated integral against its closed
 form exp(-i w |t|) / (2 w) as the frequency cutoff grows, once with the
 analytic large-frequency tail completion and once without it.  The bare
 truncation error decays only like 1/(pi * cutoff) (the printed
-``predicted`` column), which is why the tail completion is on by
-default everywhere else in the package.
+``predicted`` column), which is why ``frequency_integral_feynman``
+always adds the tail.
 
 Usage:
     python3 scripts/frequency_tail_study.py [--mode-frequency 1.0]
@@ -23,7 +23,18 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from boxqft.frequency import FrequencyIntegralSpec, frequency_integral_feynman
+from boxqft import frequency
+
+
+def row(w: float, t: float, epsilon: float, cutoff: float) -> tuple[float, float, float]:
+    """One table row: the errors against the closed form without and with
+    the tail completion, and the predicted bare error 1/(pi * cutoff).
+    The bare integral is the completed one less its tail."""
+    target = np.exp(-1j * w * abs(t)) / (2.0 * w)
+    spec = frequency.FrequencyIntegralSpec(w, t, epsilon, cutoff)
+    full = frequency.frequency_integral_feynman(spec)
+    bare = full - frequency._tail_completion(w, t, cutoff)
+    return abs(bare - target), 1.0 / (math.pi * cutoff), abs(full - target)
 
 
 def main() -> None:
@@ -40,13 +51,7 @@ def main() -> None:
     print(f"{'cutoff':>8} {'bare error':>14} {'predicted':>14} "
           f"{'with tail':>14}")
     for cutoff in (25.0, 50.0, 100.0, 200.0, 400.0):
-        spec = FrequencyIntegralSpec(
-            mode_frequency=w, time=t, epsilon=args.epsilon,
-            frequency_cutoff=cutoff,
-        )
-        bare = abs(frequency_integral_feynman(spec, include_tail=False) - target)
-        full = abs(frequency_integral_feynman(spec, include_tail=True) - target)
-        predicted = 1.0 / (math.pi * cutoff)
+        bare, predicted, full = row(w, t, args.epsilon, cutoff)
         print(f"{cutoff:8.0f} {bare:14.3e} {predicted:14.3e} {full:14.3e}")
 
 

@@ -51,14 +51,10 @@ from .lattice import (
 )
 from .propagators import KernelKind, eval_kernel_grid
 
-__all__ = ["RunConfig", "main", "report_schema_version"]
+__all__ = ["RunConfig", "main"]
 
+#: Version tag stamped into the verify report.
 _SCHEMA_VERSION = "1"
-
-
-def report_schema_version() -> str:
-    """Version tag stamped into every JSON report this tool writes."""
-    return _SCHEMA_VERSION
 
 
 @dataclass(frozen=True)
@@ -239,7 +235,7 @@ def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
         )
     out_dir = _ensure_out_dir(config)
     report = {
-        "schema_version": report_schema_version(),
+        "schema_version": _SCHEMA_VERSION,
         "config": config.to_record(),
         "checks": [result.to_record() for result in results],
     }

@@ -54,7 +54,6 @@ __all__ = [
     "FockState",
     "ModeOperator",
     "ModeSpec",
-    "OscillatorQuadratures",
     "a_dag",
     "a_op",
     "antiparticle_energy_check",
@@ -68,7 +67,7 @@ __all__ = [
     "mode_spec_from_lattice",
     "momentum_sign_check",
     "operator_matrix",
-    "oscillator_quadratures",
+    "oscillator_momentum",
     "reinterpretation_check",
     "time_ordered_vev_detail",
     "translation_generator_check",
@@ -168,15 +167,13 @@ def mode_spec_from_lattice(
     """Mode set taken from a lattice momentum grid.
 
     ``half_width=h`` restricts to the 2h+1 central modes (a negation-
-    closed subset); ``None`` takes the full grid.
+    closed subset) of the ascending grid; ``None`` takes the full grid.
     """
     ks = np.asarray(lattice.momenta)
     ws = np.asarray(lattice.frequencies)
     if half_width is not None:
         if half_width < 0:
             raise ValidationError(f"half_width must be nonnegative, got {half_width}")
-        order = np.argsort(ks)
-        ks, ws = ks[order], ws[order]
         center = int(np.argmin(np.abs(ks)))
         lo, hi = center - half_width, center + half_width + 1
         if lo < 0 or hi > ks.size:
@@ -308,13 +305,18 @@ def b_dag(mode: int) -> ModeOperator:
     return ModeOperator.ladder("b", mode, True)
 
 
-def _check_modes(op: ModeOperator, n_modes: int) -> None:
+def _check_mode(spec: ModeSpec, mode: int) -> None:
+    """Raise a validation error if ``mode`` indexes no mode of ``spec``."""
+    if not 0 <= mode < spec.n_modes:
+        raise ValidationError(f"mode index {mode} outside mode set of size {spec.n_modes}")
+
+
+def _check_modes(op: ModeOperator, spec: ModeSpec) -> None:
     """Raise a validation error naming the first factor of ``op`` whose
-    mode index lies outside a mode set of size ``n_modes``."""
+    mode index lies outside ``spec``."""
     for _, factors in op.terms:
         for _, mode, _ in factors:
-            if not 0 <= mode < n_modes:
-                raise ValidationError(f"mode index {mode} outside mode set of size {n_modes}")
+            _check_mode(spec, mode)
 
 
 def _require_finite(**values: float) -> None:
@@ -336,7 +338,7 @@ def apply(op: ModeOperator, state: FockState) -> FockState:
     spec = state.spec
     n_modes = spec.n_modes
     ceiling = spec.max_occupation
-    _check_modes(op, n_modes)
+    _check_modes(op, spec)
     out: dict[tuple[tuple[int, ...], tuple[int, ...]], complex] = {}
     truncations = 0
     for coeff, factors in op.terms:
@@ -540,7 +542,7 @@ def operator_matrix(op: ModeOperator, spec: ModeSpec) -> FockMatrix:
             "use a smaller mode set or occupation ceiling"
         )
     n_modes, ceiling = spec.n_modes, spec.max_occupation
-    _check_modes(op, n_modes)
+    _check_modes(op, spec)
     base = ceiling + 1
     # roots[n - 1] = sqrt(n): a|n> = sqrt(n)|n-1>, a_dag|n> = sqrt(n+1)|n+1>.
     roots = np.sqrt(np.arange(1.0, base))
@@ -668,8 +670,7 @@ def antiparticle_phase_check(spec: ModeSpec, mode: int, t: float) -> float:
     matrix norm of ``i d/dt b_dag(t) + w b_dag(t)``, zero up to
     rounding.  ``t`` must be finite.
     """
-    if not 0 <= mode < spec.n_modes:
-        raise ValidationError(f"mode index {mode} outside mode set of size {spec.n_modes}")
+    _check_mode(spec, mode)
     _require_finite(t=t)
     w = spec.frequencies[mode]
     base = operator_matrix(b_dag(mode), spec)
@@ -686,8 +687,7 @@ def antiparticle_energy_check(spec: ModeSpec, mode: int) -> float:
     Uses the normal-ordered energy operator; the eigenvalue is positive
     even though the mode operator carries a negative-frequency phase.
     """
-    if not 0 <= mode < spec.n_modes:
-        raise ValidationError(f"mode index {mode} outside mode set of size {spec.n_modes}")
+    _check_mode(spec, mode)
     w = spec.frequencies[mode]
     ket = apply(b_dag(mode), vacuum(spec))
     h_ket = apply(_number_operator(spec.frequencies), ket)
@@ -697,41 +697,28 @@ def antiparticle_energy_check(spec: ModeSpec, mode: int) -> float:
     return FockState(spec, diff).norm()
 
 
-@dataclass(frozen=True)
-class OscillatorQuadratures:
-    """Self-adjoint coordinate q and its time derivative p for one mode."""
-
-    q_operator: ModeOperator
-    p_operator: ModeOperator
-
-
-def oscillator_quadratures(
-    spec: ModeSpec, mode: int, t: float, phase: str = "retarded"
-) -> OscillatorQuadratures:
-    """Oscillator quadratures for one mode under a phase choice.
+def oscillator_momentum(spec: ModeSpec, mode: int, t: float, phase: str) -> ModeOperator:
+    """Oscillator momentum p = dq/dt of one mode under a phase choice.
 
     ``phase='retarded'`` uses the annihilation time dependence
     ``a(t) = a exp(-i w t)``; ``'advanced'`` uses ``a exp(+i w t)``.
-    ``q = (a(t) + a_dag(t))/sqrt(2)`` is self-adjoint either way, and
-    ``p = dq/dt`` carries opposite overall sign between the two
+    The coordinate ``q = (a(t) + a_dag(t))/sqrt(2)`` is self-adjoint
+    either way, and ``p`` carries opposite overall sign between the two
     choices.  ``t`` must be finite.
     """
     if phase not in ("retarded", "advanced"):
         raise ValidationError(f"phase must be 'retarded' or 'advanced', got {phase!r}")
-    if not 0 <= mode < spec.n_modes:
-        raise ValidationError(f"mode index {mode} outside mode set of size {spec.n_modes}")
+    _check_mode(spec, mode)
     _require_finite(t=t)
     w = spec.frequencies[mode]
     sign = -1.0 if phase == "retarded" else 1.0
     # a(t) = a exp(sign * i w t); a_dag(t) is its adjoint.
     a_phase = cmath.exp(sign * 1j * w * t)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    q = inv_sqrt2 * (a_phase * a_op(mode) + a_phase.conjugate() * a_dag(mode))
-    p = inv_sqrt2 * (
+    return inv_sqrt2 * (
         (sign * 1j * w * a_phase) * a_op(mode)
         + (sign * 1j * w * a_phase).conjugate() * a_dag(mode)
     )
-    return OscillatorQuadratures(q, p)
 
 
 def momentum_sign_check(spec: ModeSpec, mode: int, t: float) -> float:
@@ -743,8 +730,8 @@ def momentum_sign_check(spec: ModeSpec, mode: int, t: float) -> float:
     to a literal sign flip p_adv = -p_ret.  Returns the matrix-norm
     residual of ``p_advanced(t) + p_retarded(-t)``, zero up to rounding.
     """
-    p_adv = oscillator_quadratures(spec, mode, t, "advanced").p_operator
-    p_ret_mirror = oscillator_quadratures(spec, mode, -t, "retarded").p_operator
+    p_adv = oscillator_momentum(spec, mode, t, "advanced")
+    p_ret_mirror = oscillator_momentum(spec, mode, -t, "retarded")
     return matrix_norm(operator_matrix(p_adv + p_ret_mirror, spec))
 
 

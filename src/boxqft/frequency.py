@@ -294,9 +294,9 @@ def quadrature_pieces(spec: FrequencyIntegralSpec):
     )
 
 
-def frequency_integral_feynman(spec: FrequencyIntegralSpec, include_tail: bool = True) -> complex:
+def frequency_integral_feynman(spec: FrequencyIntegralSpec) -> complex:
     """(1/2pi) int_{-Omega}^{Omega} dnu exp(-i nu t) * i/(nu^2 - omega^2 + i eps),
-    completed by the analytic |nu| > Omega remainder when ``include_tail``.
+    completed by the analytic |nu| > Omega remainder (:func:`_tail_completion`).
 
     As eps -> 0 and Omega -> infinity the value converges to
     exp(-i omega |t|)/(2 omega), the per-mode Feynman kernel.  The sharp
@@ -307,9 +307,7 @@ def frequency_integral_feynman(spec: FrequencyIntegralSpec, include_tail: bool =
     spec.validate()
     pieces, closed_form = _feynman_pieces(spec)
     total = (_integrate(pieces) + closed_form) / (2.0 * np.pi)
-    if include_tail:
-        total = total + _tail_completion(spec.mode_frequency, spec.time, spec.frequency_cutoff)
-    return complex(total)
+    return complex(total + _tail_completion(spec.mode_frequency, spec.time, spec.frequency_cutoff))
 
 
 def principal_part(spec: FrequencyIntegralSpec) -> complex:
@@ -341,19 +339,22 @@ def principal_part(spec: FrequencyIntegralSpec) -> complex:
     )
 
 
-def verify_frequency_split(spec: FrequencyIntegralSpec) -> tuple[complex, complex, float]:
-    """Split the regulated integral into principal-part plus on-shell terms.
+def verify_frequency_split(
+    spec: FrequencyIntegralSpec, full: complex
+) -> tuple[complex, complex, float]:
+    """Split the regulated integral ``full``, the value of
+    :func:`frequency_integral_feynman` at ``spec``, into principal-part
+    plus on-shell terms (check 08b).
 
     The principal part is :func:`principal_part`.  The
     on-shell term is evaluated from the residue prescription:
     delta(nu^2 - w^2) splits into poles at +-omega with weight
     1/(2 omega) each, giving cos(omega t)/(2 omega) under these
     conventions.  Returns (pp_part, delta_part, residual) where residual
-    compares pp + delta against the full integral.
+    compares pp + delta against ``full``.
     """
     pp = principal_part(spec)
     w = spec.mode_frequency
     delta_part = complex(np.cos(w * spec.time) / (2.0 * w))
-    full = frequency_integral_feynman(spec)
     residual = abs(pp + delta_part - full)
     return pp, delta_part, residual

@@ -144,7 +144,7 @@ def build_lattice(spec: LatticeSpec) -> Lattice:
     half = spec.n_space // 2
     indices = np.arange(-(half - 1), half)  # excludes the edge mode -N/2
     momenta = 2.0 * np.pi * indices / spec.box_length
-    frequencies = np.sqrt(spec.mass * spec.mass + momenta * momenta)
+    frequencies = omega(momenta, spec.mass)
     momenta.setflags(write=False)
     frequencies.setflags(write=False)
     return Lattice(spec=spec, momenta=momenta, frequencies=frequencies)

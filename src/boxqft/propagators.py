@@ -88,11 +88,6 @@ class KernelKind(enum.Enum):
     FEYNMAN = "feynman"
 
 
-STEP_FUNCTION_KINDS = frozenset(
-    {KernelKind.RETARDED, KernelKind.ADVANCED, KernelKind.TIME_SYMMETRIC, KernelKind.FEYNMAN}
-)
-
-
 def canonical_x(x, box_length: float):
     """Reduce x (a scalar or an array) into [0, L).  Uses fmod-based modulo
     so that the reduced values of x and -x sum to exactly L (needed for
@@ -150,6 +145,12 @@ _COEFFICIENTS = {
     KernelKind.TIME_SYMMETRIC: ((0.5, 0.5), (-0.5, -0.5), (0.0, 0.0)),
     KernelKind.FEYNMAN: ((1.0, 0.0), (0.0, -1.0), (0.5, -0.5)),
 }
+
+#: The kinds with a step factor: their t > 0 and t < 0 weights differ, so
+#: they are undefined at t = 0 unless the extension is requested.
+STEP_FUNCTION_KINDS = frozenset(
+    kind for kind, (later, earlier, _) in _COEFFICIENTS.items() if later != earlier
+)
 
 
 def wightman_weights(kind: KernelKind):

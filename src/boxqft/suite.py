@@ -268,7 +268,7 @@ def _check_matrix_build(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple
     return (_worst([
         _matrix_vs_apply(three, fock.field_operator(three, t, x),
                          fock._number_operator(three.momenta)),
-        _matrix_vs_apply(one, fock.oscillator_quadratures(one, 0, t).p_operator,
+        _matrix_vs_apply(one, fock.oscillator_momentum(one, 0, t, "retarded"),
                          fock.b_dag(0) @ fock.b_dag(0)),
     ]),)
 
@@ -304,10 +304,6 @@ def _matrix_vs_apply(mode_spec: fock.ModeSpec, *ops: fock.ModeOperator) -> float
 _FREQUENCY_POINTS = ((1.0, 0.0), (1.0, 2.0), (2.0, -1.0))
 
 
-def _frequency_spec(w: float, t: float) -> FrequencyIntegralSpec:
-    return FrequencyIntegralSpec(mode_frequency=w, time=t, epsilon=1e-6, frequency_cutoff=200.0)
-
-
 def _reported_inf(names: str, exc: QuadratureError) -> float:
     """Warn (RuntimeWarning) that the checks ``names`` are reported as inf
     after the quadrature failure ``exc``, and return inf."""
@@ -318,24 +314,21 @@ def _reported_inf(names: str, exc: QuadratureError) -> float:
 def _check_frequency_plane(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float, float]:
     """Checks 08a and 08b on one regulated integral per frequency point:
     08a holds it against the per-mode kernel exp(-i w |t|)/(2 w), 08b
-    against the principal part plus the on-shell term cos(w t)/(2 w).
+    against the principal part plus the on-shell term cos(w t)/(2 w), as
+    ``frequency.verify_frequency_split`` reassembles them.
 
     Every run computes the integrals anew; nothing is cached across
     runs.  A quadrature failure in a regulated integral reports both
     checks as inf (through ``run_all_checks``); one in a principal part
     reports 08b alone, warned here, and keeps 08a's residual.
     """
-    fulls = [frequency.frequency_integral_feynman(_frequency_spec(w, t))
-             for w, t in _FREQUENCY_POINTS]
+    fspecs = [FrequencyIntegralSpec(w, t) for w, t in _FREQUENCY_POINTS]
+    fulls = [frequency.frequency_integral_feynman(fspec) for fspec in fspecs]
     target_worst = _worst([abs(full - np.exp(-1j * w * abs(t)) / (2.0 * w))
                            for full, (w, t) in zip(fulls, _FREQUENCY_POINTS)])
     try:
-        splits = []
-        for full, (w, t) in zip(fulls, _FREQUENCY_POINTS):
-            pp = frequency.principal_part(_frequency_spec(w, t))
-            onshell = complex(np.cos(w * t) / (2.0 * w))
-            splits.append(abs(pp + onshell - full))
-        split_worst = _worst(splits)
+        split_worst = _worst([frequency.verify_frequency_split(fspec, full)[2]
+                              for fspec, full in zip(fspecs, fulls)])
     except QuadratureError as exc:
         split_worst = _reported_inf("08b_frequency_split_reassembly", exc)
     return target_worst, split_worst
@@ -465,7 +458,7 @@ def _check_quadrature_vs_kronrod(spec: LatticeSpec, lattice: Lattice, seed: int)
     oracle; QUADPACK now holds both routes in the tests, on all three
     points and both segmentations."""
     w, t = _FREQUENCY_POINTS[1]
-    fspec = _frequency_spec(w, t)
+    fspec = FrequencyIntegralSpec(w, t)
     oracles = _oracle_integrands(fspec)
     residuals = []
     for fn, a, b, interior in frequency.quadrature_pieces(fspec):

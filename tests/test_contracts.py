@@ -20,10 +20,13 @@ REMOVED = {
     "boxqft.fock": (
         "confirmation_inner", "hamiltonian_operator", "momentum_operator",
         "time_ordered_vev", "vev_adjoint_field", "vev_field_adjoint", "_svds_norm",
+        "OscillatorQuadratures", "oscillator_quadratures",
     ),
     "boxqft.lattice": ("is_negation_closed",),
     "boxqft.absorber": ("light_tight_check",),
-    "boxqft.cli": ("_numerical_failures",),
+    "boxqft.cli": ("_numerical_failures", "report_schema_version"),
+    "boxqft.dirac": ("DegenerateSolutionError",),
+    "boxqft.suite": ("_frequency_spec",),
 }
 
 
@@ -64,3 +67,20 @@ def test_tracer_resolves_every_layer_and_counter():
         assert list(inspect.signature(counter).parameters) == list(
             inspect.signature(functions[key]).parameters
         ), key
+
+
+def test_traced_verify_counts_every_frequency_integral():
+    """Installed around one run of the checks, the tracer's
+    ``propagators.quad`` layer counts the three regulated integrals of
+    check 08a and the three splits of check 08b, which reach the
+    principal parts through ``verify_frequency_split``."""
+    from boxqft.suite import run_all_checks
+
+    tracer = _load_tracer().Tracer()
+    tracer.begin_op(0)
+    tracer.install()
+    try:
+        run_all_checks()
+    finally:
+        tracer.uninstall()
+    assert tracer.op_totals()["propagators.quad.calls"] == 6

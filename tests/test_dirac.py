@@ -111,6 +111,30 @@ def test_general_momentum_direction():
         )
 
 
+def test_plane_waves_build_across_momentum_scales():
+    """Every energy sign and spin builds at 73 log-spaced |p| from 1e-6 to
+    1e12 along four directions: the field-equation bound scales with the
+    contraction matrix, whose entries grow with E (an absolute 1e-12
+    rejected |p| from about 5.6e3 up)."""
+    directions = [np.array(d, dtype=float) / np.linalg.norm(d)
+                  for d in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3))]
+    for size in np.logspace(-6.0, 12.0, 73):
+        for direction in directions:
+            for sign in (1, -1):
+                for spin in (1, 2):
+                    sol = plane_wave_solution(size * direction, 1.0, sign, spin)
+                    # 2|E| is the contraction's largest singular value
+                    assert dirac_residual(sol) <= 1e-12 * max(1.0, 2.0 * abs(sol.energy))
+
+
+@pytest.mark.parametrize("mass", [1e-6, 1e6, 1e10])
+def test_plane_waves_build_at_extreme_masses(mass):
+    for sign in (1, -1):
+        for spin in (1, 2):
+            sol = plane_wave_solution([0.5, 0.0, 0.0], mass, sign, spin)
+            assert sol.energy == pytest.approx(sign * np.hypot(mass, 0.5))
+
+
 def test_momentum_to_zero_matches_rest_frame():
     rest = rest_frame_solutions(1.0)
     for sign, spin, index in [(1, 1, 0), (1, 2, 1), (-1, 1, 2), (-1, 2, 3)]:

@@ -27,7 +27,7 @@ from boxqft.fock import (
     mode_spec_from_lattice,
     momentum_sign_check,
     operator_matrix,
-    oscillator_quadratures,
+    oscillator_momentum,
     reinterpretation_check,
     time_ordered_vev_detail,
     translation_generator_check,
@@ -304,11 +304,9 @@ def test_antiparticle_phase_and_energy_checks():
 
 def test_oscillator_quadratures_at_time_zero():
     spec = make_mode_spec([TWO_PI_OVER_L * 2], 1.0, L, 2)
-    ret = oscillator_quadratures(spec, 0, 0.0, phase="retarded")
-    adv = oscillator_quadratures(spec, 0, 0.0, phase="advanced")
-    q_diff = operator_matrix(ret.q_operator - adv.q_operator, spec)
-    p_sum = operator_matrix(ret.p_operator + adv.p_operator, spec)
-    assert matrix_norm(q_diff) == 0.0  # same position operator at t=0
+    ret = oscillator_momentum(spec, 0, 0.0, phase="retarded")
+    adv = oscillator_momentum(spec, 0, 0.0, phase="advanced")
+    p_sum = operator_matrix(ret + adv, spec)
     assert matrix_norm(p_sum) == 0.0  # momenta exactly opposite at t=0
 
 
@@ -342,8 +340,8 @@ def test_one_build_sums_match_csr_arithmetic(spec3, t, x):
     here are taken at points where they do not."""
     one_mode = make_mode_spec([TWO_PI_OVER_L * 2], 1.0, L, 2)
     sides = [
-        (one_mode, oscillator_quadratures(one_mode, 0, t, "advanced").p_operator,
-         oscillator_quadratures(one_mode, 0, 0.5 - t, "retarded").p_operator),
+        (one_mode, oscillator_momentum(one_mode, 0, t, "advanced"),
+         oscillator_momentum(one_mode, 0, 0.5 - t, "retarded")),
         (spec3, field_operator(spec3, t, x + 0.1), field_operator(spec3, t + 0.3, x - 0.1)),
     ]
     for spec, a, b in sides:
@@ -367,7 +365,7 @@ def test_momentum_sign_and_relabel_checks_build_once(spec3, builds):
 def test_invalid_quadrature_phase_rejected():
     spec = make_mode_spec([0.0], 1.0, L, 2)
     with pytest.raises(ValidationError, match="phase"):
-        oscillator_quadratures(spec, 0, 0.0, phase="sideways")
+        oscillator_momentum(spec, 0, 0.0, phase="sideways")
 
 
 def test_reinterpretation_check(spec3):
@@ -387,7 +385,7 @@ def test_reinterpretation_requires_closed_modes():
     (lambda spec: reinterpretation_check(spec, math.nan, 1.0), "t"),
     (lambda spec: reinterpretation_check(spec, 0.5, -math.inf), "x"),
     (lambda spec: translation_generator_check(spec, 0.3, math.nan, [0.1]), "x"),
-    (lambda spec: oscillator_quadratures(spec, 0, -math.inf), "t"),
+    (lambda spec: oscillator_momentum(spec, 0, -math.inf, "retarded"), "t"),
     (lambda spec: field_operator(spec, 0.2, math.inf), "x"),
     (lambda spec: time_ordered_vev_detail(spec, (math.nan, 0.0), (0.5, 1.0)), "t"),
 ], ids=["phase-inf", "momentum-nan", "relabel-t-nan", "relabel-x-inf", "translation-x-nan",

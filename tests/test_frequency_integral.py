@@ -97,8 +97,8 @@ def test_tail_omission_leaves_cutoff_bias():
     like 1/(pi * cutoff) -- about 1.6e-3 at cutoff 200 -- which would
     swamp the 1e-4 accuracy gate."""
     spec = _spec(1.0, 0.0)
-    bare = frequency_integral_feynman(spec, include_tail=False)
-    full = frequency_integral_feynman(spec, include_tail=True)
+    full = frequency_integral_feynman(spec)
+    bare = full - boxqft.frequency._tail_completion(1.0, 0.0, spec.frequency_cutoff)
     target = 0.5 + 0.0j
     bare_error = abs(bare - target)
     assert 1e-3 < bare_error < 2.5e-3
@@ -110,19 +110,19 @@ def test_tail_omission_leaves_cutoff_bias():
 @pytest.mark.parametrize(("w", "t"), POINTS)
 def test_principal_part_plus_onshell_reassembles(w, t):
     spec = _spec(w, t)
-    principal, onshell, residual = verify_frequency_split(spec)
+    full = frequency_integral_feynman(spec)
+    principal, onshell, residual = verify_frequency_split(spec, full)
     assert residual <= 1e-4
     # the on-shell lump integrates to cos(w t)/(2 w) exactly
     assert onshell == pytest.approx(np.cos(w * t) / (2.0 * w), abs=0)
-    full = frequency_integral_feynman(spec)
-    assert abs(principal + onshell - full) == pytest.approx(residual, abs=1e-12)
+    assert residual == abs(principal + onshell - full)
 
 
 def test_split_pieces_are_individually_sane():
     # at t=0 the full integral is 1/(2w): on-shell lump carries 1/(2w),
     # so the principal part must be small
     spec = _spec(1.0, 0.0)
-    principal, onshell, _ = verify_frequency_split(spec)
+    principal, onshell, _ = verify_frequency_split(spec, frequency_integral_feynman(spec))
     assert onshell == pytest.approx(0.5)
     assert abs(principal) <= 1e-3
 
@@ -323,7 +323,7 @@ def test_quadrature_pieces_are_those_integrated(monkeypatch):
 
     monkeypatch.setattr(boxqft.frequency, "_dual_quad", recording)
     spec = _spec(1.0, 2.0)
-    verify_frequency_split(spec)  # evaluates the full integral too
+    verify_frequency_split(spec, frequency_integral_feynman(spec))
     listed = [(fn.__name__, a, b, list(cuts)) for fn, a, b, cuts in quadrature_pieces(spec)]
     assert sorted(seen) == sorted(listed)
 

@@ -53,6 +53,15 @@ def _leaky_projection(monkeypatch):
     monkeypatch.setattr(absorber, "project_light_tight", project_light_tight)
 
 
+def _time_reversed_transform(monkeypatch):
+    """The emitted spectrum's on-shell transform reads the total current
+    time-reversed, which swaps E_n between k and -k."""
+    original = absorber._onshell_transform
+    monkeypatch.setattr(
+        absorber, "_onshell_transform", lambda lattice, total: original(lattice, total[::-1])
+    )
+
+
 def _flipped_epsilon(monkeypatch):
     """The regulated integrands ``full`` and ``smooth`` of the frequency
     plane with their poles displaced by -i eps; the closed-form integral
@@ -121,6 +130,10 @@ AUDIT = [
      _weights(KernelKind.FEYNMAN, ((1.0, 0.0), (0.0, -1.0), (1.0, 0.0))), set()),
     ("field-operator-bdag-phase-conjugated", _conjugated_bdag_phase, {"03", "06", "07"}),
     ("projection-leaks-1e-6", _leaky_projection, {"10h"}),
+    # Known gap: 10c reads only the sign of each E_n and 10d only their
+    # total, which the k <-> -k swap leaves alone; no check holds E_n
+    # mode by mode (ROADMAP item 2's 10k_mode_resolved_parseval would).
+    ("onshell-transform-time-reversed", _time_reversed_transform, set()),
     # 08a and 08b hold the whole integral, where the flip moves only the
     # eps-wide pole structure; 08c holds each segment against its twin.
     ("regulated-integrand-epsilon-flipped", _flipped_epsilon, {"08c"}),

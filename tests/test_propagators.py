@@ -428,6 +428,14 @@ def test_equal_time_commutator_vanishes(lattice64):
         assert abs(value) <= 1e-14
 
 
+def test_step_function_kinds_are_read_from_the_weight_table():
+    """The kinds whose t > 0 and t < 0 weights differ are the four with a
+    step factor."""
+    assert STEP_FUNCTION_KINDS == {
+        KernelKind.RETARDED, KernelKind.ADVANCED, KernelKind.TIME_SYMMETRIC, KernelKind.FEYNMAN
+    }
+
+
 @pytest.mark.parametrize("kind", sorted(STEP_FUNCTION_KINDS, key=lambda k: k.value))
 def test_step_kinds_reject_time_zero(lattice64, kind):
     with pytest.raises(ValidationError, match="t"):

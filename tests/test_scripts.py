@@ -54,3 +54,13 @@ def test_fock_build_scaling_runs_one_norm_row(monkeypatch):
     )
     assert (side, route) == (144, "lanczos")
     assert dense_s > 0 and lanczos_s > 0 and rel_diff <= 1e-14
+
+
+def test_frequency_tail_study_runs_one_row(monkeypatch):
+    """One row of the cutoff table, at cutoff 200: without the tail the
+    error is the predicted 1/(pi * cutoff), and the tail takes it below
+    the 1e-5 headroom of check 08a."""
+    module = _load(next(p for p in SCRIPTS if p.name == "frequency_tail_study.py"), monkeypatch)
+    bare, predicted, full = module.row(1.0, 0.0, 1e-6, 200.0)
+    assert bare == pytest.approx(predicted, rel=0.05)
+    assert full <= 1e-5

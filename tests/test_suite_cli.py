@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import boxqft
+import boxqft.cli
 import boxqft.dirac
 import boxqft.fock
 import boxqft.frequency
@@ -24,11 +25,9 @@ from boxqft.cli import (
     load_config_file,
     main,
     parse_tolerance_overrides,
-    report_schema_version,
 )
-from boxqft.dirac import DegenerateSolutionError
 from boxqft.frequency import QuadratureError
-from boxqft.lattice import LatticeSpec, ValidationError, build_lattice
+from boxqft.lattice import LatticeSpec, NumericalFailure, ValidationError, build_lattice
 from boxqft.propagators import KernelKind, eval_kernel, eval_kernel_grid
 from boxqft.suite import (
     DEFAULT_TOLERANCES,
@@ -313,7 +312,7 @@ def test_import_boxqft_leaves_scipy_unloaded():
 # --- CLI helpers ------------------------------------------------------------
 
 def test_schema_version_pinned():
-    assert report_schema_version() == "1"
+    assert boxqft.cli._SCHEMA_VERSION == "1"
 
 
 def test_tolerance_override_parsing():
@@ -659,7 +658,7 @@ def test_rejected_argv_leaves_the_next_run_unaffected(tmp_path, capsys):
          QuadratureError("segment disagrees by 3e-2"),
          "failure: segment disagrees by 3e-2\n"),
         (["dirac"], (boxqft.dirac, "plane_wave_solution"),
-         DegenerateSolutionError("expected a 2-dimensional solution space, found 1"),
+         NumericalFailure("expected a 2-dimensional solution space, found 1"),
          "failure: expected a 2-dimensional solution space, found 1\n"),
     ],
     ids=["quadrature", "degenerate-spinor"],
@@ -794,6 +793,17 @@ def test_dirac_subcommand(tmp_path):
     assert main(["dirac", "--p", "0,0,0", "--out", str(tmp_path)]) == 0
     rest_only = json.loads((tmp_path / "dirac_solutions.json").read_text())
     assert len(rest_only) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "1e5,0,0"], ["--p", "3e4,2e4,1e4"], ["--mass", "1e6"],
+], ids=["p-1e5", "p-3e4-2e4-1e4", "mass-1e6"])
+def test_dirac_builds_at_large_energies(tmp_path, capsys, argv):
+    """Momenta and masses whose field-equation residual exceeds an
+    absolute 1e-12 (2e-11 at |p| = 1e5) build: the bound scales with E."""
+    assert main(["dirac", *argv, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(json.loads((tmp_path / "dirac_solutions.json").read_text())) == 8
 
 
 def test_dirac_momentum_validation(tmp_path, capsys):
