@@ -17,7 +17,7 @@ and validated in :func:`build_run_config` before any subcommand runs.
 
 Exit codes: 0 on success, 1 when an identity check fails its tolerance
 or a numerical routine fails (every such failure, from the quadrature,
-the Lanczos norm or the spinor solver, is a
+the matrix norms or the spinor solver, is a
 :class:`~boxqft.lattice.NumericalFailure`, reported on stderr as
 ``failure: <message>``), 2 on invalid input (the message names the
 offending field).  A run that exits 2 writes no file.

@@ -8,12 +8,12 @@ to states or materialized as a :class:`FockMatrix`, the matrix stored as
 its diagonals, one numpy pass over the basis per term.  A check's
 residual is formed as one operator in that algebra and materialized
 once; matrix arithmetic is left to the routes that need it (check 07's
-commutator, check 04a's scalings).  Matrix norms are spectral norms: the
-exact dense 2-norm up to side ``DENSE_NORM_MAX_SIDE``, Lanczos on A^H A
-from a fixed start vector above it, so reruns are bit-identical.  A
-Lanczos run that does not converge, or a matrix with a non-finite entry,
-raises :class:`~boxqft.lattice.NumericalFailure`.  The module loads no
-scipy.
+commutator, check 04a's scalings).  ``matrix_norm`` is the exact dense
+spectral norm, for sides up to ``DENSE_NORM_MAX_SIDE``;
+``hilbert_schmidt_norm`` is the root mean square singular value, read off
+the stored diagonals at any side.  A matrix with a non-finite entry has
+neither, and raises :class:`~boxqft.lattice.NumericalFailure`.  The
+module loads no scipy.
 
 The module serves as an independent cross-check on the kernel mode sums
 in :mod:`boxqft.propagators`: the time-ordered two-point function
@@ -62,6 +62,7 @@ __all__ = [
     "b_dag",
     "b_op",
     "field_operator",
+    "hilbert_schmidt_norm",
     "make_mode_spec",
     "matrix_norm",
     "mode_spec_from_lattice",
@@ -447,8 +448,8 @@ class FockMatrix:
     ``r - offset`` (offset = row - col); positions whose column lies
     outside the matrix hold zero.  A ladder-factor product lies on one
     diagonal, so an operator over a few modes fills a few of them, and
-    sums, scalings, products and matvecs are a few whole-array numpy
-    operations per diagonal.
+    sums, scalings and products are a few whole-array numpy operations
+    per diagonal.
     """
 
     dim: int
@@ -497,25 +498,6 @@ class FockMatrix:
                     term[rows] = left[rows] * right[cols]
                     product[a + b] = product[a + b] + term if a + b in product else term
         return FockMatrix(self.dim, product)
-
-    def matvec(self, vec: np.ndarray) -> np.ndarray:
-        """``A @ vec``: (A vec)[r] is the sum over offsets of A[offset][r] vec[r - offset]."""
-        out = np.zeros(self.dim, dtype=complex)
-        for offset, entries in self.diagonals.items():
-            rows, cols = _overlap(offset, self.dim)
-            out[rows] += entries[rows] * vec[cols]
-        return out
-
-    def rmatvec(self, vec: np.ndarray) -> np.ndarray:
-        """``A^H @ vec``: (A^H vec)[c] is the sum over offsets of
-        conj(A[offset][c + offset]) vec[c + offset], formed as the
-        conjugate of the transposed product with conj(vec)."""
-        vec = vec.conj()
-        out = np.zeros(self.dim, dtype=complex)
-        for offset, entries in self.diagonals.items():
-            rows, cols = _overlap(offset, self.dim)
-            out[cols] += entries[rows] * vec[rows]
-        return out.conj()
 
 
 def _overlap(offset: int, dim: int) -> tuple[slice, slice]:
@@ -567,77 +549,46 @@ def operator_matrix(op: ModeOperator, spec: ModeSpec) -> FockMatrix:
     return FockMatrix(dim, diagonals)
 
 
-#: Largest matrix side whose spectral norm is the exact dense 2-norm
-#: (LAPACK's singular values of the dense array); larger matrices take
-#: Lanczos.  On the field operator (``scripts/fock_build_scaling.py``,
-#: one BLAS thread) dense is 2-4 times faster up to side 100 and still
-#: ahead at 144, Lanczos is ahead from 196 and 2 times faster at 256.
+#: Largest matrix side whose spectral norm :func:`matrix_norm` takes, as
+#: the singular values of the dense array.  Checks 04a, 05 and 06 read it
+#: at sides 9 and 64; a larger matrix is refused, not densified.
 DENSE_NORM_MAX_SIDE = 128
 
-#: Most Lanczos steps a norm may take before it raises; check 07's
-#: residuals take about 30.
-LANCZOS_MAX_STEPS = 300
+
+def _require_finite_entries(mat: FockMatrix) -> None:
+    """Raise :class:`NumericalFailure` if ``mat`` has a non-finite entry,
+    which leaves it no norm to report."""
+    if not all(np.isfinite(entries).all() for entries in mat.diagonals.values()):
+        raise NumericalFailure(f"matrix of side {mat.dim} has a non-finite entry")
 
 
 def matrix_norm(mat: FockMatrix) -> float:
-    """Operator (spectral) norm of a Fock matrix.
-
-    Up to side :data:`DENSE_NORM_MAX_SIDE` it is the exact dense 2-norm
-    from LAPACK, which is faster there than iterating; above it,
-    :func:`_lanczos_norm`.  A matrix with a non-finite entry has no norm
-    to report, and raises :class:`NumericalFailure`.
+    """Operator (spectral) norm of a Fock matrix: the exact dense 2-norm
+    from LAPACK.  A side above :data:`DENSE_NORM_MAX_SIDE` raises
+    :class:`ValidationError`, a non-finite entry :class:`NumericalFailure`.
     """
-    if not all(np.isfinite(entries).all() for entries in mat.diagonals.values()):
-        raise NumericalFailure(f"matrix of side {mat.dim} has a non-finite entry")
-    if mat.dim <= DENSE_NORM_MAX_SIDE:
-        return float(np.linalg.norm(mat.toarray(), 2))
-    return _lanczos_norm(mat)
+    _require_finite_entries(mat)
+    if mat.dim > DENSE_NORM_MAX_SIDE:
+        raise ValidationError(
+            f"matrix side {mat.dim} exceeds the dense norm cap {DENSE_NORM_MAX_SIDE}"
+        )
+    return float(np.linalg.norm(mat.toarray(), 2))
 
 
-def _lanczos_norm(mat: FockMatrix) -> float:
-    """Largest singular value of ``mat``: the square root of the largest
-    Ritz value theta of Hermitian Lanczos on A^H A.
-
-    The entries are first scaled by a power of two, which changes no
-    bits but the exponents.  The start vector is fixed (``default_rng(0)``),
-    so reruns give identical bits.  Each new vector is orthogonalised against the whole
-    basis twice, in place in one preallocated array.  The run stops once
-    the Ritz residual bound ``beta_k |y_k|`` of theta is at most
-    ``4 eps theta``, or once the basis spans the whole space; a run that
-    takes :data:`LANCZOS_MAX_STEPS` steps without either raises
-    :class:`NumericalFailure`.
+def hilbert_schmidt_norm(mat: FockMatrix) -> float:
+    """Normalised Hilbert-Schmidt norm ``||A||_HS / sqrt(dim)`` of a Fock
+    matrix, the root mean square of its singular values, summed diagonal
+    by diagonal at any side.  The entries are first scaled by a power of
+    two (exact), so that their squares neither under- nor overflow.  A
+    non-finite entry raises :class:`NumericalFailure`.
     """
-    # A^H A squares the entries: a power of two (exact) brings the largest
-    # to about 1, so that tiny or huge entries neither under- nor overflow.
+    _require_finite_entries(mat)
     largest = max((float(np.abs(entries).max()) for entries in mat.diagonals.values()),
                   default=0.0)
     scale = math.ldexp(1.0, -math.frexp(largest)[1])
-    mat = mat * scale
-    dim = mat.dim
-    steps = min(LANCZOS_MAX_STEPS, dim)
-    start = np.random.default_rng(0).standard_normal((2, dim))
-    basis = np.empty((steps + 1, dim), dtype=complex)  # one Lanczos vector per row
-    basis[0] = start[0] + 1j * start[1]
-    basis[0] /= np.linalg.norm(basis[0])
-    tridiagonal = np.zeros((steps + 1, steps + 1))  # alphas on the diagonal, betas beside it
-    tolerance = 4.0 * np.finfo(float).eps
-    for k in range(steps):
-        w = mat.rmatvec(mat.matvec(basis[k]))
-        done = basis[:k + 1]
-        coefficients = (done @ w.conj()).conj()
-        tridiagonal[k, k] = coefficients[k].real
-        w -= coefficients @ done
-        w -= (done @ w.conj()).conj() @ done
-        beta = np.linalg.norm(w)
-        ritz, vectors = np.linalg.eigh(tridiagonal[:k + 1, :k + 1])
-        theta = ritz[-1]
-        if beta * abs(vectors[-1, -1]) <= tolerance * theta or k + 1 == dim:
-            return math.sqrt(theta) / scale
-        tridiagonal[k, k + 1] = tridiagonal[k + 1, k] = beta
-        basis[k + 1] = w / beta
-    raise NumericalFailure(
-        f"Lanczos norm of a side-{dim} matrix did not converge in {steps} steps"
-    )
+    squares = sum(float(np.sum(np.square((entries * scale).view(float))))
+                  for entries in mat.diagonals.values())
+    return math.sqrt(squares / mat.dim) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -767,9 +718,10 @@ def translation_generator_check(
     one per step dx of ``dxs``.
 
     Compares the commutator ``[P, Psi(t, x)]`` against ``i`` times the
-    central difference ``(Psi(t, x+dx) - Psi(t, x-dx)) / (2 dx)`` in
-    matrix norm.  The commutator equals ``i`` times the exact spatial
-    derivative, so the residual shrinks at second order in dx.  P,
+    central difference ``(Psi(t, x+dx) - Psi(t, x-dx)) / (2 dx)`` in the
+    normalised Hilbert-Schmidt norm (:func:`hilbert_schmidt_norm`).  The
+    commutator equals ``i`` times the exact spatial derivative, so the
+    residual shrinks at second order in dx, in this norm as in any.  P,
     Psi(t, x) and the commutator are built once for all the steps, and
     each step's difference is built as one operator; every step must be
     finite and positive.
@@ -785,5 +737,5 @@ def translation_generator_check(
     for dx in dxs:
         step = field_operator(spec, t, x + dx) - field_operator(spec, t, x - dx)
         central = operator_matrix(step, spec) * (1.0 / (2.0 * dx))
-        residuals.append(matrix_norm(commutator - 1j * central))
+        residuals.append(hilbert_schmidt_norm(commutator - 1j * central))
     return residuals

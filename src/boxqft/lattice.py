@@ -26,10 +26,10 @@ class ValidationError(ValueError):
 class NumericalFailure(RuntimeError):
     """A numerical routine failed on valid input: the command line reports
     it as ``failure: <message>`` and exits 1.  Raised by the frequency
-    quadrature (:class:`QuadratureError`), the Lanczos matrix norm and the
-    spinor solver.  Declared here, beside ValidationError, so that the
-    command line catches every such failure without loading the modules
-    that raise them."""
+    quadrature (:class:`QuadratureError`), the matrix norms (on a
+    non-finite entry) and the spinor solver.  Declared here, beside
+    ValidationError, so that the command line catches every such failure
+    without loading the modules that raise them."""
 
 
 class QuadratureError(NumericalFailure):

@@ -242,8 +242,13 @@ def _check_reinterpretation(spec: LatticeSpec, lattice: Lattice, seed: int) -> t
                     for t, x in zip(ts.tolist(), xs.tolist())]),)
 
 
-def _check_translation_order(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float]:
-    """|least-squares convergence slope - 2| across dx in {0.1, 0.05, 0.025}."""
+def _check_translation_order(
+    spec: LatticeSpec, lattice: Lattice, seed: int
+) -> tuple[float, float]:
+    """07: |least-squares convergence slope - 2| across dx in {0.1, 0.05,
+    0.025}; 07c: the worst relative error of the norms against closed
+    forms (:func:`_norms_vs_closed_forms`), which the slope, blind to a
+    constant factor, cannot see."""
     rng = _rng(seed, 7)
     mode_spec = fock.mode_spec_from_lattice(lattice, max_occupation=1, half_width=2)
     t = float(rng.uniform(-1.0, 1.0))
@@ -251,7 +256,28 @@ def _check_translation_order(spec: LatticeSpec, lattice: Lattice, seed: int) -> 
     dxs = np.array([0.1, 0.05, 0.025])
     residuals = np.array(fock.translation_generator_check(mode_spec, t, x, dxs))
     slope = float(np.polyfit(np.log(dxs), np.log(residuals), 1)[0])
-    return (abs(slope - 2.0),)
+    return abs(slope - 2.0), _norms_vs_closed_forms(spec, mode_spec, dxs, residuals)
+
+
+def _norms_vs_closed_forms(spec: LatticeSpec, mode_spec: fock.ModeSpec, dxs, residuals) -> float:
+    """Worst relative error of two norms against values written with no
+    matrix.  Check 07's residual is sum_k c_k (k - sin(k dx)/dx) times
+    (b_dag_k e^{-i theta_k} - a_k e^{i theta_k}), c_k = 1/sqrt(2 w_k L);
+    at ceiling 1 each ladder matrix has squared Frobenius norm dim/2 and
+    distinct ladders share no entry, so its normalised Hilbert-Schmidt
+    norm is sqrt(sum_k (k - sin(k dx)/dx)^2 / (2 w_k L)).  And b_dag on
+    one mode at ceiling n has largest singular value sqrt(n), which
+    ``matrix_norm`` must read at ceilings 1 to 3."""
+    k, w = np.asarray(mode_spec.momenta), np.asarray(mode_spec.frequencies)
+    L = mode_spec.box_length
+    closed = np.array([math.sqrt(np.sum((k - np.sin(k * dx) / dx) ** 2 / (2.0 * w * L)))
+                       for dx in dxs])
+    errors = list(np.abs(residuals - closed) / closed)
+    for ceiling in (1, 2, 3):
+        one = fock.make_mode_spec([0.0], spec.mass, spec.box_length, ceiling)
+        norm = fock.matrix_norm(fock.operator_matrix(fock.b_dag(0), one))
+        errors.append(abs(norm - math.sqrt(ceiling)) / math.sqrt(ceiling))
+    return _worst(errors)
 
 
 def _check_matrix_build(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float]:
@@ -622,7 +648,9 @@ _CHECK_TABLE = (
            "antiquanta relabeling of the field expansion")),
     (_check_translation_order,
      Check("07_translation_generator_order", 0.2,
-           "momentum operator generates spatial translations")),
+           "momentum operator generates spatial translations"),
+     Check("07c_norms_vs_closed_forms", 1e-8,
+           "hilbert-schmidt and spectral norms equal their closed forms")),
     (_check_matrix_build,
      Check("07b_matrix_build_vs_symbolic_apply", 1e-13,
            "materialized operator matrix equals symbolic application column by column")),

@@ -74,6 +74,10 @@ def test_07_translation_generator_order(results):
     _gate(results, "07_translation_generator_order")
 
 
+def test_07c_norms_vs_closed_forms(results):
+    _gate(results, "07c_norms_vs_closed_forms")
+
+
 def test_07b_matrix_build_vs_symbolic_apply(results):
     _gate(results, "07b_matrix_build_vs_symbolic_apply")
 
@@ -139,7 +143,7 @@ def test_11a_cli_verify_report_contract(tmp_path):
         code == 0
         and set(report) == {"schema_version", "config", "checks"}
         and report["schema_version"] == "1"
-        and len(report["checks"]) == 24
+        and len(report["checks"]) == 25
         and all(
             set(c) == {"name", "paper_ref", "max_residual", "tolerance", "pass"}
             for c in report["checks"]

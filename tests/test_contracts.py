@@ -20,7 +20,8 @@ REMOVED = {
     "boxqft.fock": (
         "confirmation_inner", "hamiltonian_operator", "momentum_operator",
         "time_ordered_vev", "vev_adjoint_field", "vev_field_adjoint", "_svds_norm",
-        "OscillatorQuadratures", "oscillator_quadratures",
+        "OscillatorQuadratures", "oscillator_quadratures", "_lanczos_norm",
+        "LANCZOS_MAX_STEPS",
     ),
     "boxqft.lattice": ("is_negation_closed",),
     "boxqft.absorber": ("light_tight_check",),

@@ -22,6 +22,7 @@ from boxqft.fock import (
     b_dag,
     b_op,
     field_operator,
+    hilbert_schmidt_norm,
     make_mode_spec,
     matrix_norm,
     mode_spec_from_lattice,
@@ -424,12 +425,13 @@ def _single_step_residual(spec, t, x, dx):
 
 @pytest.mark.parametrize("half_width", [1, 2])
 def test_translation_residuals_match_single_step_oracle(lattice64_module, half_width):
-    """Sides 64 (dense norm) and 1,024 (Lanczos): each step's residual has the
-    bits of a call that builds everything for that step alone."""
+    """Sides 64 and 1,024: each step's residual has the bits of a call that
+    builds everything for that step alone."""
     spec = mode_spec_from_lattice(lattice64_module, max_occupation=1, half_width=half_width)
     dxs = np.array([0.1, 0.05, 0.025, 0.3])
     got = translation_generator_check(spec, -0.6, 8.2, dxs)
-    assert got == [matrix_norm(_single_step_residual(spec, -0.6, 8.2, dx)) for dx in dxs]
+    assert got == [hilbert_schmidt_norm(_single_step_residual(spec, -0.6, 8.2, dx))
+                   for dx in dxs]
     assert translation_generator_check(spec, -0.6, 8.2, [0.05]) == got[1:2]
 
 
@@ -666,8 +668,8 @@ def test_matrix_build_matches_both_oracles_on_verify_shapes(op, spec):
 def test_fock_matrix_arithmetic_matches_csr(seed):
     """Every operation of a Fock matrix against the same operation on its
     CSR copy: sums, differences, negation and scalings bit for bit;
-    products and both matvecs, whose entries sum several terms in an order
-    of their own, to rounding."""
+    products, whose entries sum several terms in an order of their own,
+    to rounding."""
     rng = np.random.default_rng(seed)
     spec = make_mode_spec([0.0, TWO_PI_OVER_L], 1.0, L, 2)  # dim 81
     a, b = (operator_matrix(random_mode_operator(rng, 2, n_terms=6), spec) for _ in range(2))
@@ -683,9 +685,6 @@ def test_fock_matrix_arithmetic_matches_csr(seed):
     product = (csr_a @ csr_b).toarray()
     np.testing.assert_allclose((a @ b).toarray(), product, rtol=0,
                                atol=1e-14 * np.abs(product).max())
-    vec = rng.standard_normal(spec.basis_dim) + 1j * rng.standard_normal(spec.basis_dim)
-    for got, want in ((a.matvec(vec), csr_a @ vec), (a.rmatvec(vec), csr_a.conj().T @ vec)):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
 def test_check_07_commutator_matches_csr_bit_for_bit(lattice64_module):
@@ -758,13 +757,17 @@ def test_dense_and_sparse_matrix_paths():
         mat = operator_matrix(a_dag(0), spec)
         assert isinstance(mat, FockMatrix)
         assert_same_entries(mat, kronecker_matrix(a_dag(0), spec))
-        assert matrix_norm(mat) == pytest.approx(1.0)
+        # a_dag fills half the rows with ones at ceiling 1
+        assert hilbert_schmidt_norm(mat) == math.sqrt(0.5)
+    assert matrix_norm(operator_matrix(a_dag(0), small)) == pytest.approx(1.0)
 
 
 # --- matrix norms -------------------------------------------------------------
 #
-# ARPACK ``svds``, the sparse norm before Lanczos, and LAPACK's dense
-# 2-norm are the oracles of ``matrix_norm``'s Lanczos route.
+# ARPACK ``svds`` on the CSR copy, the sparse norm before the dense one,
+# is the oracle of ``matrix_norm``'s LAPACK 2-norm; numpy's Frobenius norm
+# of the dense array, and a sum over modes with no matrix for check 07's
+# residuals, are the oracles of ``hilbert_schmidt_norm``.
 
 def svds_norm(mat):
     """Largest singular value of a Fock matrix from ARPACK ``svds``, on its
@@ -774,6 +777,11 @@ def svds_norm(mat):
         to_csr(mat), k=1, v0=start[0] + 1j * start[1], return_singular_vectors=False,
         maxiter=5000,
     )[0])
+
+
+def frobenius_rms(mat):
+    """||A||_F / sqrt(dim) of the dense array, by numpy."""
+    return float(np.linalg.norm(mat.toarray(), "fro")) / math.sqrt(mat.dim)
 
 
 def test_matrix_norm_is_reproducible_and_matches_dense():
@@ -789,102 +797,85 @@ def test_matrix_norm_of_tiny_matrix_is_exact():
     mat = FockMatrix(2, {0: np.array([3.0, 0.0], dtype=complex),
                          1: np.array([0.0, 4.0], dtype=complex)})
     assert matrix_norm(mat) == 5.0
+    assert hilbert_schmidt_norm(mat) == math.sqrt(12.5)
 
 
-def test_matrix_norm_nonconvergence_propagates(monkeypatch):
-    """A Lanczos run that reaches its step cap unconverged raises a
-    NumericalFailure naming the side and the cap."""
-    monkeypatch.setattr(fock, "LANCZOS_MAX_STEPS", 3)
-    spec = make_mode_spec([0.0], 1.0, L, 15)  # side 256, above the dense sides
-    assert spec.basis_dim > DENSE_NORM_MAX_SIDE
-    # a a_dag is diagonal with 16 distinct eigenvalues: 3 steps cannot reach the top
-    with pytest.raises(NumericalFailure, match="side-256 matrix did not converge in 3 steps"):
-        matrix_norm(operator_matrix(a_dag(0), spec))
-
-
-@pytest.mark.parametrize("ceiling", [7, 8, 9, 11, 13])
+@pytest.mark.parametrize("ceiling", [7, 8, 9, 10])
 def test_dense_and_svds_norms_agree_around_the_threshold(lattice64_module, ceiling):
-    """Sides 64, 81, 100, 144 and 196: Lanczos agrees with the exact dense
-    2-norm and with ARPACK's largest singular value to 1e-14 relative, and
-    matrix_norm takes the dense one up to DENSE_NORM_MAX_SIDE and Lanczos
-    above it."""
+    """Sides 64, 81, 100 and 121, up to DENSE_NORM_MAX_SIDE: matrix_norm
+    agrees with ARPACK's largest singular value to 1e-14 relative."""
     spec = mode_spec_from_lattice(lattice64_module, max_occupation=ceiling, half_width=0)
     mat = operator_matrix(field_operator(spec, 0.37, 2.9) @ a_dag(0) + b_op(0), spec)
-    dense = float(np.linalg.norm(mat.toarray(), 2))
-    lanczos = fock._lanczos_norm(mat)
-    assert lanczos == pytest.approx(dense, rel=1e-14, abs=0)
-    assert lanczos == pytest.approx(svds_norm(mat), rel=1e-14, abs=0)
-    expected = dense if spec.basis_dim <= DENSE_NORM_MAX_SIDE else lanczos
-    assert matrix_norm(mat) == expected
+    assert matrix_norm(mat) == pytest.approx(svds_norm(mat), rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("dx", [0.1, 0.05, 0.025])
-def test_lanczos_matches_dense_and_svds_on_check_07_residuals(lattice64_module, dx):
-    """Check 07's side-1,024 residuals, the norms ``verify`` takes by
-    Lanczos: within 1e-14 relative of the dense 2-norm and of svds."""
+def test_hilbert_schmidt_norm_of_check_07_residuals(lattice64_module, dx):
+    """Check 07's side-1,024 residuals: the Hilbert-Schmidt norm equals the
+    dense Frobenius one to 1e-14 relative, and the sum over the five modes
+    of (k - sin(k dx)/dx)^2 / (2 w_k L), the squared norm of
+    i (dPsi/dx - central difference) with no matrix, to 1e-9."""
     spec = mode_spec_from_lattice(lattice64_module, max_occupation=1, half_width=2)
     residual = _single_step_residual(spec, -0.6, 8.2, dx)
-    lanczos = matrix_norm(residual)
-    assert lanczos == fock._lanczos_norm(residual)
-    assert lanczos == pytest.approx(float(np.linalg.norm(residual.toarray(), 2)), rel=1e-14, abs=0)
-    assert lanczos == pytest.approx(svds_norm(residual), rel=1e-14, abs=0)
+    norm = hilbert_schmidt_norm(residual)
+    assert norm == pytest.approx(frobenius_rms(residual), rel=1e-14, abs=0)
+    closed = sum((k - math.sin(k * dx) / dx) ** 2 / (2.0 * w * L)
+                 for k, w in zip(spec.momenta, spec.frequencies))
+    assert norm == pytest.approx(math.sqrt(closed), rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("side", [1, 2, 5, 12])
-def test_lanczos_norm_of_small_full_matrices(side):
-    """Every diagonal filled: the basis can span the whole space before
-    the residual bound is met, which ends the run too."""
+def test_hilbert_schmidt_norm_of_small_full_matrices(side):
+    """Every diagonal filled, random complex entries."""
     mat = random_fock_matrix(np.random.default_rng(side), side, n_diagonals=2 * side)
-    assert fock._lanczos_norm(mat) == pytest.approx(
-        np.linalg.norm(mat.toarray(), 2), rel=1e-14, abs=0
-    )
+    assert hilbert_schmidt_norm(mat) == pytest.approx(frobenius_rms(mat), rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("factor", [1e-300, 1e300])
-def test_lanczos_norm_scales_with_tiny_and_huge_entries(factor):
-    """A^H A of entries near 1e-300 underflows to zero and of entries near
-    1e300 overflows, unless the entries are scaled first."""
+def test_hilbert_schmidt_norm_scales_with_tiny_and_huge_entries(factor):
+    """Squares of entries near 1e-300 underflow to zero and of entries near
+    1e300 overflow, unless the entries are scaled first."""
     mat = random_fock_matrix(np.random.default_rng(3), DENSE_NORM_MAX_SIDE + 1)
-    assert fock._lanczos_norm(mat * factor) == pytest.approx(
-        factor * fock._lanczos_norm(mat), rel=1e-14, abs=0
+    assert hilbert_schmidt_norm(mat * factor) == pytest.approx(
+        factor * hilbert_schmidt_norm(mat), rel=1e-14, abs=0
     )
 
 
 @pytest.mark.parametrize(("side", "route"), [
-    (DENSE_NORM_MAX_SIDE, "dense"), (DENSE_NORM_MAX_SIDE + 1, "lanczos"), (2, "dense"),
+    (DENSE_NORM_MAX_SIDE, "dense"), (DENSE_NORM_MAX_SIDE + 1, "refused"), (2, "dense"),
 ])
-def test_matrix_norm_route_by_side(monkeypatch, side, route):
-    """The side alone picks the route, and the threshold is inclusive."""
-    calls = []
-    original = fock._lanczos_norm
-
-    def recording(mat):
-        calls.append(mat.dim)
-        return original(mat)
-
-    monkeypatch.setattr(fock, "_lanczos_norm", recording)
+def test_matrix_norm_route_by_side(side, route):
+    """The side alone decides: the dense 2-norm up to DENSE_NORM_MAX_SIDE
+    inclusive, and above it a validation error naming the side, never a
+    silent second route."""
     mat = random_fock_matrix(np.random.default_rng(side), side)
-    norm = matrix_norm(mat)
-    assert calls == ([] if route == "dense" else [side])
-    assert norm == pytest.approx(np.linalg.norm(mat.toarray(), 2), rel=1e-14)
+    if route == "refused":
+        with pytest.raises(ValidationError, match=f"^matrix side {side} exceeds the dense "
+                                                  f"norm cap {DENSE_NORM_MAX_SIDE}$"):
+            matrix_norm(mat)
+    else:
+        assert matrix_norm(mat) == pytest.approx(np.linalg.norm(mat.toarray(), 2), rel=1e-14)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("side", [DENSE_NORM_MAX_SIDE, DENSE_NORM_MAX_SIDE + 1])
 def test_matrix_norm_of_non_finite_matrix_raises(side, bad):
-    """Either route: LAPACK would fail with 'SVD did not converge' and
-    Lanczos would iterate on NaNs."""
+    """Both norms, on either side of the cap: LAPACK would fail with 'SVD
+    did not converge', and the sum of squares would read nan or inf."""
     entries = np.ones(side, dtype=complex)
     entries[0] = 0.0  # row 0 has no column 0 - 1 on diagonal 1
     entries[side // 2] = bad
-    with pytest.raises(NumericalFailure, match=f"side {side} has a non-finite entry"):
-        matrix_norm(FockMatrix(side, {1: entries}))
+    for norm in (matrix_norm, hilbert_schmidt_norm):
+        with pytest.raises(NumericalFailure, match=f"side {side} has a non-finite entry"):
+            norm(FockMatrix(side, {1: entries}))
 
 
 def test_matrix_norm_of_zero_operator():
     spec = make_mode_spec([0.0], 1.0, L, 1)
     zero = operator_matrix(a_op(0) @ a_op(0), spec)
     assert matrix_norm(zero) == 0.0
+    assert hilbert_schmidt_norm(zero) == 0.0
+    assert hilbert_schmidt_norm(FockMatrix(3, {})) == 0.0
 
 
 def test_number_operator_matrix_spectrum():

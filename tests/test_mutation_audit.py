@@ -101,10 +101,12 @@ def _scaled_creation_diagonals(monkeypatch):
     monkeypatch.setattr(fock, "operator_matrix", operator_matrix)
 
 
-def _halved_norm(monkeypatch):
-    """Every spectral norm reads half its value."""
-    original = fock.matrix_norm
-    monkeypatch.setattr(fock, "matrix_norm", lambda mat: 0.5 * original(mat))
+def _halved(name):
+    """Every norm taken by ``fock.<name>`` reads half its value."""
+    def plant(monkeypatch):
+        original = getattr(fock, name)
+        monkeypatch.setattr(fock, name, lambda mat: 0.5 * original(mat))
+    return plant
 
 
 # (row id, planting function, failing checks by number).  The weight rows
@@ -128,7 +130,8 @@ AUDIT = [
     # extension (1, 0) reads the same values as (1/2, -1/2).
     ("feynman-t=0-(1,0)",
      _weights(KernelKind.FEYNMAN, ((1.0, 0.0), (0.0, -1.0), (1.0, 0.0))), set()),
-    ("field-operator-bdag-phase-conjugated", _conjugated_bdag_phase, {"03", "06", "07"}),
+    ("field-operator-bdag-phase-conjugated", _conjugated_bdag_phase,
+     {"03", "06", "07", "07c"}),
     ("projection-leaks-1e-6", _leaky_projection, {"10h"}),
     # Known gap: 10c reads only the sign of each E_n and 10d only their
     # total, which the k <-> -k swap leaves alone; no check holds E_n
@@ -140,15 +143,16 @@ AUDIT = [
     # 08b passes: the principal part and the regulated integral share the
     # tail, which cancels in their difference.
     ("tail-ci-negated", _negated_ci, {"08a"}),
-    # 07b holds the build against apply column by column.  The residuals
-    # of 04a-07 are each one build, or a diagonal P with builds, so the
-    # scaling moves both of their sides alike.
-    ("matrix-creation-diagonals-x1.3", _scaled_creation_diagonals, {"07b"}),
-    # Known gap: 04a-06 read norms of residuals that are about zero, and 07
-    # reads the slope of log norm against log dx, which a constant factor
-    # leaves alone; only the tier-1 oracles of matrix_norm (dense LAPACK,
-    # svds) hold its value.
-    ("matrix-norm-halved", _halved_norm, set()),
+    # 07b holds the build against apply column by column, and 07c the
+    # scaled norms against closed forms.  The residuals of 04a-07 are each
+    # one build, or a diagonal P with builds, so the scaling moves both of
+    # their sides alike.
+    ("matrix-creation-diagonals-x1.3", _scaled_creation_diagonals, {"07b", "07c"}),
+    # 04a-06 read norms of residuals that are about zero, and 07 reads the
+    # slope of log norm against log dx, which a constant factor leaves
+    # alone; 07c holds each norm's value against a closed form.
+    ("matrix-norm-halved", _halved("matrix_norm"), {"07c"}),
+    ("hilbert-schmidt-norm-halved", _halved("hilbert_schmidt_norm"), {"07c"}),
 ]
 
 

@@ -45,15 +45,16 @@ def test_startup_profile_times_the_rows_of_both_trees(monkeypatch):
     assert module._union_in_order([change]) == list(change)
 
 
-def test_fock_build_scaling_runs_one_norm_row(monkeypatch):
-    """One row of the norm-threshold table, side 144 (one mode at ceiling
-    11): both routes run and agree, and matrix_norm takes Lanczos there."""
+def test_fock_build_scaling_runs_one_row(monkeypatch):
+    """One row of the build table, dimension 1,024 (h = 2, check 07's mode
+    set): the field operator's a_k and b_dag_k on five modes fill half a
+    diagonal each, 10 * 1024 / 2 entries, and both timings are taken."""
     module = _load(next(p for p in SCRIPTS if p.name == "fock_build_scaling.py"), monkeypatch)
-    side, dense_s, lanczos_s, rel_diff, route = module.norm_row(
-        build_lattice(LatticeSpec()), 0, 11, np.random.default_rng(0), repeat=1
+    dim, build_s, norm_s, nnz, step = module.row(
+        build_lattice(LatticeSpec()), 2, np.random.default_rng(0), repeat=1
     )
-    assert (side, route) == (144, "lanczos")
-    assert dense_s > 0 and lanczos_s > 0 and rel_diff <= 1e-14
+    assert (dim, nnz) == (1024, 5120)
+    assert build_s > 0 and norm_s > 0 and step >= 0
 
 
 def test_frequency_tail_study_runs_one_row(monkeypatch):

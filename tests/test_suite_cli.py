@@ -65,6 +65,8 @@ PINNED_CHECKS = [
      "antiquanta relabeling of the field expansion", False),
     ("07_translation_generator_order", 0.2,
      "momentum operator generates spatial translations", False),
+    ("07c_norms_vs_closed_forms", 1e-8,
+     "hilbert-schmidt and spectral norms equal their closed forms", False),
     ("07b_matrix_build_vs_symbolic_apply", 1e-13,
      "materialized operator matrix equals symbolic application column by column", False),
     ("08a_frequency_integral_target", 1e-4,
@@ -262,11 +264,13 @@ def test_regulated_integral_evaluated_once_per_point(monkeypatch):
 
 def test_run_shares_kernel_sums_matrix_builds_and_norms(monkeypatch):
     """One seed-42 run makes 6 kernel_values calls (01: 2, 01b, 02, 03,
-    10g: 1 each), 22 operator_matrix builds (04a: 5; 05: 5, one residual
+    10g: 1 each), 25 operator_matrix builds (04a: 5; 05: 5, one residual
     operator per draw; 06: 3, one per draw; 07: P, Psi and one shifted
-    difference per step, 5; 07b: 4) and 3 Lanczos norms (07's side-1,024
-    residuals; 04a, 05 and 06 take dense norms)."""
-    counts = {"kernel_values": 0, "operator_matrix": 0, "_lanczos_norm": 0}
+    difference per step, 5; 07c: b_dag at three ceilings, 3; 07b: 4), 16
+    dense norms (04a: 5, 05: 5, 06: 3, 07c: 3) and 3 Hilbert-Schmidt
+    norms (07's side-1,024 residuals, which 07c reads again)."""
+    counts = {"kernel_values": 0, "operator_matrix": 0, "matrix_norm": 0,
+              "hilbert_schmidt_norm": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -279,9 +283,11 @@ def test_run_shares_kernel_sums_matrix_builds_and_norms(monkeypatch):
 
     counting(boxqft.propagators, "kernel_values")
     counting(boxqft.fock, "operator_matrix")
-    counting(boxqft.fock, "_lanczos_norm")
+    counting(boxqft.fock, "matrix_norm")
+    counting(boxqft.fock, "hilbert_schmidt_norm")
     assert all_passed(run_all_checks(LatticeSpec(), seed=42))
-    assert counts == {"kernel_values": 6, "operator_matrix": 22, "_lanczos_norm": 3}
+    assert counts == {"kernel_values": 6, "operator_matrix": 25, "matrix_norm": 16,
+                      "hilbert_schmidt_norm": 3}
 
 
 def test_check_result_is_frozen():
@@ -667,23 +673,13 @@ def test_numerical_failures_exit_1_with_their_message(
     tmp_path, capsys, monkeypatch, argv, target, error, stderr
 ):
     """Every numerical failure is one type to the command line: exit 1 and
-    ``failure: <message>`` (the Lanczos norm's case is the next test)."""
+    ``failure: <message>``."""
     def failing(*args, **kwargs):
         raise error
 
     monkeypatch.setattr(*target, failing)
     assert main(argv + ["--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == stderr
-
-
-def test_norm_nonconvergence_exits_1(tmp_path, capsys, monkeypatch):
-    """Check 07's Lanczos norms held to two steps cannot converge."""
-    monkeypatch.setattr(boxqft.fock, "LANCZOS_MAX_STEPS", 2)
-    assert main(["verify", "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == (
-        "failure: Lanczos norm of a side-1024 matrix did not converge in 2 steps\n"
-    )
-    assert not (tmp_path / "verify_report.json").exists()
 
 
 def test_vev_pairs_alternate_time_order():
