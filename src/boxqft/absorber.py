@@ -352,13 +352,21 @@ def _onshell_transform(lattice: Lattice, total: np.ndarray) -> np.ndarray:
     uniform transform bins, so no FFT applies.  The time sum is one
     matrix product, (n_x, n_t) @ (n_t, modes), and the space sum a
     column sum against the spatial phases; this route shares nothing
-    with interaction_sum.
+    with interaction_sum.  ``total`` is an (n_t, n_x) grid or a stack of
+    them on leading axes, each transformed as it would be alone.
     """
     times = np.asarray(lattice.times())
     positions = np.asarray(lattice.positions())
     time_phases = np.exp(1j * np.multiply.outer(times, np.asarray(lattice.frequencies)))
     space_phases = np.exp(-1j * np.multiply.outer(positions, np.asarray(lattice.momenta)))
-    return np.sum((total.T @ time_phases) * space_phases, axis=0)
+    return np.sum((np.swapaxes(total, -1, -2) @ time_phases) * space_phases, axis=-2)
+
+
+def _mode_energies(lattice: Lattice, transform: np.ndarray) -> np.ndarray:
+    """E_n = |J_tilde_n|^2 (dt dx)^2 / (2 w_n L) along the last axis."""
+    measure = (lattice.spec.dt * lattice.dx) ** 2
+    w = np.asarray(lattice.frequencies)
+    return (np.abs(transform) ** 2) * measure / (2.0 * w * lattice.spec.box_length)
 
 
 def emitted_spectrum(
@@ -374,14 +382,9 @@ def emitted_spectrum(
     for idx, current in enumerate(currents):
         _check_on_lattice(current, lattice, f"#{idx}")
         total = total + current.samples
-    transform = _onshell_transform(lattice, total)
-    measure = (lattice.spec.dt * lattice.dx) ** 2
-    frequencies = np.asarray(lattice.frequencies)
-    energies = (np.abs(transform) ** 2) * measure / (
-        2.0 * frequencies * lattice.spec.box_length
-    )
     return EmissionSpectrum(
-        momenta=np.asarray(lattice.momenta), frequencies=frequencies, energies=energies
+        momenta=np.asarray(lattice.momenta), frequencies=np.asarray(lattice.frequencies),
+        energies=_mode_energies(lattice, _onshell_transform(lattice, total)),
     )
 
 

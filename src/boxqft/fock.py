@@ -5,7 +5,9 @@ created by ``a_dag`` and antiquanta created by ``b_dag``.  States are
 sparse maps from occupation tuples to complex amplitudes; operators are
 sums of scaled ladder-factor products that can be applied symbolically
 to states or materialized as a :class:`FockMatrix`, the matrix stored as
-its diagonals, one numpy pass over the basis per term.  A check's
+its diagonals, one numpy pass over the basis per term.  Coefficients and
+amplitudes may be numpy arrays of one shape, a batch, as
+:func:`field_operator` builds at arrays of points.  A check's
 residual is formed as one operator in that algebra and materialized
 once; matrix arithmetic is left to the routes that need it (check 07's
 commutator, check 04a's scalings).  ``matrix_norm`` is the exact dense
@@ -194,9 +196,10 @@ def mode_spec_from_lattice(
 class FockState:
     """Sparse state: map (quanta occupations, antiquanta occupations) -> amplitude.
 
-    ``truncation_events`` counts components dropped because a creation
-    factor would have exceeded the per-mode ceiling anywhere in the
-    history that produced this state.
+    Amplitudes may be arrays of one shape, a batch of states.
+    ``truncation_events`` counts components dropped (once per batch entry)
+    because a creation factor would have exceeded the per-mode ceiling
+    anywhere in the history that produced this state.
     """
 
     spec: ModeSpec
@@ -206,16 +209,19 @@ class FockState:
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
 
-    def inner(self, other: "FockState") -> complex:
-        """Hermitian inner product <self|other>."""
+    def inner(self, other: "FockState") -> complex | np.ndarray:
+        """Hermitian inner product <self|other>, an array for a batch (0j if
+        no component is shared).  Each conj(a) b is formed in real arithmetic,
+        as a scalar product rounds it: numpy's vectorised one may fuse ops."""
         if self.spec != other.spec:
             raise ValidationError("inner product requires matching mode specs")
         mine, theirs = self.amplitudes, other.amplitudes
         keys = mine.keys() if len(mine) <= len(theirs) else theirs.keys()
-        return complex(
-            sum(mine[key].conjugate() * theirs[key] for key in keys
-                if key in mine and key in theirs)
-        )
+        total = 0
+        for a, b in [(mine[key], theirs[key]) for key in keys if key in mine and key in theirs]:
+            total = total + ((a.real * b.real + a.imag * b.imag)
+                             + 1j * (a.real * b.imag - a.imag * b.real))
+        return total if isinstance(total, np.ndarray) else complex(total)
 
 
 def vacuum(spec: ModeSpec) -> FockState:
@@ -231,7 +237,8 @@ class ModeOperator:
     ``terms`` is a tuple of ``(coefficient, factors)`` pairs; each
     factor is ``(sector, mode, dagger)`` with sector ``'a'`` (quanta) or
     ``'b'`` (antiquanta).  Factors are written in operator order, so the
-    rightmost factor acts first on a ket.
+    rightmost factor acts first on a ket.  Coefficients may be arrays of
+    one shape, a batch of operators; ``*`` scales by a number.
     """
 
     terms: tuple[tuple[complex, tuple[Factor, ...]], ...]
@@ -320,12 +327,16 @@ def _check_modes(op: ModeOperator, spec: ModeSpec) -> None:
             _check_mode(spec, mode)
 
 
-def _require_finite(**values: float) -> None:
-    """Raise a validation error naming the first of ``values`` that is
-    not finite: a nan or inf time or position has no field operator."""
+def _require_finite(**values) -> None:
+    """Raise a validation error naming the first of ``values`` (numbers or
+    arrays) with an entry that is not finite, and that entry: a nan or
+    inf time or position has no field operator."""
     for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value}")
+        if isinstance(value, (int, float)) and math.isfinite(value):
+            continue
+        bad = np.asarray(value, dtype=float)[~np.isfinite(value)]
+        if bad.size:
+            raise ValidationError(f"{name} must be finite, got {bad[0]}")
 
 
 def apply(op: ModeOperator, state: FockState) -> FockState:
@@ -333,8 +344,8 @@ def apply(op: ModeOperator, state: FockState) -> FockState:
 
     Annihilating below vacuum yields the zero component silently;
     creating above the per-mode ceiling drops the component and counts
-    one truncation event.  Mode indices outside the state's mode set
-    raise a validation error.
+    one truncation event per batch entry.  Mode indices outside the
+    state's mode set raise a validation error.
     """
     spec = state.spec
     n_modes = spec.n_modes
@@ -343,7 +354,8 @@ def apply(op: ModeOperator, state: FockState) -> FockState:
     out: dict[tuple[tuple[int, ...], tuple[int, ...]], complex] = {}
     truncations = 0
     for coeff, factors in op.terms:
-        if coeff == 0:
+        # a complex (numpy's complex128 is one) skips np.any's cost per term
+        if coeff == 0 if isinstance(coeff, complex) else not np.any(coeff):
             continue
         for (na, nb), amplitude in state.amplitudes.items():
             amp = amplitude * coeff
@@ -354,7 +366,7 @@ def apply(op: ModeOperator, state: FockState) -> FockState:
                 n = occ[slot]
                 if dagger:
                     if n >= ceiling:
-                        truncations += 1
+                        truncations += 1 if isinstance(amp, complex) else np.size(amp)
                         dead = True
                         break
                     amp *= math.sqrt(n + 1)
@@ -369,7 +381,8 @@ def apply(op: ModeOperator, state: FockState) -> FockState:
                 continue
             key = (tuple(occ[:n_modes]), tuple(occ[n_modes:]))
             out[key] = out.get(key, 0.0 + 0.0j) + amp
-    cleaned = {key: amp for key, amp in out.items() if amp != 0}
+    cleaned = {key: amp for key, amp in out.items()
+               if (amp != 0 if isinstance(amp, complex) else np.any(amp))}
     return FockState(spec, cleaned, state.truncation_events + truncations)
 
 
@@ -383,13 +396,16 @@ def field_operator(spec: ModeSpec, t: float, x: float) -> ModeOperator:
     ``Psi = sum_k c_k (a_k exp(i(k x - w t)) + b_dag_k exp(-i(k x - w t)))``
     with box normalization ``c_k = 1/sqrt(2 w_k L)``.  The adjoint field
     is ``field_operator(spec, t, x).adjoint()``.  ``t`` and ``x`` must be
-    finite.
+    finite.  Arrays ``t`` and ``x`` give the batch of fields at those
+    points (array coefficients); one point gets Python complex ones.
     """
     _require_finite(t=t, x=x)
+    angles = np.multiply.outer(x, spec.momenta) - np.multiply.outer(t, spec.frequencies)
+    phases = np.exp(1j * angles)
+    phases = phases.tolist() if phases.ndim == 1 else np.moveaxis(phases, -1, 0)
     terms: list[tuple[complex, tuple[Factor, ...]]] = []
-    for i, (k, w) in enumerate(zip(spec.momenta, spec.frequencies)):
+    for i, phase in enumerate(phases):
         c = spec.mode_coefficient(i)
-        phase = cmath.exp(1j * (k * x - w * t))
         terms.append((c * phase, (("a", i, False),)))
         terms.append((c * phase.conjugate(), (("b", i, True),)))
     return ModeOperator(tuple(terms))
@@ -400,7 +416,7 @@ def _ordered_vev(
     x: tuple[float, float],
     y: tuple[float, float],
     adjoint_first: bool,
-) -> tuple[complex, int]:
+) -> tuple[complex | np.ndarray, int]:
     # <0|A B|0> = <A_dag 0|B 0>: two one-quantum kets, never the
     # two-quantum ket A B|0>.  A_dag is Psi_dag(x) when Psi(x) stands
     # left and Psi(y) when Psi_dag(y) does.
@@ -418,22 +434,31 @@ def _ordered_vev(
 
 def time_ordered_vev_detail(
     spec: ModeSpec, x: tuple[float, float], y: tuple[float, float]
-) -> tuple[complex, int]:
+) -> tuple[complex | np.ndarray, int]:
     """Time-ordered two-point function <0|T Psi(x) Psi_dag(y)|0> with its
     truncation-event count.
 
-    Points are (t, x) pairs.  Later field to the left: for t_x > t_y this
-    is ``<0|Psi(x) Psi_dag(y)|0>`` and for t_x < t_y it is
-    ``<0|Psi_dag(y) Psi(x)|0>`` (the branch carried by the antiquanta).
-    Equal times are rejected because the ordering is then undefined.  On
-    a negation-closed mode set covering a lattice grid the value equals
-    the Feynman kernel at the point difference x - y.
+    Points are (t, x) pairs of finite numbers, or of arrays giving the
+    values at each pair, with one :func:`_ordered_vev` per time ordering.
+    Later field to the left: for t_x > t_y this is ``<0|Psi(x)
+    Psi_dag(y)|0>`` and for t_x < t_y it is ``<0|Psi_dag(y) Psi(x)|0>``
+    (the branch carried by the antiquanta).  Equal times at any entry are
+    rejected because the ordering is then undefined.  On a negation-closed
+    mode set covering a lattice grid the value equals the Feynman kernel
+    at the point difference x - y.
     """
-    if x[0] == y[0]:
-        raise ValidationError(
-            f"time ordering undefined at equal times t={x[0]}; offset the two points"
-        )
-    return _ordered_vev(spec, x, y, adjoint_first=x[0] < y[0])
+    tx, xx, ty, xy = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (*x, *y)))
+    _require_finite(t=np.stack((tx, ty)), x=np.stack((xx, xy)))
+    if (tx == ty).any():
+        raise ValidationError(f"time ordering undefined at equal times t={tx[tx == ty][0]}; "
+                              "offset the two points")
+    vevs, truncations = np.empty(tx.shape, dtype=complex), 0
+    for rows, adjoint_first in ((tx > ty, False), (tx < ty, True)):
+        if rows.any():
+            vevs[rows], events = _ordered_vev(spec, (tx[rows], xx[rows]),
+                                              (ty[rows], xy[rows]), adjoint_first)
+            truncations += events
+    return (complex(vevs) if vevs.ndim == 0 else vevs), truncations
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +556,9 @@ def operator_matrix(op: ModeOperator, spec: ModeSpec) -> FockMatrix:
     basis = np.arange(dim, dtype=np.int64)
     diagonals: dict[int, np.ndarray] = {}  # row - col -> entries by row
     for coeff, term in op.terms:
+        if isinstance(coeff, np.ndarray) and coeff.ndim:
+            raise ValidationError("operator_matrix builds one matrix, not a batch: "
+                                  f"a coefficient has shape {np.shape(coeff)}")
         if coeff == 0:
             continue
         rows, vals, offset = basis, np.full(dim, coeff, dtype=complex), 0

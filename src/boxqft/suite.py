@@ -131,18 +131,13 @@ def compare_vev_to_feynman(
     """Time-ordered VEV against the Feynman kernel at each point pair
     (tx, xx), (ty, xy) of the four arrays.
 
-    Returns the VEVs, the kernel at the differences (tx - ty, xx - xy)
-    (one array call), their absolute differences and the summed
-    truncation-event count.
+    Returns the VEVs (one batched Fock-algebra call), the kernel at the
+    differences (tx - ty, xx - xy) (one array call), their absolute
+    differences and the truncation-event count.
     """
     tx, xx, ty, xy = (np.asarray(a, dtype=float) for a in (tx, xx, ty, xy))
     mode_spec = fock.mode_spec_from_lattice(lattice, max_occupation=1)
-    vevs = np.zeros(tx.size, dtype=complex)
-    truncations = 0
-    pairs = zip(tx.tolist(), xx.tolist(), ty.tolist(), xy.tolist())
-    for idx, (t1, x1, t2, x2) in enumerate(pairs):
-        vevs[idx], events = fock.time_ordered_vev_detail(mode_spec, (t1, x1), (t2, x2))
-        truncations += events
+    vevs, truncations = fock.time_ordered_vev_detail(mode_spec, (tx, xx), (ty, xy))
     kernels = eval_kernel_grid(lattice, KernelKind.FEYNMAN, tx - ty, xx - xy)
     diff = vevs - kernels
     # np.hypot rounds as abs(complex) does; np.abs can differ in the last bit.
@@ -524,13 +519,11 @@ def _check_absorber(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[flo
     free_residual = absorber.free_field_identity(currents, lattice)
     direction_residual = absorber.dplus_direction_equivalence(currents, lattice)
 
-    spectrum_rng = _rng(seed, 11)
-    negatives = [0.0]
-    for _ in range(100):
-        current = absorber.random_current(lattice, spectrum_rng)
-        energies = absorber.emitted_spectrum([current], lattice).energies
-        negatives.append(-energies.min())
-    negativity = _worst(negatives)
+    # 100 currents in one block, the stream of 100 random_current draws,
+    # and their on-shell transforms in one stacked call
+    samples = _rng(seed, 11).standard_normal((100, lattice.spec.n_time, lattice.spec.n_space))
+    energies = absorber._mode_energies(lattice, absorber._onshell_transform(lattice, samples))
+    negativity = _worst([0.0, *(-energies.min(axis=-1))])
 
     projected = absorber.project_light_tight(currents[0], lattice)
     light_tight_total = absorber.emitted_spectrum([projected], lattice).total
@@ -553,23 +546,24 @@ def _check_absorber(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[flo
 
 
 def _interaction_fft_vs_direct(currents, lattice: Lattice) -> float:
-    """Max |interaction_sum - a.K.b| over every ordered current pair, for
-    D+ and Hadamard in both argument directions, with K the dense
-    (n_t n_x) x (n_t n_x) matrix indexed from the difference table."""
+    """Max |FFT pair sum - a.K.b| over every ordered current pair, for D+
+    and Hadamard in both directions, one correlation per pair, with K the
+    dense (n_t n_x) x (n_t n_x) matrix indexed from the difference table."""
     n_t, n_x = lattice.spec.n_time, lattice.spec.n_space
     i, j = np.divmod(np.arange(n_t * n_x), n_x)
     rows = (i[:, None] - i[None, :]) + n_t - 1
     cols = (j[:, None] - j[None, :]) % n_x
     measure = (lattice.spec.dt * lattice.dx) ** 2
+    kernels = tuple((kind, reverse) for kind in (KernelKind.WIGHTMAN_PLUS, KernelKind.HADAMARD)
+                    for reverse in (False, True))
+    pairs = list(np.ndindex(len(currents), len(currents)))
+    ffts = [absorber._pair_sums(currents, lattice, [pair], kernels) for pair in pairs]
     residuals = []
-    for kind in (KernelKind.WIGHTMAN_PLUS, KernelKind.HADAMARD):
-        for reverse in (False, True):
-            dense = absorber.kernel_difference_table(lattice, kind, reverse)[rows, cols]
-            for a in currents:
-                for b in currents:
-                    direct = a.samples.ravel() @ dense @ b.samples.ravel() * measure
-                    fft = absorber.interaction_sum(a, b, kind, lattice, reverse)
-                    residuals.append(abs(fft - direct))
+    for k, (kind, reverse) in enumerate(kernels):
+        dense = absorber.kernel_difference_table(lattice, kind, reverse)[rows, cols]
+        for (a, b), sums in zip(pairs, ffts):
+            direct = currents[a].samples.ravel() @ dense @ currents[b].samples.ravel() * measure
+            residuals.append(abs(sums[k] - direct))
     return _worst(residuals)
 
 

@@ -286,6 +286,18 @@ def test_shared_transforms_match_per_pair_oracle_bitwise(n):
                 )
 
 
+def test_check_10f_pair_sums_match_four_interaction_sums(lat, currents):
+    """One _pair_sums call per ordered pair with 10f's four kernels gives,
+    bit for bit, the four public interaction_sum calls on that pair."""
+    kernels = tuple((kind, reverse) for kind in (KernelKind.WIGHTMAN_PLUS, KernelKind.HADAMARD)
+                    for reverse in (False, True))
+    for i, a in enumerate(currents):
+        for j, b in enumerate(currents):
+            assert absorber._pair_sums(currents, lat, [(i, j)], kernels) == [
+                interaction_sum(a, b, kind, lat, reverse) for kind, reverse in kernels
+            ]
+
+
 @pytest.fixture
 def fft_calls(monkeypatch):
     """Counts of the rfft2 and irfft2 calls made through absorber's numpy."""
@@ -368,6 +380,18 @@ def test_spectrum_scales_quadratically(lat, currents):
     base = emitted_spectrum([currents[0]], lat)
     double = emitted_spectrum([CurrentDistribution(2.0 * currents[0].samples)], lat)
     np.testing.assert_allclose(double.energies, 4.0 * base.energies, rtol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3)])
+def test_stacked_onshell_transform_matches_per_grid_calls(lat, shape):
+    """A stack of grids on leading axes transforms each grid bit for bit
+    as a call on that grid alone does."""
+    stack = np.random.default_rng(3).standard_normal(shape + (16, 16))
+    transforms = absorber._onshell_transform(lat, stack)
+    assert transforms.shape == shape + (lat.momenta.size,)
+    for index in np.ndindex(shape):
+        alone = absorber._onshell_transform(lat, stack[index])
+        np.testing.assert_array_equal(transforms[index].view(np.uint64), alone.view(np.uint64))
 
 
 def test_onshell_cosine_radiates_into_its_own_mode(lat):

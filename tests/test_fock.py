@@ -281,6 +281,77 @@ def test_equal_times_rejected(lattice16):
         time_ordered_vev_detail(spec, (0.5, 1.0), (0.5, 2.0))
 
 
+def test_scalar_vev_is_a_python_complex(lattice16):
+    spec = mode_spec_from_lattice(lattice16, half_width=2)
+    for later, earlier in (((1.1, 2.2), (0.4, 8.6)), ((0.4, 8.6), (1.1, 2.2))):
+        vev, truncations = time_ordered_vev_detail(spec, later, earlier)
+        assert type(vev) is complex and type(truncations) is int
+        batch, _ = time_ordered_vev_detail(
+            spec, *(tuple(np.array([v]) for v in point) for point in (later, earlier)))
+        assert batch.shape == (1,) and batch[0] == vev
+
+
+def test_batched_equal_times_rejected_naming_the_time(lattice16):
+    spec = mode_spec_from_lattice(lattice16, half_width=1)
+    x = (np.array([0.1, 0.5, 0.9]), np.array([1.0, 2.0, 3.0]))
+    y = (np.array([0.2, 0.5, 0.3]), np.array([4.0, 5.0, 6.0]))
+    with pytest.raises(ValidationError, match=r"equal times t=0\.5;"):
+        time_ordered_vev_detail(spec, x, y)
+
+
+@pytest.mark.parametrize(("entry", "field", "value"), [
+    (0, "t", math.nan), (1, "x", math.inf), (2, "t", -math.inf), (3, "x", math.nan),
+])
+def test_batched_non_finite_point_rejected_naming_field_and_value(lattice16, entry, field, value):
+    """A nan or inf at any entry of the four point arrays is rejected
+    naming its field and the value; field_operator does the same."""
+    spec = mode_spec_from_lattice(lattice16, half_width=1)
+    arrays = [np.array([0.3, 0.7, -1.2]), np.array([1.0, 2.0, 3.0]),
+              np.array([0.1, 1.5, 0.4]), np.array([4.0, 5.0, 6.0])]
+    arrays[entry][1] = value
+    with pytest.raises(ValidationError, match=f"^{field} must be finite, got {value}$"):
+        time_ordered_vev_detail(spec, tuple(arrays[:2]), tuple(arrays[2:]))
+    if entry < 2:
+        with pytest.raises(ValidationError, match=f"^{field} must be finite, got {value}$"):
+            field_operator(spec, *arrays[:2])
+
+
+def test_operator_matrix_rejects_array_coefficients(spec3):
+    """A batch of operators has no one matrix: the build refuses it
+    rather than letting a numpy broadcast error escape."""
+    batch = field_operator(spec3, np.array([0.1, 0.2]), np.array([1.0, 2.0]))
+    with pytest.raises(ValidationError, match=r"not a batch: a coefficient has shape \(2,\)"):
+        operator_matrix(batch, spec3)
+
+
+def test_batched_truncation_counts_once_per_entry(spec3):
+    """a_dag a_dag on the vacuum at ceiling 1 truncates at every entry of
+    a batch; all-zero coefficients are skipped, as a scalar zero is."""
+    coefficients = np.array([1.0, 2.0, 3.0]) + 0j
+    creation = ModeOperator(((coefficients, (("a", 0, True), ("a", 0, True))),))
+    state = apply(creation, vacuum(spec3))
+    assert state.amplitudes == {} and state.truncation_events == 3
+    skipped = ModeOperator(((np.zeros(3, dtype=complex), (("a", 0, True), ("a", 0, True))),))
+    assert apply(skipped, vacuum(spec3)).truncation_events == 0
+
+
+def test_batched_apply_and_inner_match_scalar_entries(spec3):
+    """Each entry of a batched field applied to the vacuum, and of the
+    inner products of such states, equals the scalar call at that point."""
+    ts, xs = np.array([-1.3, 0.0, 0.4, 1.9]), np.array([0.2, 3.3, 9.9, 5.0])
+    vac = vacuum(spec3)
+    bra = apply(field_operator(spec3, ts, xs).adjoint(), vac)
+    ket = apply(field_operator(spec3, ts[::-1], xs).adjoint(), vac)
+    products = bra.inner(ket)
+    for idx, (t, x) in enumerate(zip(ts.tolist(), xs.tolist())):
+        scalar_bra = apply(field_operator(spec3, t, x).adjoint(), vac)
+        scalar_ket = apply(field_operator(spec3, ts[::-1][idx], x).adjoint(), vac)
+        assert bra.amplitudes.keys() == scalar_bra.amplitudes.keys()
+        for key, amp in scalar_bra.amplitudes.items():
+            assert bra.amplitudes[key][idx] == amp
+        assert products[idx] == scalar_bra.inner(scalar_ket)
+
+
 # --- conserved-quantity operators ------------------------------------------
 
 def test_energy_and_momentum_eigenvalues(spec3):

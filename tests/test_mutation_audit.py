@@ -11,9 +11,9 @@ changes no value any check can see) or known gaps: faults that every
 named check lets through today.  The gaps are pinned as they stand, not
 dropped, so closing one is a visible change to this table.
 """
-import cmath
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from boxqft import absorber, fock, frequency, propagators
@@ -34,7 +34,7 @@ def _conjugated_bdag_phase(monkeypatch):
         terms = []
         for i, (k, w) in enumerate(zip(spec.momenta, spec.frequencies)):
             c = spec.mode_coefficient(i)
-            phase = cmath.exp(1j * (k * x - w * t))
+            phase = np.exp(1j * (k * x - w * t))
             terms.append((c * phase, (("a", i, False),)))
             terms.append((c * phase, (("b", i, True),)))
         return fock.ModeOperator(tuple(terms))
@@ -55,10 +55,12 @@ def _leaky_projection(monkeypatch):
 
 def _time_reversed_transform(monkeypatch):
     """The emitted spectrum's on-shell transform reads the total current
-    time-reversed, which swaps E_n between k and -k."""
+    time-reversed, which swaps E_n between k and -k.  The time axis is -2,
+    so a stack of currents keeps its order."""
     original = absorber._onshell_transform
     monkeypatch.setattr(
-        absorber, "_onshell_transform", lambda lattice, total: original(lattice, total[::-1])
+        absorber, "_onshell_transform",
+        lambda lattice, total: original(lattice, total[..., ::-1, :]),
     )
 
 

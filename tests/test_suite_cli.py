@@ -1,4 +1,5 @@
 """Named-check registry and the command-line front end."""
+import cmath
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import boxqft
+import boxqft.absorber
 import boxqft.cli
 import boxqft.dirac
 import boxqft.fock
@@ -268,9 +270,16 @@ def test_run_shares_kernel_sums_matrix_builds_and_norms(monkeypatch):
     operator per draw; 06: 3, one per draw; 07: P, Psi and one shifted
     difference per step, 5; 07c: b_dag at three ceilings, 3; 07b: 4), 16
     dense norms (04a: 5, 05: 5, 06: 3, 07c: 3) and 3 Hilbert-Schmidt
-    norms (07's side-1,024 residuals, which 07c reads again)."""
+    norms (07's side-1,024 residuals, which 07c reads again).
+
+    The per-item loops stay batched: check 03 makes one
+    time_ordered_vev_detail call for its 100 pairs (4 of the 156 apply
+    calls, one bra and one ket per time ordering), 10c one on-shell
+    transform for its 100 currents (the other is 10d's), and 10f one
+    correlation per ordered pair of its three currents (9 of the 29)."""
     counts = {"kernel_values": 0, "operator_matrix": 0, "matrix_norm": 0,
-              "hilbert_schmidt_norm": 0}
+              "hilbert_schmidt_norm": 0, "time_ordered_vev_detail": 0, "apply": 0,
+              "_onshell_transform": 0, "_correlation": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -285,9 +294,14 @@ def test_run_shares_kernel_sums_matrix_builds_and_norms(monkeypatch):
     counting(boxqft.fock, "operator_matrix")
     counting(boxqft.fock, "matrix_norm")
     counting(boxqft.fock, "hilbert_schmidt_norm")
+    counting(boxqft.fock, "time_ordered_vev_detail")
+    counting(boxqft.fock, "apply")
+    counting(boxqft.absorber, "_onshell_transform")
+    counting(boxqft.absorber, "_correlation")
     assert all_passed(run_all_checks(LatticeSpec(), seed=42))
     assert counts == {"kernel_values": 6, "operator_matrix": 25, "matrix_norm": 16,
-                      "hilbert_schmidt_norm": 3}
+                      "hilbert_schmidt_norm": 3, "time_ordered_vev_detail": 1,
+                      "apply": 156, "_onshell_transform": 2, "_correlation": 29}
 
 
 def test_check_result_is_frozen():
@@ -768,6 +782,78 @@ def test_vev_comparison_matches_scalar_kernel():
         assert diff == abs(complex(vev) - scalar)
     assert truncations == 0
     assert np.max(diffs) <= 1e-10
+
+
+def _parent_field_operator(spec, t, x):
+    """Psi(t, x) for one point as the unbatched code built it: one
+    ``cmath.exp`` per mode, Python complex coefficients."""
+    terms = []
+    for i, (k, w) in enumerate(zip(spec.momenta, spec.frequencies)):
+        c = spec.mode_coefficient(i)
+        phase = cmath.exp(1j * (k * x - w * t))
+        terms.append((c * phase, (("a", i, False),)))
+        terms.append((c * phase.conjugate(), (("b", i, True),)))
+    return boxqft.fock.ModeOperator(tuple(terms))
+
+
+def _per_pair_vev_comparison(lattice, tx, xx, ty, xy):
+    """Oracle of compare_vev_to_feynman: the per-pair loop it ran before
+    the Fock algebra took batches, with scalar field operators and the
+    complex products conj(a) b summed left to right in key order."""
+    spec = boxqft.fock.mode_spec_from_lattice(lattice, max_occupation=1)
+    vac = boxqft.fock.vacuum(spec)
+    vevs, truncations = np.zeros(tx.size, dtype=complex), 0
+    for idx, (t1, x1, t2, x2) in enumerate(zip(*(a.tolist() for a in (tx, xx, ty, xy)))):
+        psi_x, psi_y = _parent_field_operator(spec, t1, x1), _parent_field_operator(spec, t2, x2)
+        if t1 < t2:
+            bra, ket = boxqft.fock.apply(psi_y, vac), boxqft.fock.apply(psi_x, vac)
+        else:
+            bra = boxqft.fock.apply(psi_x.adjoint(), vac)
+            ket = boxqft.fock.apply(psi_y.adjoint(), vac)
+        mine, theirs = bra.amplitudes, ket.amplitudes
+        keys = mine.keys() if len(mine) <= len(theirs) else theirs.keys()
+        vev = 0
+        for key in keys:
+            if key in mine and key in theirs:
+                vev = vev + mine[key].conjugate() * theirs[key]
+        vevs[idx] = vev
+        truncations += bra.truncation_events + ket.truncation_events
+    kernels = eval_kernel_grid(lattice, KernelKind.FEYNMAN, tx - ty, xx - xy)
+    diff = vevs - kernels
+    return vevs, kernels, np.hypot(diff.real, diff.imag), truncations
+
+
+@pytest.mark.parametrize(("seed", "mass", "n_space", "n_pairs"), [
+    (42, 1.0, 16, 100), (7, 0.63, 16, 100), (123, 1.77, 8, 40), (5, 0.5, 32, 25),
+    (99, 2.0, 16, 1), (3, 1.2, 6, 2),
+])
+def test_batched_vev_comparison_matches_per_pair_loop(seed, mass, n_space, n_pairs):
+    """One batched call equals the per-pair loop bit for bit, over both
+    time orderings (the pairs alternate) and for a batch of one."""
+    lattice = build_lattice(LatticeSpec(n_space=n_space, mass=mass))
+    points = sample_vev_pairs(np.random.default_rng([seed, 3]), 10.0, n_pairs)
+    got = compare_vev_to_feynman(lattice, *points)
+    want = _per_pair_vev_comparison(lattice, *points)
+    for g, w in zip(got[:3], want[:3]):
+        assert g.shape == w.shape == (n_pairs,)
+        np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
+    assert got[3] == want[3] == 0
+
+
+def test_check_10c_block_draw_matches_per_current_loop():
+    """10c's (100, 16, 16) standard-normal block is the stream of 100
+    random_current draws, and its worst negative energy equals the one a
+    loop of single-current emitted_spectrum calls finds."""
+    spec = LatticeSpec(n_space=16, n_time=16)
+    lattice = build_lattice(spec)
+    for seed in (42, 7):
+        rng = np.random.default_rng([seed, 11])
+        draws = [boxqft.absorber.random_current(lattice, rng) for _ in range(100)]
+        block = np.random.default_rng([seed, 11]).standard_normal((100, 16, 16))
+        np.testing.assert_array_equal(block, np.stack([c.samples for c in draws]))
+        loop = max([0.0] + [-boxqft.absorber.emitted_spectrum([c], lattice).energies.min()
+                            for c in draws])
+        assert boxqft.suite._check_absorber(spec, lattice, seed)[2] == loop
 
 
 def test_fock_vev_subcommand(tmp_path):
