@@ -12,9 +12,12 @@ Prints three tables:
    rows run all eight kinds in turn in one interpreter, as the
    benchmark's kernel-scan does: on its 100x64 grid, and on a 256x256
    grid at ``--n-space=256``;
-3. the best-of-N wall time of each row of the check table that
+3. the best wall time of each row of the check table that
    ``run_all_checks`` drives, timed inside one long-lived interpreter
-   after one untimed warm-up run.  With a baseline the rows are those of
+   after one untimed warm-up run.  Each of the N rounds calls a row
+   ``ROW_CALLS`` times in a row and keeps the best, so a row's time is the
+   best of N * ``ROW_CALLS`` calls: sub-millisecond rows then repeat
+   between runs of the script.  With a baseline the rows are those of
    both trees in table order, so a row merged or renamed between them
    is timed on the tree that has it, and each "sum of rows" covers its
    tree's whole table.
@@ -88,8 +91,12 @@ COUNT_SCIPY = (
     "import sys; {stmt}; "
     "print(sum(1 for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
 )
+# Calls of a check-table row per round of table 3, each round printing
+# its best.
+ROW_CALLS = 20
 # Runs in a child interpreter per tree: one warm-up run_all_checks, then
-# one timed row per computation name read from stdin.
+# the best of ROW_CALLS (argv[1]) timed calls of the row named by each
+# line read from stdin.
 CHECK_WORKER = """
 import json, sys, time
 from boxqft import suite
@@ -103,10 +110,15 @@ rows = {row[0].__name__: row for row in suite._CHECK_TABLE}
 print(json.dumps({"first": first, "rows": [
     [name, [check.name for check in checks]] for name, (_, *checks) in rows.items()
 ]}), flush=True)
+calls = int(sys.argv[1])
 for line in sys.stdin:
-    start = time.perf_counter()
-    rows[line.strip()][0](spec, lattice, seed)
-    print(time.perf_counter() - start, flush=True)
+    row = rows[line.strip()][0]
+    best = float("inf")
+    for _ in range(calls):
+        start = time.perf_counter()
+        row(spec, lattice, seed)
+        best = min(best, time.perf_counter() - start)
+    print(best, flush=True)
 """
 
 
@@ -227,8 +239,8 @@ def _union_in_order(tables: list[dict]) -> list[str]:
 
 def check_table(repeat: int, sources) -> None:
     workers = [
-        subprocess.Popen([sys.executable, "-c", CHECK_WORKER], env=_env(src), text=True,
-                         stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        subprocess.Popen([sys.executable, "-c", CHECK_WORKER, str(ROW_CALLS)], env=_env(src),
+                         text=True, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         for src in sources
     ]
     try:

@@ -369,6 +369,16 @@ def _mode_energies(lattice: Lattice, transform: np.ndarray) -> np.ndarray:
     return (np.abs(transform) ** 2) * measure / (2.0 * w * lattice.spec.box_length)
 
 
+def _total_current(currents: list[CurrentDistribution], lattice: Lattice) -> np.ndarray:
+    """The samples of J = sum of the inputs, each checked against the
+    lattice grid first (current k is named ``#k`` in errors)."""
+    total = np.zeros((lattice.spec.n_time, lattice.spec.n_space))
+    for idx, current in enumerate(currents):
+        _check_on_lattice(current, lattice, f"#{idx}")
+        total = total + current.samples
+    return total
+
+
 def emitted_spectrum(
     currents: list[CurrentDistribution], lattice: Lattice
 ) -> EmissionSpectrum:
@@ -377,11 +387,7 @@ def emitted_spectrum(
     E_n = |J_tilde(w_n, k_n)|^2 (dt dx)^2 / (2 w_n L): the D+ double
     sum decomposed by mode, hence nonnegative term by term.
     """
-    n_t, n_x = lattice.spec.n_time, lattice.spec.n_space
-    total = np.zeros((n_t, n_x))
-    for idx, current in enumerate(currents):
-        _check_on_lattice(current, lattice, f"#{idx}")
-        total = total + current.samples
+    total = _total_current(currents, lattice)
     return EmissionSpectrum(
         momenta=np.asarray(lattice.momenta), frequencies=np.asarray(lattice.frequencies),
         energies=_mode_energies(lattice, _onshell_transform(lattice, total)),
@@ -397,7 +403,7 @@ def spectrum_consistency_residual(
     Parseval)."""
     if not currents:
         return 0.0
-    total = CurrentDistribution(sum(c.samples for c in currents))
+    total = CurrentDistribution(_total_current(currents, lattice))
     double_sum = interaction_sum(total, total, KernelKind.WIGHTMAN_PLUS, lattice)
     return abs(spectrum.total - double_sum)
 

@@ -9,9 +9,9 @@ its diagonals, one numpy pass over the basis per term.  Coefficients and
 amplitudes may be numpy arrays of one shape, a batch, as
 :func:`field_operator` builds at arrays of points.  A check's
 residual is formed as one operator in that algebra and materialized
-once; matrix arithmetic is left to the routes that need it (check 07's
-commutator, check 04a's scalings).  ``matrix_norm`` is the exact dense
-spectral norm, for sides up to ``DENSE_NORM_MAX_SIDE``;
+once; matrix arithmetic is left to the one route that needs it, check
+07's commutator.  ``matrix_norm`` is the exact dense spectral norm, for
+sides up to ``DENSE_NORM_MAX_SIDE``;
 ``hilbert_schmidt_norm`` is the root mean square singular value, read off
 the stored diagonals at any side.  A matrix with a non-finite entry has
 neither, and raises :class:`~boxqft.lattice.NumericalFailure`.  The
@@ -473,8 +473,8 @@ class FockMatrix:
     ``r - offset`` (offset = row - col); positions whose column lies
     outside the matrix hold zero.  A ladder-factor product lies on one
     diagonal, so an operator over a few modes fills a few of them, and
-    sums, scalings and products are a few whole-array numpy operations
-    per diagonal.
+    sums and products are a few whole-array numpy operations per
+    diagonal.
     """
 
     dim: int
@@ -504,13 +504,6 @@ class FockMatrix:
 
     def __neg__(self) -> "FockMatrix":
         return FockMatrix(self.dim, {offset: -entries for offset, entries in self.diagonals.items()})
-
-    def __mul__(self, scalar: complex) -> "FockMatrix":
-        return FockMatrix(
-            self.dim, {offset: entries * scalar for offset, entries in self.diagonals.items()}
-        )
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other: "FockMatrix") -> "FockMatrix":
         """Matrix product: C[a + b][r] += A[a][r] B[b][r - a]."""
@@ -646,18 +639,15 @@ def antiparticle_phase_check(spec: ModeSpec, mode: int, t: float) -> float:
 
     With ``b_dag(mode, t) = b_dag(mode) exp(+i w t)``, the analytic time
     derivative gives ``i d/dt b_dag(t) = -w b_dag(t)``.  Returns the
-    matrix norm of ``i d/dt b_dag(t) + w b_dag(t)``, zero up to
-    rounding.  ``t`` must be finite.
+    matrix norm of ``i d/dt b_dag(t) + w b_dag(t)``, one operator whose
+    two terms cancel exactly.  ``t`` must be finite.
     """
     _check_mode(spec, mode)
     _require_finite(t=t)
     w = spec.frequencies[mode]
-    base = operator_matrix(b_dag(mode), spec)
     phase = cmath.exp(1j * w * t)
-    b_t = base * phase
-    db_dt = base * (1j * w * phase)
-    residual = 1j * db_dt + w * b_t
-    return matrix_norm(residual)
+    residual = 1j * (b_dag(mode) * (1j * w * phase)) + w * (b_dag(mode) * phase)
+    return matrix_norm(operator_matrix(residual, spec))
 
 
 def antiparticle_energy_check(spec: ModeSpec, mode: int) -> float:
@@ -665,15 +655,12 @@ def antiparticle_energy_check(spec: ModeSpec, mode: int) -> float:
 
     Uses the normal-ordered energy operator; the eigenvalue is positive
     even though the mode operator carries a negative-frequency phase.
+    ``H b_dag - w b_dag`` is applied to the vacuum as one operator.
     """
     _check_mode(spec, mode)
     w = spec.frequencies[mode]
-    ket = apply(b_dag(mode), vacuum(spec))
-    h_ket = apply(_number_operator(spec.frequencies), ket)
-    diff = dict(h_ket.amplitudes)
-    for key, amp in ket.amplitudes.items():
-        diff[key] = diff.get(key, 0.0 + 0.0j) - w * amp
-    return FockState(spec, diff).norm()
+    residual = _number_operator(spec.frequencies) @ b_dag(mode) - b_dag(mode) * w
+    return apply(residual, vacuum(spec)).norm()
 
 
 def oscillator_momentum(spec: ModeSpec, mode: int, t: float, phase: str) -> ModeOperator:
@@ -751,8 +738,8 @@ def translation_generator_check(
     commutator equals ``i`` times the exact spatial derivative, so the
     residual shrinks at second order in dx, in this norm as in any.  P,
     Psi(t, x) and the commutator are built once for all the steps, and
-    each step's difference is built as one operator; every step must be
-    finite and positive.
+    each step's ``i (Psi(x+dx) - Psi(x-dx)) / (2 dx)`` as one operator;
+    every step must be finite and positive.
     """
     dxs = list(dxs)
     for dx in dxs:
@@ -764,6 +751,6 @@ def translation_generator_check(
     residuals = []
     for dx in dxs:
         step = field_operator(spec, t, x + dx) - field_operator(spec, t, x - dx)
-        central = operator_matrix(step, spec) * (1.0 / (2.0 * dx))
-        residuals.append(hilbert_schmidt_norm(commutator - 1j * central))
+        central = operator_matrix(step * (0.5j / dx), spec)
+        residuals.append(hilbert_schmidt_norm(commutator - central))
     return residuals

@@ -240,15 +240,15 @@ def _check_reinterpretation(spec: LatticeSpec, lattice: Lattice, seed: int) -> t
 def _check_translation_order(
     spec: LatticeSpec, lattice: Lattice, seed: int
 ) -> tuple[float, float]:
-    """07: |least-squares convergence slope - 2| across dx in {0.1, 0.05,
-    0.025}; 07c: the worst relative error of the norms against closed
-    forms (:func:`_norms_vs_closed_forms`), which the slope, blind to a
-    constant factor, cannot see."""
+    """07: |least-squares convergence slope - 2| across dx = L/100, L/200
+    and L/400 (so k dx is unit-free); 07c: the worst relative error of the
+    norms against closed forms (:func:`_norms_vs_closed_forms`), which
+    the slope, blind to a constant factor, cannot see."""
     rng = _rng(seed, 7)
     mode_spec = fock.mode_spec_from_lattice(lattice, max_occupation=1, half_width=2)
     t = float(rng.uniform(-1.0, 1.0))
     x = float(rng.uniform(0.0, spec.box_length))
-    dxs = np.array([0.1, 0.05, 0.025])
+    dxs = spec.box_length / np.array([100.0, 200.0, 400.0])
     residuals = np.array(fock.translation_generator_check(mode_spec, t, x, dxs))
     slope = float(np.polyfit(np.log(dxs), np.log(residuals), 1)[0])
     return abs(slope - 2.0), _norms_vs_closed_forms(spec, mode_spec, dxs, residuals)

@@ -367,6 +367,17 @@ def test_pair_sums_name_the_current_off_the_lattice(lat, currents):
         free_field_identity([currents[0], small], lat)
 
 
+def test_spectrum_and_its_parseval_residual_name_the_current_off_the_lattice(lat, currents):
+    """Both sum the currents by one rule, so the residual names the bad
+    current as the spectrum does, not numpy's broadcast error."""
+    small = CurrentDistribution(np.ones((3, 3)))
+    spectrum = emitted_spectrum(currents[:1], lat)
+    with pytest.raises(ValidationError, match="current #1 has grid"):
+        emitted_spectrum([currents[0], small], lat)
+    with pytest.raises(ValidationError, match="current #1 has grid"):
+        spectrum_consistency_residual([currents[0], small], lat, spectrum)
+
+
 # --- emission spectra -------------------------------------------------------
 
 def test_spectrum_nonnegative_and_consistent(lat, currents):

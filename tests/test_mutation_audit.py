@@ -150,7 +150,7 @@ AUDIT = [
     # one build, or a diagonal P with builds, so the scaling moves both of
     # their sides alike.
     ("matrix-creation-diagonals-x1.3", _scaled_creation_diagonals, {"07b", "07c"}),
-    # 04a-06 read norms of residuals that are about zero, and 07 reads the
+    # 04a-06 read norms of residuals that are exactly zero, and 07 reads the
     # slope of log norm against log dx, which a constant factor leaves
     # alone; 07c holds each norm's value against a closed form.
     ("matrix-norm-halved", _halved("matrix_norm"), {"07c"}),
