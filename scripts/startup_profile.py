@@ -17,10 +17,11 @@ Prints three tables:
    after one untimed warm-up run.  Each of the N rounds calls a row
    ``ROW_CALLS`` times in a row and keeps the best, so a row's time is the
    best of N * ``ROW_CALLS`` calls: sub-millisecond rows then repeat
-   between runs of the script.  With a baseline the rows are those of
-   both trees in table order, so a row merged or renamed between them
-   is timed on the tree that has it, and each "sum of rows" covers its
-   tree's whole table.
+   between runs of the script.  The rows and their sum print in ms to
+   three decimals.  With a baseline the rows are those of both trees in
+   table order, so a row merged or renamed between them is timed on the
+   tree that has it, and each "sum of rows" covers its tree's whole
+   table.
 
 Each fresh-interpreter row of tables 1 and 2 also prints the least peak
 resident set size of its N runs, in MB (MiB, as the benchmark's
@@ -261,8 +262,8 @@ def check_table(repeat: int, sources) -> None:
             sums = [s + b if math.isfinite(b) else s for s, b in zip(sums, best)]
             ids = [check.split("_", 1)[0] for check in checks]
             label = ids[0] if len(ids) == 1 else f"{ids[0]}..{ids[-1]}"
-            print(f"{label + ' ' + name:<44} {_cells(best, 1e3, 1)}")
-        print(f"{'sum of rows':<44} {_cells(sums, 1e3, 1)}")
+            print(f"{label + ' ' + name:<44} {_cells(best, 1e3, 3)}")
+        print(f"{'sum of rows':<44} {_cells(sums, 1e3, 3)}")
         print(f"{'run_all_checks, first call (warm-up)':<44} "
               f"{_cells([hello['first'] for hello in hellos], 1e3, 1)}")
     finally:

@@ -13,12 +13,14 @@ and :func:`verify_frequency_split` reassembles the integral from that
 part plus the on-shell delta term (check 08b).  The remainder's Si/Ci
 values come from :func:`_sici`, in numpy, so the module loads no scipy.
 
-Quadrature.  Each piece of either integral is an integrand over an
-interval with interior cuts at its pole locations (see
-:func:`quadrature_pieces`).  :func:`_dual_quad` integrates it twice, on
-the cut segmentation and on its midpoint refinement, and raises
-:class:`QuadratureError` when the two disagree by more than
-:data:`QUAD_ABS_TOL`; both integrals sum their pieces in :func:`_integrate`.
+Quadrature.  Every denominator depends on nu only through nu^2, so the
+sine half of exp(-i nu t) cancels between nu and -nu, and each piece of
+either integral is 2i cos(nu t) over its denominator on an interval of
+nu >= 0, cut at its pole or midpoint (see :func:`quadrature_pieces`).
+:func:`_dual_quad` integrates it twice, on the cut segmentation and on
+its midpoint refinement, and raises :class:`QuadratureError` when the
+two disagree by more than :data:`QUAD_ABS_TOL`; both integrals sum their
+pieces in :func:`_integrate`.
 Every segment takes one fixed composite Gauss-Legendre rule
 (:func:`_quad_segment`), evaluating the integrand once on all its nodes
 as a numpy array: 16 nodes per panel on 64 uniform panels, of which the
@@ -227,36 +229,25 @@ def _tail_completion(w: float, t: float, cutoff: float) -> complex:
 
 def _feynman_pieces(spec: FrequencyIntegralSpec):
     """The quadrature pieces (integrand, a, b, interior cuts) of the
-    regulated integral over [-Omega, Omega], and the closed-form integral
-    of the pole interpolant subtracted from its central piece [-a, a].
-
-    The interpolant is subtracted only inside that window: outside it the
-    raw integrand is smooth and the interpolant would grow.
+    regulated integral folded onto [0, Omega], and the closed-form
+    integral of the pole interpolant subtracted from its central piece
+    [-a, a].  Outside that window the raw integrand is smooth and the
+    interpolant would grow.
     """
-    w = spec.mode_frequency
-    t = spec.time
-    eps = spec.epsilon
-    cutoff = spec.frequency_cutoff
-
+    w, t, eps, cutoff = spec.mode_frequency, spec.time, spec.epsilon, spec.frequency_cutoff
     pole = np.sqrt(complex(w * w, -eps))  # displaced pole, Im < 0
-    sin_coeff = -1j * np.sin(w * t) / w
     cos_coeff = np.cos(w * t)
 
     def full(nu):
-        return np.exp(-1j * nu * t) * 1j / (nu * nu - w * w + 1j * eps)
+        return 2j * np.cos(nu * t) / (nu * nu - w * w + 1j * eps)
 
     def smooth(nu):
-        # exp(-i nu t) minus the interpolant matching it at nu = +-omega;
-        # the ratio stays bounded through both displaced poles
-        num = np.exp(-1j * nu * t) - (sin_coeff * nu + cos_coeff)
-        return num * 1j / (nu * nu - w * w + 1j * eps)
+        # cos(nu t) minus its value at nu = +-omega; the ratio stays
+        # bounded through the displaced pole
+        return 2j * (np.cos(nu * t) - cos_coeff) / (nu * nu - w * w + 1j * eps)
 
     a = min(2.0 * w + 1.0, 0.5 * cutoff)
-    pieces = [
-        (smooth, -a, a, [-w, 0.0, w]),
-        (full, -cutoff, -a, [-0.5 * (cutoff + a)]),
-        (full, a, cutoff, [0.5 * (cutoff + a)]),
-    ]
+    pieces = [(smooth, 0.0, a, [w]), (full, a, cutoff, [0.5 * (cutoff + a)])]
     # int dnu/(nu^2 - w^2 + i eps) over [-a, a]; the contour keeps a fixed
     # distance eps/(2 w) from the displaced poles so principal logs apply.
     log_part = (
@@ -268,16 +259,14 @@ def _feynman_pieces(spec: FrequencyIntegralSpec):
 
 def _principal_pieces(spec: FrequencyIntegralSpec, window: float):
     """The quadrature pieces of the eps-free principal part over
-    [-Omega, Omega] with windows of half-width ``window`` cut out around
-    nu = +-omega."""
-    w = spec.mode_frequency
-    t = spec.time
-    cutoff = spec.frequency_cutoff
+    [0, Omega], folded like the regulated integral's, with a window of
+    half-width ``window`` cut out around nu = omega."""
+    w, t, cutoff = spec.mode_frequency, spec.time, spec.frequency_cutoff
 
     def bare(nu):
-        return np.exp(-1j * nu * t) * 1j / (nu * nu - w * w)
+        return 2j * np.cos(nu * t) / (nu * nu - w * w)
 
-    segments = [(-cutoff, -w - window), (-w + window, w - window), (w + window, cutoff)]
+    segments = [(0.0, w - window), (w + window, cutoff)]
     return [(bare, a, b, [0.5 * (a + b)]) for a, b in segments]
 
 
@@ -301,8 +290,9 @@ def frequency_integral_feynman(spec: FrequencyIntegralSpec) -> complex:
     As eps -> 0 and Omega -> infinity the value converges to
     exp(-i omega |t|)/(2 omega), the per-mode Feynman kernel.  The sharp
     pole pair is handled by subtracting a linear-in-nu interpolant through
-    the two on-shell points (whose integral is known in closed form) and
-    integrating the remaining bounded function (see ``_feynman_pieces``).
+    the two on-shell points (whose integral is known in closed form;
+    folded, it is cos(omega t)) and integrating the remaining bounded
+    function (see ``_feynman_pieces``).
     """
     spec.validate()
     pieces, closed_form = _feynman_pieces(spec)

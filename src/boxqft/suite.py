@@ -17,6 +17,7 @@ table.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -359,20 +360,19 @@ def _oracle_integrands(fspec: FrequencyIntegralSpec) -> dict:
     """numpy twins of the integrands that ``frequency.quadrature_pieces``
     names ``full``, ``smooth`` and ``bare``, written from the spec alone
     and keyed by those names: check 08c's Gauss-Kronrod route evaluates
-    these, so its two routes share only the segment bounds."""
+    these, so its two routes share only the segment bounds.  Each is
+    folded onto nu >= 0: 2i cos(nu t) over its denominator."""
     w, t, eps = fspec.mode_frequency, fspec.time, fspec.epsilon
-    # the linear interpolant of exp(-i nu t) through nu = +-w
-    slope, offset = -1j * math.sin(w * t) / w, math.cos(w * t)
+    onshell = math.cos(w * t)
 
     def full(nu):
-        return np.exp(-1j * nu * t) * 1j / (nu * nu - w * w + 1j * eps)
+        return 2j * np.cos(nu * t) / (nu * nu - w * w + 1j * eps)
 
     def smooth(nu):
-        num = np.exp(-1j * nu * t) - (slope * nu + offset)
-        return num * 1j / (nu * nu - w * w + 1j * eps)
+        return 2j * (np.cos(nu * t) - onshell) / (nu * nu - w * w + 1j * eps)
 
     def bare(nu):
-        return np.exp(-1j * nu * t) * 1j / (nu * nu - w * w)
+        return 2j * np.cos(nu * t) / (nu * nu - w * w)
 
     return {fn.__name__: fn for fn in (full, smooth, bare)}
 
@@ -407,41 +407,49 @@ def _kronrod_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 #: oracle of check 08c accepts, a hundredth of that check's tolerance.
 _KRONROD_ABS_TOL = 1e-12
 
-#: Most intervals the oracle holds at once, and most bisection rounds.
+#: Most intervals the oracle holds at once, over all its segments, and
+#: most bisection rounds.
 _KRONROD_MAX_INTERVALS = 4096
 _KRONROD_MAX_ROUNDS = 50
 
 
-def _kronrod_intervals(fn, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Gauss-Kronrod value of ``fn`` over each interval [lo, hi] and
-    its difference from the embedded Gauss value, from one call of ``fn``
-    on every node.  A non-finite value raises QuadratureError."""
+def _kronrod_intervals(fns, piece, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Kronrod value over each interval [lo, hi] of its
+    integrand ``fns[piece]``, and its difference from the embedded Gauss
+    value, from one call of each integrand on the nodes of all its
+    intervals.  A non-finite value raises QuadratureError."""
     nodes, weights, gauss_weights = _kronrod_rule()
     half = 0.5 * (hi - lo)
-    values = fn((lo + half)[:, None] + half[:, None] * nodes)
+    x = (lo + half)[:, None] + half[:, None] * nodes
+    values = np.empty(x.shape, dtype=complex)
+    for k, fn in enumerate(fns):
+        values[piece == k] = fn(x[piece == k])
     if not np.all(np.isfinite(values)):
         raise QuadratureError("Gauss-Kronrod oracle: non-finite integrand value")
     kronrod = half * (values @ weights)
     return kronrod, np.abs(kronrod - half * (values[:, 1::2] @ gauss_weights))
 
 
-def _kronrod_segments(fn, cuts) -> np.ndarray:
-    """int fn over each segment [cuts[i], cuts[i+1]] by adaptive bisection
-    with the 21-point Gauss-Kronrod rule: the oracle of check 08c.
+def _kronrod_segments(segments) -> np.ndarray:
+    """int fn over each segment (fn, lo, hi) by adaptive bisection with
+    the 21-point Gauss-Kronrod rule, all segments in one loop: the oracle
+    of check 08c.
 
-    Each round evaluates every new interval of every open segment in one
-    call of ``fn``.  A segment is done once the |Kronrod - Gauss|
-    differences of its intervals sum to at most _KRONROD_ABS_TOL, and its
-    value is the sum of their Kronrod values; until then each interval
-    whose difference exceeds its width's share of that tolerance is
-    halved.  More than _KRONROD_MAX_INTERVALS intervals at once, or more
-    than _KRONROD_MAX_ROUNDS rounds, raises QuadratureError.
+    Each round evaluates every new interval of every open segment with
+    one call of each integrand.  A segment is done once the |Kronrod -
+    Gauss| differences of its intervals sum to at most _KRONROD_ABS_TOL,
+    and its value is the sum of their Kronrod values; until then each
+    interval whose difference exceeds its width's share of that tolerance
+    is halved.  More than _KRONROD_MAX_INTERVALS intervals at once, or
+    more than _KRONROD_MAX_ROUNDS rounds, raises QuadratureError.
     """
-    cuts = np.asarray(cuts, dtype=float)
-    n_seg = cuts.size - 1
-    lo, hi, seg = cuts[:-1], cuts[1:], np.arange(n_seg)
+    seg_fns, lo, hi = zip(*segments)
+    fns = list(dict.fromkeys(seg_fns))
+    piece = np.array([fns.index(fn) for fn in seg_fns])
+    n_seg = len(segments)
+    lo, hi, seg = np.array(lo, dtype=float), np.array(hi, dtype=float), np.arange(n_seg)
     per_width = _KRONROD_ABS_TOL / (hi - lo)
-    value, spread = _kronrod_intervals(fn, lo, hi)
+    value, spread = _kronrod_intervals(fns, piece, lo, hi)
     totals = np.zeros(n_seg, dtype=complex)
     for _ in range(_KRONROD_MAX_ROUNDS):
         done = (np.bincount(seg, weights=spread, minlength=n_seg) <= _KRONROD_ABS_TOL)[seg]
@@ -457,7 +465,8 @@ def _kronrod_segments(fn, cuts) -> np.ndarray:
             )
         mid = 0.5 * (lo[split] + hi[split])
         new_lo, new_hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
-        new_value, new_spread = _kronrod_intervals(fn, new_lo, new_hi)
+        new_value, new_spread = _kronrod_intervals(fns, np.tile(piece[seg[split]], 2),
+                                                   new_lo, new_hi)
         keep = ~split
         lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
         seg = np.concatenate((seg[keep], seg[split], seg[split]))
@@ -471,23 +480,22 @@ def _kronrod_segments(fn, cuts) -> np.ndarray:
 def _check_quadrature_vs_kronrod(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float]:
     """Max |Gauss-Legendre segment - Gauss-Kronrod segment| over every
     segment of the refined segmentation of every piece 08a and 08b
-    integrate, at the oscillating point (w, t) = (1, 2).  The rule
-    integrates the piece's integrand from ``frequency``; the adaptive
-    Gauss-Kronrod oracle (:func:`_kronrod_segments`) integrates the twin
-    of the same name from :func:`_oracle_integrands`, one call per piece.
+    integrate on nu >= 0, at the oscillating point (w, t) = (1, 2): 24
+    segments.  The rule integrates each piece's integrand from
+    ``frequency``; the adaptive Gauss-Kronrod oracle
+    (:func:`_kronrod_segments`) integrates the twin of the same name from
+    :func:`_oracle_integrands`, all 24 segments in one adaptive loop.
     The check keeps its name and label from when QUADPACK was this
     oracle; QUADPACK now holds both routes in the tests, on all three
     points and both segmentations."""
     w, t = _FREQUENCY_POINTS[1]
     fspec = FrequencyIntegralSpec(w, t)
     oracles = _oracle_integrands(fspec)
-    residuals = []
-    for fn, a, b, interior in frequency.quadrature_pieces(fspec):
-        refined = frequency.segmentations(a, b, interior)[1]
-        oracle = _kronrod_segments(oracles[fn.__name__], refined)
-        rule = [frequency._quad_segment(fn, lo, hi) for lo, hi in zip(refined[:-1], refined[1:])]
-        residuals.extend(np.abs(np.array(rule) - oracle))
-    return (_worst(residuals),)
+    segments = [(fn, lo, hi) for fn, a, b, interior in frequency.quadrature_pieces(fspec)
+                for lo, hi in itertools.pairwise(frequency.segmentations(a, b, interior)[1])]
+    rule = np.array([frequency._quad_segment(fn, lo, hi) for fn, lo, hi in segments])
+    oracle = _kronrod_segments([(oracles[fn.__name__], lo, hi) for fn, lo, hi in segments])
+    return (_worst(np.abs(rule - oracle)),)
 
 
 def _check_rest_frame(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float]:

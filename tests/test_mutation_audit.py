@@ -12,6 +12,7 @@ named check lets through today.  The gaps are pinned as they stand, not
 dropped, so closing one is a visible change to this table.
 """
 from dataclasses import replace
+from functools import wraps
 
 import numpy as np
 import pytest
@@ -75,6 +76,34 @@ def _flipped_epsilon(monkeypatch):
         return pieces, original(spec)[1]
 
     monkeypatch.setattr(frequency, "_feynman_pieces", _feynman_pieces)
+
+
+def _unfolded_integrands(monkeypatch):
+    """Every piece of the frequency plane, on nu >= 0, integrates the
+    full-line integrand exp(-i nu t) * i/(nu^2 - w^2 [+ i eps]) in place
+    of its fold 2i cos(nu t)/(...): each integral loses its nu < 0 half.
+    ``smooth`` still subtracts the interpolant of exp(-i nu t) through
+    nu = +-w, and every integrand keeps its name."""
+    feynman, principal = frequency._feynman_pieces, frequency._principal_pieces
+
+    def unfolded(spec, fn):
+        w, t = spec.mode_frequency, spec.time
+        eps = 0.0 if fn.__name__ == "bare" else spec.epsilon
+        slope, offset = ((-1j * np.sin(w * t) / w, np.cos(w * t)) if fn.__name__ == "smooth"
+                         else (0.0, 0.0))
+
+        @wraps(fn)
+        def integrand(nu):
+            return (np.exp(-1j * nu * t) - (slope * nu + offset)) * 1j / (nu * nu - w * w + 1j * eps)
+        return integrand
+
+    def swapped(spec, pieces):
+        return [(unfolded(spec, fn), a, b, cuts) for fn, a, b, cuts in pieces]
+
+    monkeypatch.setattr(frequency, "_feynman_pieces", lambda spec: (
+        swapped(spec, feynman(spec)[0]), feynman(spec)[1]))
+    monkeypatch.setattr(frequency, "_principal_pieces", lambda spec, window: swapped(
+        spec, principal(spec, window)))
 
 
 def _negated_ci(monkeypatch):
@@ -142,6 +171,9 @@ AUDIT = [
     # 08a and 08b hold the whole integral, where the flip moves only the
     # eps-wide pole structure; 08c holds each segment against its twin.
     ("regulated-integrand-epsilon-flipped", _flipped_epsilon, {"08c"}),
+    # 08a and 08b hold whole integrals, each missing its nu < 0 half; 08c
+    # holds each segment against its folded twin.
+    ("frequency-plane-unfolded", _unfolded_integrands, {"08a", "08b", "08c"}),
     # 08b passes: the principal part and the regulated integral share the
     # tail, which cancels in their difference.
     ("tail-ci-negated", _negated_ci, {"08a"}),

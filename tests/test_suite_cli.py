@@ -360,6 +360,31 @@ def test_run_shares_kernel_sums_matrix_builds_and_norms(monkeypatch):
                       "apply": 153, "_onshell_transform": 2, "_correlation": 29}
 
 
+def test_frequency_plane_work_per_run(monkeypatch):
+    """One seed-42 run integrates 132 Gauss-Legendre segments on nu >= 0:
+    36 per frequency point for 08a and 08b (the regulated integral's two
+    pieces and the principal part's two at each of its two windows, each
+    on 2 + 4 segments) and 08c's 24 refined segments.  08c's Gauss-Kronrod
+    oracle takes those 24 in one adaptive loop of 20 rounds.  The full
+    line (60 segments per point, 220 in all) or one oracle loop per piece
+    (117 rounds) fails this."""
+    counts = {"_quad_segment": 0, "_kronrod_intervals": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(boxqft.frequency, "_quad_segment")
+    counting(boxqft.suite, "_kronrod_intervals")
+    assert all_passed(run_all_checks(LatticeSpec(), seed=42))
+    assert counts == {"_quad_segment": 132, "_kronrod_intervals": 20}
+
+
 def test_check_result_is_frozen():
     result = CheckResult("x", "y", 0.0, 1.0, True)
     with pytest.raises(AttributeError):
