@@ -6,7 +6,7 @@ verify    run every named identity check, write a JSON report, exit 0/1
 kernel    tabulate one kernel over a time/position grid as CSV
 fock-vev  compare time-ordered vacuum expectations against the Feynman
           kernel over seeded point pairs, written as JSON records
-dirac     dump the rest-frame and plane-wave spinor solutions as JSON
+dirac     dump the two-component rest-frame and plane-wave spinors as JSON
 absorber  emit the per-mode energy spectrum of seeded (or file-loaded)
           currents as CSV plus a JSON summary
 
@@ -17,7 +17,7 @@ and validated in :func:`build_run_config` before any subcommand runs.
 
 Exit codes: 0 on success, 1 when an identity check fails its tolerance
 or a numerical routine fails (every such failure, from the quadrature,
-the matrix norms or the spinor solver, is a
+the matrix norms or the spinor construction, is a
 :class:`~boxqft.lattice.NumericalFailure`, reported on stderr as
 ``failure: <message>``), 2 on invalid input (the message names the
 offending field).  A run that exits 2 writes no file.
@@ -304,40 +304,25 @@ def cmd_fock_vev(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _spinor_record(solution: dirac.DiracSpinorSolution) -> dict:
-    current = dirac.probability_current(solution)
     return {
-        "index": solution.index,
-        "p": [float(p) for p in solution.momentum],
-        "m": float(solution.mass),
-        "E": float(solution.energy),
+        "p": solution.momentum,
+        "m": solution.mass,
+        "E": solution.energy,
         "spinor": [_complex_pair(c) for c in solution.spinor],
-        "current": [float(j) for j in current],
-        "residual": float(dirac.dirac_residual(solution)),
+        "current": dirac.probability_current(solution).tolist(),
+        "residual": dirac.dirac_residual(solution),
     }
 
 
 def cmd_dirac(config: RunConfig, args: argparse.Namespace) -> int:
-    parts = [piece.strip() for piece in args.p.split(",")]
-    if len(parts) != 3:
-        raise ValidationError(
-            f"p: expected three comma-separated components, got {args.p!r}"
-        )
-    try:
-        momentum = [float(piece) for piece in parts]
-    except ValueError as exc:
-        raise ValidationError(f"p: invalid component in {args.p!r}") from exc
-
     solutions = list(dirac.rest_frame_solutions(config.spec.mass))
-    if any(momentum):
-        for sign in (1, -1):
-            for spin in (1, 2):
-                solutions.append(
-                    dirac.plane_wave_solution(momentum, config.spec.mass, sign, spin)
-                )
+    if args.p:
+        solutions += [dirac.plane_wave_solution(args.p, config.spec.mass, sign)
+                      for sign in (1, -1)]
     records = [_spinor_record(sol) for sol in solutions]
     for record in records:
         print(
-            f"index={record['index']} E={record['E']!r} "
+            f"E={record['E']!r} "
             f"j0={record['current'][0]!r} j1={record['current'][1]!r} "
             f"residual={record['residual']:.3e}"
         )
@@ -446,10 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     dirac_cmd = sub.add_parser("dirac", parents=[common],
                                help="dump rest-frame and plane-wave spinor "
                                     "solutions")
-    dirac_cmd.add_argument("--p", type=str, default="0.5,0,0",
-                           metavar="PX,PY,PZ",
-                           help="spatial momentum (default 0.5,0,0; "
-                                "0,0,0 dumps the rest frame only)")
+    dirac_cmd.add_argument("--p", type=float, default=0.5, metavar="P",
+                           help="momentum in the box's one dimension "
+                                "(default 0.5; 0 dumps the rest frame only)")
 
     absorber_cmd = sub.add_parser("absorber", parents=[common],
                                   help="emission spectrum and interaction "

@@ -27,7 +27,7 @@ class NumericalFailure(RuntimeError):
     """A numerical routine failed on valid input: the command line reports
     it as ``failure: <message>`` and exits 1.  Raised by the frequency
     quadrature (:class:`QuadratureError`), the matrix norms (on a
-    non-finite entry) and the spinor solver.  Declared here, beside
+    non-finite entry) and the plane-wave spinors.  Declared here, beside
     ValidationError, so that the command line catches every such failure
     without loading the modules that raise them."""
 

@@ -26,7 +26,7 @@ REMOVED = {
     "boxqft.lattice": ("is_negation_closed",),
     "boxqft.absorber": ("light_tight_check",),
     "boxqft.cli": ("_numerical_failures", "report_schema_version"),
-    "boxqft.dirac": ("DegenerateSolutionError",),
+    "boxqft.dirac": ("DegenerateSolutionError", "DiracMatrixSet", "_sigma_dot"),
     "boxqft.suite": ("_frequency_spec",),
 }
 

@@ -17,7 +17,7 @@ from functools import wraps
 import numpy as np
 import pytest
 
-from boxqft import absorber, fock, frequency, propagators
+from boxqft import absorber, dirac, fock, frequency, propagators
 from boxqft.lattice import LatticeSpec
 from boxqft.propagators import KernelKind
 from boxqft.suite import run_all_checks
@@ -140,6 +140,35 @@ def _halved(name):
     return plant
 
 
+def _negated_momentum(monkeypatch):
+    """The oscillator momentum negated, for both phase choices."""
+    original = fock.oscillator_momentum
+    monkeypatch.setattr(fock, "oscillator_momentum", lambda *args: -original(*args))
+
+
+def _swapped_phases(monkeypatch):
+    """The oscillator momentum's retarded and advanced phase choices swapped."""
+    original = fock.oscillator_momentum
+    swap = {"retarded": "advanced", "advanced": "retarded"}
+    monkeypatch.setattr(fock, "oscillator_momentum",
+                        lambda spec, mode, t, phase: original(spec, mode, t, swap[phase]))
+
+
+def _flux_negated(monkeypatch):
+    """The probability current with its flux j^1 negated."""
+    original = dirac.probability_current
+    monkeypatch.setattr(dirac, "probability_current",
+                        lambda sol: original(sol) * np.array([1.0, -1.0]))
+
+
+def _rest_frame_flipped(monkeypatch):
+    """The rest-frame solutions read with gamma^0 = -sigma_3: the basis
+    spinor (1, 0) carries energy -m and (0, 1) carries +m."""
+    original = dirac.rest_frame_solutions
+    monkeypatch.setattr(dirac, "rest_frame_solutions", lambda m: tuple(
+        replace(sol, energy=-sol.energy) for sol in original(m)))
+
+
 # (row id, planting function, failing checks by number).  The weight rows
 # give a kind's (D+, D-) weights for t > 0, t < 0 and the t = 0 extension.
 AUDIT = [
@@ -187,6 +216,13 @@ AUDIT = [
     # alone; 07c holds each norm's value against a closed form.
     ("matrix-norm-halved", _halved("matrix_norm"), {"07c"}),
     ("hilbert-schmidt-norm-halved", _halved("hilbert_schmidt_norm"), {"07c"}),
+    # Known gaps (ROADMAP item 19): 05 holds p_adv(t) against -p_ret(-t),
+    # which both mutants keep, and 07b builds the same operator on both of
+    # its sides.  A second route from i[H, q(t)] closes them.
+    ("oscillator-momentum-negated", _negated_momentum, set()),
+    ("oscillator-momentum-phases-swapped", _swapped_phases, set()),
+    ("probability-current-flux-negated", _flux_negated, {"09b"}),
+    ("rest-frame-gamma0-negated", _rest_frame_flipped, {"09a"}),
 ]
 
 

@@ -635,7 +635,7 @@ def test_invalid_lattice_input_exits_2(tmp_path, capsys):
         (["absorber", "--abs-tol", "nan"], "abs_tol must be finite and >= 0"),
         (["absorber", "--abs-tol", "-1"], "abs_tol must be finite and >= 0"),
         (["dirac", "--mass", "nan"], "mass must be finite"),
-        (["dirac", "--p", "nan,0,0"], "p and m must give a finite energy"),
+        (["dirac", "--p", "nan"], "p and m must give a finite energy"),
         (["dirac", "--n-space", "3"], "n_space must be even"),
         (["absorber", "--n-space", "8", "--n-time", "8", "--box-length", "1e300"],
          "box_length=1e+300"),
@@ -759,8 +759,8 @@ def test_rejected_argv_leaves_the_next_run_unaffected(tmp_path, capsys):
          QuadratureError("segment disagrees by 3e-2"),
          "failure: segment disagrees by 3e-2\n"),
         (["dirac"], (boxqft.dirac, "plane_wave_solution"),
-         NumericalFailure("expected a 2-dimensional solution space, found 1"),
-         "failure: expected a 2-dimensional solution space, found 1\n"),
+         NumericalFailure("constructed spinor violates the field equation: residual 3.000e-02"),
+         "failure: constructed spinor violates the field equation: residual 3.000e-02\n"),
     ],
     ids=["quadrature", "degenerate-spinor"],
 )
@@ -951,27 +951,35 @@ def test_fock_vev_subcommand(tmp_path):
 def test_dirac_subcommand(tmp_path):
     assert main(["dirac", "--out", str(tmp_path)]) == 0
     records = json.loads((tmp_path / "dirac_solutions.json").read_text())
-    assert len(records) == 8  # 4 rest-frame + 4 plane-wave
-    assert {r["index"] for r in records} == {1, 2, 3, 4}
-    assert main(["dirac", "--p", "0,0,0", "--out", str(tmp_path)]) == 0
+    assert len(records) == 4  # 2 rest-frame + 2 plane-wave
+    assert [r["E"] > 0 for r in records] == [True, False, True, False]
+    for record in records:
+        assert set(record) == {"p", "m", "E", "spinor", "current", "residual"}
+        assert len(record["spinor"]) == len(record["current"]) == 2
+    assert records[3]["p"] == 0.5 and records[3]["current"][1] < 0.0
+    assert main(["dirac", "--p", "0", "--out", str(tmp_path)]) == 0
     rest_only = json.loads((tmp_path / "dirac_solutions.json").read_text())
-    assert len(rest_only) == 4
+    assert len(rest_only) == 2
 
 
 @pytest.mark.parametrize("argv", [
-    ["--p", "1e5,0,0"], ["--p", "3e4,2e4,1e4"], ["--mass", "1e6"],
-], ids=["p-1e5", "p-3e4-2e4-1e4", "mass-1e6"])
+    ["--p", "1e5"], ["--p", "1e150"], ["--mass", "1e6"],
+], ids=["p-1e5", "p-1e150", "mass-1e6"])
 def test_dirac_builds_at_large_energies(tmp_path, capsys, argv):
     """Momenta and masses whose field-equation residual exceeds an
-    absolute 1e-12 (2e-11 at |p| = 1e5) build: the bound scales with E."""
+    absolute 1e-12 build: the bound scales with max(1, |E|)."""
     assert main(["dirac", *argv, "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().err == ""
-    assert len(json.loads((tmp_path / "dirac_solutions.json").read_text())) == 8
+    assert len(json.loads((tmp_path / "dirac_solutions.json").read_text())) == 4
 
 
 def test_dirac_momentum_validation(tmp_path, capsys):
-    assert main(["dirac", "--p", "1,2", "--out", str(tmp_path)]) == 2
-    assert "p" in capsys.readouterr().err
+    """``--p`` takes one number: a list of components exits 2, naming p."""
+    with pytest.raises(SystemExit) as exc:
+        main(["dirac", "--p", "1,2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--p" in capsys.readouterr().err
+    assert not tmp_path.joinpath("dirac_solutions.json").exists()
 
 
 def test_absorber_subcommand(tmp_path):
