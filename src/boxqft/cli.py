@@ -274,11 +274,13 @@ def cmd_fock_vev(config: RunConfig, args: argparse.Namespace) -> int:
     if args.n_pairs < 1:
         raise ValidationError(f"n_pairs must be >= 1, got {args.n_pairs}")
     check_threshold("abs_tol", args.abs_tol)
-    from .suite import compare_vev_to_feynman, sample_vev_pairs
+    from .suite import compare_vev_to_feynman, sample_points
 
     lattice = build_lattice(config.spec)
     rng = np.random.default_rng(config.seed)
-    points = sample_vev_pairs(rng, config.spec.box_length, args.n_pairs)
+    # the x-points, then the y-points, from the checks' one sampler
+    points = (*sample_points(rng, config.spec.box_length, args.n_pairs),
+              *sample_points(rng, config.spec.box_length, args.n_pairs))
     vevs, kernels, diffs, truncations = compare_vev_to_feynman(lattice, *points)
     worst = float(np.max(diffs, initial=0.0))
     tx, xx, ty, xy = (a.tolist() for a in points)
@@ -454,23 +456,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RANGE_FLAGS = ("--t-range", "--x-range")
-
-
-def _attach_range_values(argv: list[str]) -> list[str]:
-    """Join ``--t-range START:STOP:COUNT`` into ``--t-range=START:STOP:COUNT``.
-
-    argparse reads a spaced value with a negative start, such as
-    ``-3:3:4``, as an unknown flag.  A range value always contains ``:``
-    and a flag never does, so only such values are attached.
-    """
-    out: list[str] = []
-    for arg in argv:
-        if out and out[-1] in _RANGE_FLAGS and ":" in arg:
-            out[-1] = f"{out[-1]}={arg}"
-        else:
-            out.append(arg)
-    return out
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 _HANDLERS = {
@@ -484,8 +475,19 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(_attach_range_values(argv))
+    # argparse reads a spaced value that starts with '-' as a flag unless
+    # it matches its negative-number pattern, which has no exponent, so
+    # such a value (a number, or a range with ':'; a flag is neither) is
+    # joined to its flag: --p -1e5 reads as --p=-1e5.
+    joined: list[str] = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        prev = joined[-1] if joined else ""
+        if (prev.startswith("--") and "=" not in prev and arg.startswith("-")
+                and (":" in arg or _is_float(arg))):
+            joined[-1] = f"{prev}={arg}"
+        else:
+            joined.append(arg)
+    args = parser.parse_args(joined)
     try:
         config = build_run_config(args)
         return _HANDLERS[args.command](config, args)

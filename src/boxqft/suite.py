@@ -43,7 +43,6 @@ __all__ = [
     "compare_vev_to_feynman",
     "run_all_checks",
     "sample_points",
-    "sample_vev_pairs",
 ]
 
 
@@ -86,7 +85,9 @@ def sample_points(
     rng: np.random.Generator, box_length: float, n: int, min_abs_t: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """n seeded points as arrays (t, x), t in [-2, 2] and x in [0, L), each
-    t drawn just before its x.  A t below ``min_abs_t`` in magnitude is
+    t drawn just before its x.  Every check and ``fock-vev`` draws its
+    points here, so ``_T_RANGE`` (2) is the one time range of the package;
+    check 07 halves its t.  A t below ``min_abs_t`` in magnitude is
     redrawn before its x is.  Values are drawn in blocks of the fewest the
     missing points need, so draws and end state match one draw at a time.
     A ``min_abs_t`` no t can reach, 2 or more, or NaN raises a validation
@@ -96,7 +97,7 @@ def sample_points(
     ts, xs = [], []
     t = None
     while len(xs) < n:
-        # rng.uniform(low, high) is low + (high - low) * rng.random()
+        # a uniform draw on [low, high) is low + (high - low) * rng.random()
         for u in rng.random(2 * (n - len(xs)) - (t is not None)).tolist():
             if t is not None:
                 ts.append(t)
@@ -105,25 +106,6 @@ def sample_points(
             elif abs(drawn := -_T_RANGE + 2.0 * _T_RANGE * u) >= min_abs_t:
                 t = drawn
     return np.array(ts), np.array(xs)
-
-
-def sample_vev_pairs(
-    rng: np.random.Generator, box_length: float, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """n seeded point pairs for the time-ordered VEV comparison, as arrays
-    (tx, xx, ty, xy): times in [-2, 2] at least 1e-3 apart, the point
-    (tx, xx) the later of its pair on even indices and the earlier on odd
-    ones."""
-    draws = np.empty((n, 4))
-    for idx in range(n):
-        t1, t2 = rng.uniform(-_T_RANGE, _T_RANGE, size=2)
-        while abs(t1 - t2) < 1e-3:
-            t2 = rng.uniform(-_T_RANGE, _T_RANGE)
-        if (t1 > t2) != (idx % 2 == 0):
-            t1, t2 = t2, t1
-        x1, x2 = rng.uniform(0.0, box_length, size=2)
-        draws[idx] = t1, x1, t2, x2
-    return tuple(draws.T)
 
 
 def compare_vev_to_feynman(
@@ -196,24 +178,26 @@ def _check_decomposition(spec: LatticeSpec, lattice: Lattice, seed: int) -> tupl
 
 def _check_vev_oracle(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float, int]:
     """Max |VEV - Feynman kernel| over 100 seeded pairs on a 16-point grid,
-    alternating the time ordering; also returns the truncation count."""
+    the x-points then the y-points from two ``sample_points`` calls (100
+    independent pairs take both time orderings); also returns the
+    truncation count."""
     spec16 = replace(spec, n_space=16)
-    points = sample_vev_pairs(_rng(seed, 3), spec16.box_length, 100)
-    _, _, diffs, truncations = compare_vev_to_feynman(lattices.build_lattice(spec16), *points)
+    rng = _rng(seed, 3)
+    tx, xx = sample_points(rng, spec16.box_length, 100)
+    ty, xy = sample_points(rng, spec16.box_length, 100)
+    _, _, diffs, truncations = compare_vev_to_feynman(
+        lattices.build_lattice(spec16), tx, xx, ty, xy)
     return float(np.max(diffs)), truncations
 
 
 def _worst_single_mode(check, spec: LatticeSpec, lattice: Lattice, rng) -> float:
-    """Max of ``check(mode_spec, 0, t)`` over 5 seeded draws of a lattice
-    momentum k, then a time t in [-2, 2], on the one-mode set {k} at
-    ceiling 2."""
-    residuals = []
-    for _ in range(5):
-        k = float(rng.choice(np.asarray(lattice.momenta)))
-        t = float(rng.uniform(-2.0, 2.0))
-        mode_spec = fock.make_mode_spec([k], spec.mass, spec.box_length, 2)
-        residuals.append(check(mode_spec, 0, t))
-    return _worst(residuals)
+    """Max of ``check(mode_spec, 0, t)`` over 5 seeded lattice momenta k,
+    each on the one-mode set {k} at ceiling 2, paired with the times of 5
+    ``sample_points`` draws made after them."""
+    ks = rng.choice(np.asarray(lattice.momenta), 5).tolist()
+    ts, _ = sample_points(rng, spec.box_length, 5)
+    return _worst([check(fock.make_mode_spec([k], spec.mass, spec.box_length, 2), 0, t)
+                   for k, t in zip(ks, ts.tolist())])
 
 
 def _check_antiparticle_phase(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float]:
@@ -245,10 +229,11 @@ def _check_translation_order(
     and L/400 (so k dx is unit-free); 07c: the worst relative error of the
     norms against closed forms (:func:`_norms_vs_closed_forms`), which
     the slope, blind to a constant factor, cannot see."""
-    rng = _rng(seed, 7)
     mode_spec = fock.mode_spec_from_lattice(lattice, max_occupation=1, half_width=2)
-    t = float(rng.uniform(-1.0, 1.0))
-    x = float(rng.uniform(0.0, spec.box_length))
+    # Halving is exact, so t is bit for bit the uniform draw on [-1, 1)
+    # that the same stream gives: -1 + 2u rounds to half of -2 + 4u.
+    ts, xs = sample_points(_rng(seed, 7), spec.box_length, 1)
+    t, x = 0.5 * float(ts[0]), float(xs[0])
     dxs = spec.box_length / np.array([100.0, 200.0, 400.0])
     residuals = np.array(fock.translation_generator_check(mode_spec, t, x, dxs))
     slope = float(np.polyfit(np.log(dxs), np.log(residuals), 1)[0])

@@ -25,9 +25,10 @@ REMOVED = {
     ),
     "boxqft.lattice": ("is_negation_closed",),
     "boxqft.absorber": ("light_tight_check",),
-    "boxqft.cli": ("_numerical_failures", "report_schema_version"),
+    "boxqft.cli": ("_numerical_failures", "report_schema_version", "_attach_range_values",
+                   "_RANGE_FLAGS"),
     "boxqft.dirac": ("DegenerateSolutionError", "DiracMatrixSet", "_sigma_dot"),
-    "boxqft.suite": ("_frequency_spec",),
+    "boxqft.suite": ("_frequency_spec", "sample_vev_pairs"),
 }
 
 

@@ -65,3 +65,18 @@ def test_frequency_tail_study_runs_one_row(monkeypatch):
     bare, predicted, full = module.row(1.0, 0.0, 1e-6, 200.0)
     assert bare == pytest.approx(predicted, rel=0.05)
     assert full <= 1e-5
+
+
+def test_spec_sweep_runs_one_spec(monkeypatch, capsys):
+    """The sweep over one spec prints its summary; the drawn specs are
+    ones ``validate_spec`` accepts, and spec 2's failing checks are the
+    ones the full sweep lists for it (a wrong verdict item 10 is to mend)."""
+    module = _load(next(p for p in SCRIPTS if p.name == "spec_sweep.py"), monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["spec_sweep.py", "--n-specs", "1"])
+    module.main()
+    assert "0 of 1 specs fail at least one check" in capsys.readouterr().out
+    specs = module.draw_specs(np.random.default_rng(2026), 3)
+    assert [(s.n_space, s.n_time) for s in specs] == [(10, 29), (48, 18), (48, 60)]
+    assert module.failing_checks(specs[2], 2) == [
+        "10b_direction_equivalence", "10f_interaction_fft_vs_direct"
+    ]

@@ -40,7 +40,6 @@ from boxqft.suite import (
     compare_vev_to_feynman,
     run_all_checks,
     sample_points,
-    sample_vev_pairs,
 )
 
 # Every check's (name, default tolerance, paper ref, must-exceed flag), in
@@ -533,6 +532,27 @@ def test_kernel_spaced_negative_range_matches_equals_form(tmp_path):
     assert len(csv.splitlines()) == 1 + 4 * 4
 
 
+@pytest.mark.parametrize(("spaced", "joined", "written"), [
+    (["dirac", "--p", "-1e5"], ["dirac", "--p=-1e5"], "dirac_solutions.json"),
+    (["kernel", "--kind", "dplus", "--t", "-1e-3", "--x", "-2e1"],
+     ["kernel", "--kind", "dplus", "--t=-1e-3", "--x=-2e1"], "kernel_dplus.csv"),
+    (["kernel", "--kind", "feynman", "--t", "-1E-3", "--x-range", "-2e1:9:4"],
+     ["kernel", "--kind", "feynman", "--t=-1E-3", "--x-range=-2e1:9:4"],
+     "kernel_feynman.csv"),
+    (["kernel", "--kind", "dplus", "--step-at-zero", "--t", "-1e-3", "--x=-2e1"],
+     ["kernel", "--kind", "dplus", "--step-at-zero", "--t=-1e-3", "--x=-2e1"],
+     "kernel_dplus.csv"),
+], ids=["dirac-p", "kernel-t-x", "kernel-t-x-range", "after-switch-and-equals"])
+def test_spaced_negative_exponent_matches_equals_form(tmp_path, spaced, joined, written):
+    """argparse's negative-number pattern has no exponent; ``main`` joins a
+    spaced value that starts with '-' and is a number to its flag, and
+    leaves a switch and a value given with '=' as they are."""
+    assert main([*spaced, "--out", str(tmp_path / "spaced")]) == 0
+    assert main([*joined, "--out", str(tmp_path / "joined")]) == 0
+    data = (tmp_path / "spaced" / written).read_bytes()
+    assert data == (tmp_path / "joined" / written).read_bytes()
+
+
 def _per_row_csv(lattice, kind, ts, xs, step_at_zero):
     """Oracle for the kernel CSV: one kernel call and one f-string per
     cell, a time row at a time."""
@@ -652,6 +672,8 @@ def test_invalid_lattice_input_exits_2(tmp_path, capsys):
          "t: START:STOP must be finite with a finite width"),
         (["kernel", "--kind", "dplus", "--t", "0.5", "--x-range", "0:inf:3"],
          "x: START:STOP must be finite with a finite width"),
+        # a spaced value with an exponent reaches validation, not argparse
+        (["verify", "--mass", "-1e-3"], "mass must be positive"),
     ],
 )
 def test_non_finite_or_out_of_range_input_exits_2(tmp_path, capsys, argv, message):
@@ -777,14 +799,44 @@ def test_numerical_failures_exit_1_with_their_message(
     assert capsys.readouterr().err == stderr
 
 
-def test_vev_pairs_alternate_time_order():
-    rng = np.random.default_rng(3)
-    tx, xx, ty, xy = sample_vev_pairs(rng, 10.0, 40)
-    assert tx.shape == xx.shape == ty.shape == xy.shape == (40,)
-    for idx in range(40):
-        assert (tx[idx] > ty[idx]) == (idx % 2 == 0)
-        assert abs(tx[idx] - ty[idx]) >= 1e-3
-        assert 0.0 <= xx[idx] < 10.0 and 0.0 <= xy[idx] < 10.0
+def _vev_pairs(rng, box_length, n):
+    """Point pairs as check 03 and ``fock-vev`` draw them: the x-points,
+    then the y-points, from two ``sample_points`` calls."""
+    return (*sample_points(rng, box_length, n), *sample_points(rng, box_length, n))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_vev_check_pairs_take_both_time_orders(monkeypatch, seed):
+    """Check 03's 100 independent pairs put each point first in time in
+    some pairs, with no forced alternation."""
+    seen = []
+
+    def recording(lattice, tx, xx, ty, xy):
+        seen.append((tx, xx, ty, xy))
+        return compare_vev_to_feynman(lattice, tx, xx, ty, xy)
+
+    monkeypatch.setattr(boxqft.suite, "compare_vev_to_feynman", recording)
+    spec = LatticeSpec()
+    boxqft.suite._check_vev_oracle(spec, build_lattice(spec), seed)
+    (tx, xx, ty, xy), = seen
+    assert tx.shape == xx.shape == ty.shape == xy.shape == (100,)
+    assert np.any(tx > ty) and np.any(tx < ty)
+    assert np.all((0.0 <= xx) & (xx < 10.0) & (0.0 <= xy) & (xy < 10.0))
+    for got, want in zip(seen[0], _vev_pairs(np.random.default_rng([seed, 3]), 10.0, 100)):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("box_length", [10.0, 0.37, 123.0])
+def test_check_07_halved_draw_equals_uniform_draws(box_length):
+    """Check 07 halves a ``sample_points`` t: bit for bit the value a
+    uniform draw on [-1, 1) takes from the same stream, and its x the
+    uniform draw on [0, L) that follows."""
+    for seed in range(30):
+        t, x = sample_points(np.random.default_rng([seed, 7]), box_length, 1)
+        rng = np.random.default_rng([seed, 7])
+        want_t, want_x = rng.uniform(-1.0, 1.0), rng.uniform(0.0, box_length)
+        assert (0.5 * float(t[0])).hex() == want_t.hex()
+        assert float(x[0]).hex() == want_x.hex()
 
 
 def _scalar_sample_points(rng, box_length, n, min_abs_t):
@@ -830,7 +882,7 @@ def test_sampler_rejects_unreachable_min_abs_t(min_abs_t):
 def test_sampler_draws_are_pinned():
     """The first draws at fixed seeds, as literals: a change in draw order
     (t before its x, a rejected t redrawn before its x, a VEV pair's two
-    times before its two positions) moves the samples of checks 01-03."""
+    x-points before the y-points) moves the samples of checks 01-03."""
     t, x = sample_points(np.random.default_rng([42, 1]), 10.0, 3)
     np.testing.assert_array_equal(t, [1.1740107495691512, -0.3822946642338838,
                                       1.2647768220888622])
@@ -842,20 +894,21 @@ def test_sampler_draws_are_pinned():
                                       1.6608062597486217])
     np.testing.assert_array_equal(x, [0.9304438213630473, 1.1017222380033886,
                                       6.5887733935041])
-    tx, xx, ty, xy = sample_vev_pairs(np.random.default_rng([42, 3]), 10.0, 3)
-    np.testing.assert_array_equal(tx, [0.22709223689227898, -0.11153259443715724,
-                                       1.7653697849476568])
-    np.testing.assert_array_equal(xx, [8.59709672290921, 4.229641200820781,
-                                       6.331883601150445])
-    np.testing.assert_array_equal(ty, [-1.1235346377139752, 1.3797105501523879,
-                                       -0.6319353403757662])
-    np.testing.assert_array_equal(xy, [5.982948284881225, 6.217499033239825,
-                                       1.3762519268597007])
+    # check 03's first three pairs: its y-points follow all 100 x-points
+    tx, xx, ty, xy = (a[:3] for a in _vev_pairs(np.random.default_rng([42, 3]), 10.0, 100))
+    np.testing.assert_array_equal(tx, [-1.1235346377139752, 1.438838689163684,
+                                       1.3797105501523879])
+    np.testing.assert_array_equal(xx, [5.567730592230697, 5.982948284881225,
+                                       4.721168513907107])
+    np.testing.assert_array_equal(ty, [0.15101388248828007, -1.8936245932570306,
+                                       -1.660677300252757])
+    np.testing.assert_array_equal(xy, [0.6071826649202094, 3.275855725299305,
+                                       2.1324736872048087])
 
 
 def test_vev_comparison_matches_scalar_kernel():
     lattice = build_lattice(LatticeSpec(n_space=16))
-    tx, xx, ty, xy = sample_vev_pairs(np.random.default_rng(5), 10.0, 8)
+    tx, xx, ty, xy = _vev_pairs(np.random.default_rng(5), 10.0, 8)
     vevs, kernels, diffs, truncations = compare_vev_to_feynman(lattice, tx, xx, ty, xy)
     for t, x, vev, kernel, diff in zip(tx - ty, xx - xy, vevs, kernels, diffs):
         scalar = eval_kernel(lattice, KernelKind.FEYNMAN, t, x)
@@ -910,9 +963,9 @@ def _per_pair_vev_comparison(lattice, tx, xx, ty, xy):
 ])
 def test_batched_vev_comparison_matches_per_pair_loop(seed, mass, n_space, n_pairs):
     """One batched call equals the per-pair loop bit for bit, over both
-    time orderings (the pairs alternate) and for a batch of one."""
+    time orderings (the larger batches take both) and for a batch of one."""
     lattice = build_lattice(LatticeSpec(n_space=n_space, mass=mass))
-    points = sample_vev_pairs(np.random.default_rng([seed, 3]), 10.0, n_pairs)
+    points = _vev_pairs(np.random.default_rng([seed, 3]), 10.0, n_pairs)
     got = compare_vev_to_feynman(lattice, *points)
     want = _per_pair_vev_comparison(lattice, *points)
     for g, w in zip(got[:3], want[:3]):
