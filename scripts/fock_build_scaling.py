@@ -36,6 +36,7 @@ from boxqft.fock import (
     operator_matrix,
 )
 from boxqft.lattice import LatticeSpec, build_lattice
+from boxqft.suite import sample_points
 
 
 def _peak_rss_mb() -> float:
@@ -45,12 +46,11 @@ def _peak_rss_mb() -> float:
 def row(lattice, half_width: int, rng, repeat: int):
     """One row of the table: (dimension, best build seconds, best norm
     seconds, stored entries, peak-RSS step in MB), over ``repeat`` field
-    operators at points drawn from ``rng``."""
+    operators at points drawn from ``rng`` by ``suite.sample_points``."""
     spec = mode_spec_from_lattice(lattice, max_occupation=1, half_width=half_width)
     before = _peak_rss_mb()
     build_s = norm_s = float("inf")
-    for _ in range(repeat):
-        t, x = rng.uniform(-2.0, 2.0), rng.uniform(0.0, spec.box_length)
+    for t, x in zip(*sample_points(rng, spec.box_length, repeat)):
         op = field_operator(spec, float(t), float(x))
         start = time.perf_counter()
         mat = operator_matrix(op, spec)

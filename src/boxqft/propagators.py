@@ -38,26 +38,29 @@ Notes on the conventions:
 Evaluation path.  Every kind is one entry of a coefficient table
 (``_COEFFICIENTS``): the weights of D+ and D- for t > 0, for t < 0 and
 for the t = 0 extension, e.g. Feynman is (1, 0), (0, -1), (1/2, -1/2).
-kernel_values takes one kind or a tuple of kinds and sums D+ once per
-call, over the union of the points where some kind weights D+ or D-,
-reads D- there as -conj(D+) and combines the two by each kind's table,
-so D- = -conj(D+) holds bit for bit within a call, and every kind of a
-tuple reads the bits a call of its own would (a point's D+ does not
-depend on the other points).  Check 02 takes its four kinds, and check
-10g all eight, from one such call.  The D+ sum needs a mirror-ordered
-grid (momenta == -momenta[::-1], frequencies mirrored, as build_lattice
+kernel_values takes one kind or a tuple of kinds, sums D+ once per call
+at every point of the broadcast (t, x) shape, reads D- there as
+-conj(D+) and combines the two region by region with each kind's
+weights.  So D- = -conj(D+) holds bit for bit within a call, and every
+kind of a tuple reads the bits a call of its own would (a point's D+
+does not depend on the other points).  Check 02 takes its four kinds,
+and check 10g all eight, from one such call.  The trade: Retarded and
+Advanced sum D+ also where they read +0.0, and no kind pays to find the
+points some kind weights.  The D+ sum needs a mirror-ordered grid
+(momenta == -momenta[::-1], frequencies mirrored, as build_lattice
 makes them), and kernel_values rejects any other grid, as it rejects
 any kind that is not a KernelKind.  There each plane wave factors as
 exp(-i w t) exp(i k x), and a +-k pair folds to exp(-i w t) cos(k x) / w,
-so the sum reads two tables: exp(-i w t) per distinct t and cos(k x) per
-distinct x, about (n_t + n_x) n/2 sines and cosines for an n_t by n_x
-grid of n modes instead of one complex exp per point and mode.  Each
-point's value is the product of its two table rows summed along the
-columns, in blocks of ``_BLOCK_TERMS`` (16,384) terms, 512 points at the
-default 63 modes, so the temporaries stay small whatever the grid size.  A point's sum
-reads only its own rows, so its bits do not depend on the shape of the
-grid, the other points or the blocking.  It rounds differently from a
-per-term phase fl(w t - k x), and agrees with that route (the tests'
+so the sum reads two tables, on the entries of t and x before
+broadcasting: exp(-i w t) per entry of t and cos(k x) per entry of x,
+about (n_t + n_x) n/2 sines and cosines for an n_t by n_x product grid
+of n modes instead of one complex exp per point and mode.  Each point's
+value is the product of its two table rows summed along the columns, in
+blocks of ``_BLOCK_TERMS`` (16,384) terms, 512 points at the default 63
+modes, so the temporaries stay small whatever the grid size.  A point's
+sum reads only its own rows, so its bits do not depend on the shape of
+the grid, the other points or the blocking.  It rounds differently from
+a per-term phase fl(w t - k x), and agrees with that route (the tests'
 oracle and the direct D- sum of check 01b) to a few 1e-16.
 Kernels are functions of the point difference (t, x) = (t_a - t_b,
 x_a - x_b), given as plain float arrays of times and positions; there is
@@ -103,31 +106,33 @@ _BLOCK_TERMS = 1 << 14
 
 
 def _dplus(momenta, frequencies, box_length, t, x):
-    """D+ at the paired 1-D points (t, x): (1/L) sum exp(-i(w t - k x)) / (2 w)
-    on a mirror-ordered grid.
+    """D+ at every point of the broadcast shape of the arrays t and x:
+    (1/L) sum exp(-i(w t - k x)) / (2 w) on a mirror-ordered grid.
 
     Mode i and its partner n-1-i (k -> -k, the same w) fold to column i,
     exp(-i w t) cos(k x) / w; an odd middle mode (k = 0) is the last
-    column, exp(-i w t) / (2 w).  Each point sums the product of its
-    time-table and cosine-table rows along the columns, a block of about
-    _BLOCK_TERMS terms at a time."""
+    column, exp(-i w t) / (2 w).  The tables have one row per entry of t
+    and of x, before broadcasting, so a product grid computes each axis
+    value once.  Each point sums the product of its two rows along the
+    columns, a block of about _BLOCK_TERMS terms at a time."""
     n = frequencies.size
     columns = (n + 1) // 2
     weight = np.where(np.arange(columns) < n // 2, 1.0, 0.5) / frequencies[:columns]
-    times, t_row = np.unique(t, return_inverse=True)
-    phase = np.multiply.outer(-times, frequencies[:columns])
+    phase = np.multiply.outer(-t.ravel(), frequencies[:columns])
     # Row j is (Re, Im) of exp(-i w t_j) times the column weight.
     time_table = np.stack([np.cos(phase), np.sin(phase)], axis=1) * weight
-    positions, x_row = np.unique(x, return_inverse=True)
-    cosines = np.cos(np.multiply.outer(positions, momenta[:columns]))
-    sums = np.empty(t.shape, dtype=complex)
-    parts = sums.view(float).reshape(-1, 2)
+    cosines = np.cos(np.multiply.outer(x.ravel(), momenta[:columns]))
+    shape = np.broadcast_shapes(t.shape, x.shape)
+    t_row, x_row = (np.broadcast_to(np.arange(a.size).reshape(a.shape), shape).ravel()
+                    for a in (t, x))
+    sums = np.empty(shape, dtype=complex)
+    parts = sums.reshape(-1).view(float).reshape(-1, 2)
     step = max(1, _BLOCK_TERMS // columns)
-    for start in range(0, t.size, step):
+    for start in range(0, sums.size, step):
         block = slice(start, start + step)
         products = time_table[t_row[block]] * cosines[x_row[block], None, :]
         parts[block] = np.sum(products, axis=-1)
-    return sums / box_length
+    return np.divide(sums, box_length, out=sums)
 
 
 # Per kind, the (D+, D-) weights for t > 0, for t < 0 and for the
@@ -172,16 +177,17 @@ def kernel_values(
     broadcastable arrays of (t, x), without validation of the points or
     reduction of x (eval_kernel_grid does both).
 
-    One pass for any number of kinds: D+ is summed once, at the union of
-    the points where some kind's coefficient table gives D+ or D- a
-    nonzero weight, and D- is read there as -conj(D+).  D+ at a point
-    does not depend on the other points of the sum, so each kind reads
-    the same bits as in a call of its own.  A single kind returns its
-    array; a tuple of kinds returns a tuple with one array per kind, in
-    order.  The identity D- = -conj(D+) and the folding of +-k
-    partner modes in the D+ sum need a mirror-ordered grid
-    (momenta == -momenta[::-1], frequencies == frequencies[::-1]), which
-    is checked here, as is every kind.  With ``step_at_zero`` the
+    One pass for any number of kinds: D+ is summed once, at every point
+    of the broadcast shape, and D- is read there as -conj(D+).  Each kind
+    is three scalar (D+, D-) weight pairs, one per region t > 0, t < 0 and
+    t = 0, added to a zero start, so a region whose weights vanish reads
+    +0.0 in both parts.  D+ at a point does not depend on the other
+    points of the sum, so each kind reads the same bits as in a call of
+    its own.  A single kind returns its array; a tuple of kinds returns a
+    tuple with one array per kind, in order.  The identity D- = -conj(D+)
+    and the folding of +-k partner modes in the D+ sum need a
+    mirror-ordered grid (momenta == -momenta[::-1], frequencies ==
+    frequencies[::-1]), which is checked here, as is every kind.  With ``step_at_zero`` the
     step-function kinds take their continuous t = 0 extension (see
     ``_COEFFICIENTS``), which the absorber double sums use on their
     equal-time pairs; without it they reject t = 0.
@@ -197,28 +203,20 @@ def kernel_values(
             "lattice momenta must be negation-closed and mirror-ordered "
             "(momenta == -momenta[::-1], with mirrored frequencies)"
         )
-    t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
-    regions = (t > 0.0, t < 0.0, t == 0.0)
+    t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+    shape = np.broadcast_shapes(t.shape, x.shape)
+    regions = [np.broadcast_to(mask, shape) for mask in (t > 0.0, t < 0.0, t == 0.0)]
     steps = [each for each in kinds if each in STEP_FUNCTION_KINDS]
     if steps and not step_at_zero and np.any(regions[2]):
         raise ValidationError(f"t must be nonzero for step-function kernel kind {steps[0].value!r}")
-    weights = np.zeros((len(kinds), 2) + t.shape)
-    for per_kind, each in zip(weights, kinds):
-        for mask, row in zip(regions, _COEFFICIENTS[each]):
-            per_kind[:, mask] = np.reshape(row, (2, 1))
-    union = np.any(weights != 0.0, axis=(0, 1))
-    dplus = _dplus(momenta, frequencies, box_length, t[union], x[union])
-    wightman = (dplus, -np.conj(dplus))
+    dplus = _dplus(momenta, frequencies, box_length, t, x)
+    dminus = -np.conj(dplus)
     values = []
-    for per_kind in weights:
-        # Both weighted terms are added to a zero start; a zero weight
-        # (at a point of the union that this kind does not weight) adds
-        # a signed zero, which changes no bit of the sum.
-        combined = np.zeros(dplus.shape, dtype=complex)
-        for weight, terms in zip(per_kind[:, union], wightman):
-            combined += weight * terms
-        out = np.zeros(t.shape, dtype=complex)
-        out[union] = combined
+    for each in kinds:
+        out = np.zeros(shape, dtype=complex)
+        for mask, (w_plus, w_minus) in zip(regions, _COEFFICIENTS[each]):
+            # The zero start turns every signed zero of the sum into +0.0.
+            out[mask] = (0.0 + w_plus * dplus[mask]) + w_minus * dminus[mask]
         values.append(out)
     return tuple(values) if isinstance(kind, tuple) else values[0]
 

@@ -156,7 +156,7 @@ def _dminus_conjugate_vs_mode_sum(lattice: Lattice, t, x) -> float:
     """Max |kernel_values D- - direct D- sum| at the differences (t, x).
 
     The kernel core reads D- as -conj(D+), and sums D+ from factored
-    tables, exp(-i w t) per distinct t times cos(k x) per distinct x with
+    tables, exp(-i w t) per entry of t times cos(k x) per entry of x with
     the +-k partner modes folded.  The direct route forms one per-term
     phase exp(+i(w t + k x)) / (2 w) per point and mode, sums over the
     lattice modes in plain order and divides by -L, sharing no code with
@@ -537,11 +537,11 @@ def _check_absorber(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[flo
 def _interaction_fft_vs_direct(currents, lattice: Lattice) -> float:
     """Max |FFT pair sum - a.K.b| over every ordered current pair, for D+
     and Hadamard in both directions, one correlation per pair, with K the
-    dense (n_t n_x) x (n_t n_x) matrix indexed from the difference table."""
+    dense (n_t n_x) x (n_t n_x) matrix gathered from the flattened
+    difference table by one index."""
     n_t, n_x = lattice.spec.n_time, lattice.spec.n_space
     i, j = np.divmod(np.arange(n_t * n_x), n_x)
-    rows = (i[:, None] - i[None, :]) + n_t - 1
-    cols = (j[:, None] - j[None, :]) % n_x
+    index = ((i[:, None] - i[None, :]) + n_t - 1) * n_x + (j[:, None] - j[None, :]) % n_x
     measure = (lattice.spec.dt * lattice.dx) ** 2
     kernels = tuple((kind, reverse) for kind in (KernelKind.WIGHTMAN_PLUS, KernelKind.HADAMARD)
                     for reverse in (False, True))
@@ -549,7 +549,7 @@ def _interaction_fft_vs_direct(currents, lattice: Lattice) -> float:
     ffts = [absorber._pair_sums(currents, lattice, [pair], kernels) for pair in pairs]
     residuals = []
     for k, (kind, reverse) in enumerate(kernels):
-        dense = absorber.kernel_difference_table(lattice, kind, reverse)[rows, cols]
+        dense = absorber.kernel_difference_table(lattice, kind, reverse).ravel()[index]
         for (a, b), sums in zip(pairs, ffts):
             direct = currents[a].samples.ravel() @ dense @ currents[b].samples.ravel() * measure
             residuals.append(abs(sums[k] - direct))

@@ -103,58 +103,77 @@ def test_scalar_and_array_calls_agree_bitwise(lattice64, kind):
     np.testing.assert_array_equal(grid, scalar)
 
 
+def _record_dplus_calls(monkeypatch):
+    """Per _dplus call, the shapes of its t and x and their broadcast size."""
+    calls = []
+    original = propagators._dplus
+
+    def recording(momenta, frequencies, box_length, t, x):
+        calls.append((t.shape, x.shape, np.broadcast(t, x).size))
+        return original(momenta, frequencies, box_length, t, x)
+
+    monkeypatch.setattr(propagators, "_dplus", recording)
+    return calls
+
+
+# A 6 x 5 product grid with a t = 0 row, where each step kind weights
+# D+ and D- on some rows and not on others.
+GRID_T = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5])[:, None]
+GRID_X = np.linspace(0.0, 5.0, 5)[None, :]
+
+
 def test_single_pass_evaluates_each_wightman_function_once(lattice64, monkeypatch):
-    """One D+ sum per call, over the union of the points where the kind
-    weights D+ or D-; D- is read there as -conj(D+)."""
-    sizes = []
-    original = propagators._dplus
-
-    def recording(momenta, frequencies, box_length, t, x):
-        sizes.append(t.size)
-        return original(momenta, frequencies, box_length, t, x)
-
-    monkeypatch.setattr(propagators, "_dplus", recording)
-    t = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5])
-    x = np.linspace(0.0, 5.0, 6)
-    expected = {
-        KernelKind.WIGHTMAN_PLUS: [6],
-        KernelKind.WIGHTMAN_MINUS: [6],
-        KernelKind.COMMUTATOR: [6],
-        KernelKind.HADAMARD: [6],
-        KernelKind.RETARDED: [3],
-        KernelKind.ADVANCED: [2],
-        KernelKind.TIME_SYMMETRIC: [5],
-        KernelKind.FEYNMAN: [6],
-    }
-    for kind, want in expected.items():
-        sizes.clear()
-        propagators.kernel_values(
-            lattice64.momenta, lattice64.frequencies, L, kind, t, x, step_at_zero=True
+    """One D+ sum per call, over every point of the broadcast grid, with
+    its tables on the axes as given; D- is read as -conj(D+)."""
+    calls = _record_dplus_calls(monkeypatch)
+    for kind in KernelKind:
+        calls.clear()
+        kernel_values(
+            lattice64.momenta, lattice64.frequencies, L, kind, GRID_T, GRID_X, step_at_zero=True
         )
-        assert sizes == want, kind.value
+        assert calls == [((6, 1), (1, 5), 30)], kind.value
 
 
-def test_kind_tuple_sums_dplus_once_over_the_union(lattice64, monkeypatch):
-    """A tuple of kinds makes one D+ sum, over the union of the points any
-    of them weights; check 02's four kinds take one."""
-    sizes = []
-    original = propagators._dplus
-
-    def recording(momenta, frequencies, box_length, t, x):
-        sizes.append(t.size)
-        return original(momenta, frequencies, box_length, t, x)
-
-    monkeypatch.setattr(propagators, "_dplus", recording)
-    t = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5])
-    x = np.linspace(0.0, 5.0, 6)
+def test_kind_tuple_sums_dplus_once_over_the_grid(lattice64, monkeypatch):
+    """A tuple of kinds makes one D+ sum, over every point of the
+    broadcast grid; check 02's four kinds take one."""
+    calls = _record_dplus_calls(monkeypatch)
     args = (lattice64.momenta, lattice64.frequencies, L)
-    kernel_values(*args, (KernelKind.RETARDED, KernelKind.ADVANCED), t, x, step_at_zero=True)
-    kernel_values(*args, (KernelKind.RETARDED,), t, x, step_at_zero=True)
-    kernel_values(*args, tuple(KernelKind), t, x, step_at_zero=True)
-    assert sizes == [5, 3, 6]
-    sizes.clear()
-    verify_decomposition(lattice64, t[t != 0.0], x[t != 0.0])
-    assert sizes == [5]
+    kernel_values(*args, (KernelKind.RETARDED, KernelKind.ADVANCED), GRID_T, GRID_X, True)
+    kernel_values(*args, (KernelKind.RETARDED,), GRID_T, GRID_X, True)
+    kernel_values(*args, tuple(KernelKind), GRID_T, GRID_X, True)
+    assert calls == [((6, 1), (1, 5), 30)] * 3
+    calls.clear()
+    t, x = np.broadcast_arrays(GRID_T, GRID_X)
+    nonzero = t != 0.0
+    verify_decomposition(lattice64, t[nonzero], x[nonzero])
+    assert calls == [((25,), (25,), 25)]
+
+
+@pytest.mark.parametrize("step_at_zero", [False, True])
+def test_step_kinds_read_positive_zero_where_their_weights_vanish(lattice64, step_at_zero):
+    """Retarded at t < 0, advanced at t > 0 and, on the continuous
+    extension, retarded, advanced and time-symmetric at t = +-0.0 read
+    +0.0 with the sign bit clear in both parts, on axes with both signed
+    zeros of x (and of t on the extension)."""
+    ts = np.array([-1.25, -1e-3, 0.375, 2.0] + ([-0.0, 0.0] if step_at_zero else []))[:, None]
+    xs = np.array([-0.0, 0.0, 0.5, 7.25, -3.0])[None, :]
+    vanish = {
+        KernelKind.RETARDED: ts <= 0.0,
+        KernelKind.ADVANCED: ts >= 0.0,
+        KernelKind.TIME_SYMMETRIC: ts == 0.0,
+        KernelKind.FEYNMAN: np.zeros(ts.shape, dtype=bool),
+    }
+    assert set(vanish) == STEP_FUNCTION_KINDS
+    args = (lattice64.momenta, lattice64.frequencies, L)
+    for kind, rows in vanish.items():
+        mask = np.broadcast_to(rows, (ts.size, xs.size))
+        direct = kernel_values(*args, kind, ts, xs, step_at_zero)
+        (validated,) = eval_kernel_grid(lattice64, (kind,), ts, xs, step_at_zero)
+        for values in (direct, validated):
+            for part in (values.real[mask], values.imag[mask]):
+                assert np.all(part == 0.0) and not np.any(np.signbit(part)), kind.value
+            assert np.all(values[~mask] != 0.0), kind.value
 
 
 def _assert_same_bits(got, want, label):
@@ -335,7 +354,7 @@ def test_conjugate_route_matches_two_sums_on_signed_zero_grid(n_space):
 @pytest.mark.parametrize("kind", list(KernelKind), ids=lambda k: k.value)
 def test_product_grid_matches_rows_and_scattered_points_bitwise(lattice64, kind):
     """A point's value does not depend on the other points of the call:
-    the tables are per distinct t and x and each point sums its own row.
+    the tables are per entry of t and x and each point sums its own row.
     The grid spans more than one block."""
     ts = np.linspace(-2.7, 2.9, 23)
     xs = canonical_x(np.linspace(-7.3, 18.1, 41), L)
