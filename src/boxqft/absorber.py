@@ -24,16 +24,16 @@ summation:
 Restricting any of these sums to a proper subset of current pairs
 breaks the identities, which the shipped negative controls demonstrate.
 
-Cost.  S depends on the currents only through their cross-correlation,
-which is linear in time and circular in space.  Every double sum takes
-one zero-padded rfft2 per current, one irfft2 per ordered pair and one
-contraction per kernel difference table: O(n_t n_x log(n_t n_x)) per
-pair, against O(n_t^2 n_x^2) for the direct double sum.  The grid positions
+Cost.  S is linear in the currents' cross-spectrum, and its correlation
+is linear in time and circular in space.  Every double sum takes one
+zero-padded rfft2 per current, adds the pairs' cross-spectra, then one
+irfft2 and one contraction per kernel difference table: O(n_t n_x) per
+pair, against O(n_t^2 n_x^2) for the direct double sum.  The positions
 x_j = j L / N put every spatial phase exp(i k_n x_j) on a DFT bin, so the
 difference table is one inverse DFT per time row of per-mode
 coefficients, and the light-tight projection is a two-column fit per
-spatial bin between a forward and an inverse DFT: both are
-O(n_t n_x log n_x), with no points x modes temporaries.  The direct mode
+spatial bin, on a basis factored once per lattice, between a forward
+and an inverse DFT: both O(n_t n_x log n_x).  The direct mode
 sums (propagators.kernel_values) and the least-squares projection on
 the flattened on-shell basis stay as the oracles of checks 10g and 10h.
 The emission spectrum takes its own route, direct exponential sums at
@@ -213,13 +213,12 @@ def _padded_spectrum(current: CurrentDistribution, lattice: Lattice, name: str) 
     return np.fft.rfft2(current.samples, (2 * lattice.spec.n_time, lattice.spec.n_space))
 
 
-def _correlation(fa: np.ndarray, fb: np.ndarray, lattice: Lattice) -> np.ndarray:
-    """Step 2: corr[d, e] = sum_{i,j} a[i + d, j + e] b[i, j] from two padded
-    spectra.  np.multiply, not ``*``: numpy may evaluate ``fa * conj(fb)``
-    in place on the conj temporary with the operands swapped, which its
-    vectorised complex product rounds differently."""
+def _correlation(cross: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """Step 2: one inverse transform of a cross-spectrum, the sum of
+    F_a conj(F_b) over the chosen pairs, gives every lag of
+    corr[d, e] = sum over those pairs of sum_{i,j} a[i + d, j + e] b[i, j]."""
     n_t, n_x = lattice.spec.n_time, lattice.spec.n_space
-    corr = np.fft.irfft2(np.multiply(fa, np.conj(fb)), (2 * n_t, n_x))
+    corr = np.fft.irfft2(cross, (2 * n_t, n_x))
     # Lag d sits at row d mod P; rolling by n_t - 1 puts lags
     # -(n_t - 1) .. n_t - 1 on rows 0 .. 2 n_t - 2, as in the table.
     return np.roll(corr, n_t - 1, axis=0)[: 2 * n_t - 1]
@@ -258,9 +257,12 @@ def _pair_sums(
     kernels: tuple[tuple[KernelKind, bool], ...],
 ) -> list[complex]:
     """The double sum S over the chosen ordered pairs (all when ``pairs``
-    is None) for each (kind, reverse_argument) in ``kernels``, added in
-    pair order, with one transform per current and one correlation per
-    pair; current k is named ``#k`` in errors."""
+    is None) for each (kind, reverse_argument) in ``kernels``: one
+    transform per current, and one inverse transform of the pairs'
+    F_i conj(F_j) added in pair order from the first.  np.multiply, not
+    ``*``: numpy may evaluate ``fi * conj(fj)`` in place on the conj
+    temporary with the operands swapped, which rounds differently.
+    Current k is named ``#k`` in errors."""
     if not currents:
         raise ValidationError("at least one current is required")
     n = len(currents)
@@ -273,11 +275,12 @@ def _pair_sums(
         )
     tables = [kernel_difference_table(lattice, kind, rev) for kind, rev in kernels]
     spectra = {k: _padded_spectrum(currents[k], lattice, f"#{k}") for k in set().union(*chosen)}
-    sums = [0.0 + 0.0j] * len(tables)
-    for i, j in chosen:
-        corr = _correlation(spectra[i], spectra[j], lattice)
-        sums = [total + _contract(table, corr, lattice) for total, table in zip(sums, tables)]
-    return sums
+    (i, j), *rest = chosen
+    cross = np.multiply(spectra[i], np.conj(spectra[j]))
+    for i, j in rest:
+        cross += np.multiply(spectra[i], np.conj(spectra[j]))
+    corr = _correlation(cross, lattice)
+    return [_contract(table, corr, lattice) for table in tables]
 
 
 def free_field_identity(
@@ -338,11 +341,10 @@ class EmissionSpectrum:
         return float(self.energies.sum())
 
     def to_csv(self, path: str | Path) -> None:
+        """Float reprs in the bytes csv.writer writes: none needs quoting."""
+        rows = zip(self.momenta.tolist(), self.frequencies.tolist(), self.energies.tolist())
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "omega", "energy"])
-            for k, w, e in zip(self.momenta, self.frequencies, self.energies):
-                writer.writerow([repr(float(k)), repr(float(w)), repr(float(e))])
+            fh.write("k,omega,energy\r\n" + "".join(f"{k!r},{w!r},{e!r}\r\n" for k, w, e in rows))
 
 
 def _onshell_transform(lattice: Lattice, total: np.ndarray) -> np.ndarray:
@@ -408,6 +410,21 @@ def spectrum_consistency_residual(
     return abs(spectrum.total - double_sum)
 
 
+# Sized as the difference tables' cache (32 KB per basis at 64x64).
+@lru_cache(maxsize=4)
+def _light_tight_basis(spec: LatticeSpec) -> np.ndarray:
+    """project_light_tight's (bins, n_t, 2) orthonormal basis, read-only."""
+    lattice = build_lattice(spec)
+    frequencies = lattice.frequencies[lattice.momenta >= 0.0]       # bins 0 .. N/2 - 1
+    angles = np.multiply.outer(frequencies, lattice.times())
+    pairs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)     # (bins, n_t, 2)
+    u, s, _ = np.linalg.svd(pairs, full_matrices=False)
+    rcond = np.finfo(float).eps * max(spec.n_time * spec.n_space, 2 * lattice.momenta.size)
+    u = u * (s > rcond * s.max())[:, None, :]
+    u.setflags(write=False)
+    return u
+
+
 def project_light_tight(
     current: CurrentDistribution, lattice: Lattice
 ) -> CurrentDistribution:
@@ -427,18 +444,13 @@ def project_light_tight(
     flattened (M, N) = (n_t n_x, 2 modes) basis, whose singular values
     are the per-bin ones times sqrt(n_x).  So a grid where
     exp(i w t) = exp(-i w t), e.g. w dt = pi, projects as that fit does.
+    The pairs' SVD and rank cut are taken once per lattice spec, so a
+    current costs two DFTs and two einsums.
     """
     _check_on_lattice(current, lattice, "current")
-    n_t, n_x = current.shape
-    momenta = np.asarray(lattice.momenta)
-    frequencies = np.asarray(lattice.frequencies)[momenta >= 0.0]   # bins 0 .. N/2 - 1
-    angles = np.multiply.outer(frequencies, lattice.times())
-    pairs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)     # (bins, n_t, 2)
-    u, s, _ = np.linalg.svd(pairs, full_matrices=False)
-    rank_cutoff = np.finfo(float).eps * max(n_t * n_x, 2 * momenta.size) * s.max()
-    u = u * (s > rank_cutoff)[:, None, :]
+    u = _light_tight_basis(lattice.spec)
     spectrum = np.fft.rfft(current.samples, axis=1)
-    series = spectrum[:, : frequencies.size].T                      # (bins, n_t)
+    series = spectrum[:, : u.shape[0]].T                            # (bins, n_t)
     fit = np.einsum("btk,bk->bt", u, np.einsum("btk,bt->bk", u, series))
-    spectrum[:, : frequencies.size] -= fit.T
-    return CurrentDistribution(np.fft.irfft(spectrum, n=n_x, axis=1))
+    spectrum[:, : u.shape[0]] -= fit.T
+    return CurrentDistribution(np.fft.irfft(spectrum, n=lattice.spec.n_space, axis=1))

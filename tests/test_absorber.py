@@ -1,4 +1,6 @@
 """Current-current double sums, emission spectra, light-tight projection."""
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from boxqft import absorber, cli
 from boxqft.absorber import (
     CurrentDistribution,
+    EmissionSpectrum,
     current_from_csv,
     dplus_direction_equivalence,
     emitted_spectrum,
@@ -257,21 +260,40 @@ def _per_pair_loop(currents, lattice, pairs, kernels):
     return sums
 
 
+# The multi-pair sums add the pairs' cross-spectra before one inverse
+# transform, so they round differently from the per-pair loop.  Bound:
+# 8 eps times the sum of the per-pair contractions' moduli (random
+# 10x29 to 128x128 lattices with three currents gave at most 4.0 eps).
+_MULTI_PAIR_EPS = 8.0 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("n", [16, 64])
 def test_shared_transforms_match_per_pair_oracle_bitwise(n):
-    """Every double sum equals the per-pair loop bit for bit, on all pairs
-    and on subsets, and so does interaction_sum on every pair and kind."""
+    """Every one-pair sum equals the per-pair oracle bit for bit:
+    interaction_sum on every pair, kind and direction, _pair_sums and the
+    controls on one pair, and the Parseval residual.  The multi-pair sums
+    (every pair, and a subset with a repeat) stay within _MULTI_PAIR_EPS
+    of the per-pair loop, relative to the sum of its terms' moduli."""
     lattice = build_lattice(LatticeSpec(n_space=n, n_time=n))
     rng = np.random.default_rng(n)
     currents = [random_current(lattice, rng) for _ in range(3)]
     plus, hadamard = KernelKind.WIGHTMAN_PLUS, KernelKind.HADAMARD
     every = [(i, j) for i in range(3) for j in range(3)]
-    for pairs in (None, [(0, 1)], [(2, 0), (1, 1), (2, 0)]):
-        chosen = every if pairs is None else pairs
-        s_h, s_p = _per_pair_loop(currents, lattice, chosen, [(hadamard, False), (plus, False)])
-        assert free_field_identity(currents, lattice, pairs) == abs(s_h - s_p)
-        fwd, bwd = _per_pair_loop(currents, lattice, chosen, [(plus, False), (plus, True)])
-        assert dplus_direction_equivalence(currents, lattice, pairs) == abs(fwd - bwd)
+    kernels = [(hadamard, False), (plus, False), (plus, True)]
+    for pairs in (every, [(2, 0), (1, 1), (2, 0)]):
+        sums = absorber._pair_sums(currents, lattice, pairs, tuple(kernels))
+        for total, kernel in zip(sums, kernels):
+            terms = [_per_pair_loop(currents, lattice, [pair], [kernel])[0] for pair in pairs]
+            oracle = _per_pair_loop(currents, lattice, pairs, [kernel])[0]
+            assert abs(total - oracle) <= _MULTI_PAIR_EPS * sum(abs(t) for t in terms)
+    for i, j in every:
+        assert absorber._pair_sums(currents, lattice, [(i, j)], tuple(kernels)) == (
+            _per_pair_loop(currents, lattice, [(i, j)], kernels)
+        )
+    s_h, s_p = _per_pair_loop(currents, lattice, [(0, 1)], [(hadamard, False), (plus, False)])
+    assert free_field_identity(currents, lattice, [(0, 1)]) == abs(s_h - s_p)
+    fwd, bwd = _per_pair_loop(currents, lattice, [(0, 1)], [(plus, False), (plus, True)])
+    assert dplus_direction_equivalence(currents, lattice, [(0, 1)]) == abs(fwd - bwd)
     spectrum = emitted_spectrum(currents, lattice)
     total = CurrentDistribution(sum(c.samples for c in currents))
     assert spectrum_consistency_residual(currents, lattice, spectrum) == abs(
@@ -315,14 +337,15 @@ def fft_calls(monkeypatch):
 
 def test_pair_sums_transform_each_current_once(lat, currents, fft_calls):
     """Checks 10a, 10b and 10e on three currents: one rfft2 per current a
-    call uses and one irfft2 per pair, 10 + 20 in all (80 + 40 when every
-    pair and kernel redid its transforms)."""
+    call uses and one irfft2 per call, 10 + 4 in all (10 + 20 with one
+    irfft2 per pair, 80 + 40 when every pair and kernel redid its
+    transforms)."""
     free_field_identity(currents, lat)
-    assert fft_calls == {"rfft2": 3, "irfft2": 9}
+    assert fft_calls == {"rfft2": 3, "irfft2": 1}
     dplus_direction_equivalence(currents, lat)
     free_field_identity(currents, lat, pairs=[(0, 1)])
     dplus_direction_equivalence(currents, lat, pairs=[(0, 1)])
-    assert fft_calls == {"rfft2": 10, "irfft2": 20}
+    assert fft_calls == {"rfft2": 10, "irfft2": 4}
 
 
 def test_interaction_sum_transforms_a_repeated_current_once(lat, currents, fft_calls):
@@ -336,12 +359,13 @@ def test_interaction_sum_transforms_a_repeated_current_once(lat, currents, fft_c
 @pytest.mark.parametrize("project", [False, True])
 def test_absorber_command_fft_counts(tmp_path, fft_calls, capsys, project):
     """A 64x64 `absorber` call on two currents: 3 rfft2 (each current, then
-    the total) and 5 irfft2 (four pairs, then the total), against 18 and 9
+    the total) and 2 irfft2 (the four pairs' summed cross-spectrum, then
+    the total), against 3 and 5 with one irfft2 per pair and 18 and 9
     before the transforms were shared."""
     argv = ["absorber", "--n-space=64", "--n-time=64", "--n-currents=2",
             f"--out={tmp_path}"] + (["--project"] if project else [])
     assert cli.main(argv) == 0
-    assert fft_calls == {"rfft2": 3, "irfft2": 5}
+    assert fft_calls == {"rfft2": 3, "irfft2": 2}
 
 
 @pytest.mark.parametrize("identity", [free_field_identity, dplus_direction_equivalence])
@@ -433,7 +457,73 @@ def test_spectrum_csv_round_trip_bytes(lat, currents, tmp_path):
     assert header == "k,omega,energy"
 
 
+def test_spectrum_csv_bytes_match_csv_writer(tmp_path):
+    """to_csv writes the bytes csv.writer writes for the float reprs,
+    CRLF line ends included, on signed zeros, subnormals and large values."""
+    values = np.array([-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 0.1, -1e16,
+                       1e300, -1.7976931348623157e308, 2.5])
+    spectrum = EmissionSpectrum(momenta=values, frequencies=values[::-1],
+                                energies=np.roll(values, 4))
+    spectrum.to_csv(tmp_path / "fast.csv")
+    with open(tmp_path / "writer.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "omega", "energy"])
+        for k, w, e in zip(spectrum.momenta, spectrum.frequencies, spectrum.energies):
+            writer.writerow([repr(float(k)), repr(float(w)), repr(float(e))])
+    written = (tmp_path / "fast.csv").read_bytes()
+    assert written == (tmp_path / "writer.csv").read_bytes()
+    assert written.count(b"\r\n") == values.size + 1 and b"-0.0," in written
+
+
 # --- light-tight projection -------------------------------------------------
+
+def _per_current_svd_projection(current, lattice):
+    """Oracle: project_light_tight as it was before its basis was cached,
+    the per-bin pairs' SVD and rank cut redone for every current."""
+    n_t, n_x = current.shape
+    momenta = np.asarray(lattice.momenta)
+    frequencies = np.asarray(lattice.frequencies)[momenta >= 0.0]
+    angles = np.multiply.outer(frequencies, lattice.times())
+    pairs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    u, s, _ = np.linalg.svd(pairs, full_matrices=False)
+    rank_cutoff = np.finfo(float).eps * max(n_t * n_x, 2 * momenta.size) * s.max()
+    u = u * (s > rank_cutoff)[:, None, :]
+    spectrum = np.fft.rfft(current.samples, axis=1)
+    series = spectrum[:, : frequencies.size].T
+    fit = np.einsum("btk,bk->bt", u, np.einsum("btk,bt->bk", u, series))
+    spectrum[:, : frequencies.size] -= fit.T
+    return np.fft.irfft(spectrum, n=n_x, axis=1)
+
+
+@pytest.mark.parametrize("spec", [LatticeSpec(), LatticeSpec(box_length=1.0, mass=0.05)],
+                         ids=["default", "near-aliasing"])
+def test_cached_projection_basis_matches_per_current_svd(spec, monkeypatch):
+    """Several currents on one lattice take one SVD between them, read a
+    read-only basis, and project bit for bit as the per-current SVD did,
+    also where the bins' frequencies nearly alias (item 10's spec)."""
+    lattice = build_lattice(spec)
+    rng = np.random.default_rng(11)
+    currents = [random_current(lattice, rng) for _ in range(3)]
+    svd_calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        svd_calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    absorber._light_tight_basis.cache_clear()
+    monkeypatch.setattr(absorber.np.linalg, "svd", counted)
+    projected = [project_light_tight(current, lattice).samples for current in currents]
+    assert len(svd_calls) == 1
+    monkeypatch.undo()
+    for current, samples in zip(currents, projected):
+        oracle = _per_current_svd_projection(current, lattice)
+        np.testing.assert_array_equal(samples.view(np.uint64), oracle.view(np.uint64))
+    basis = absorber._light_tight_basis(lattice.spec)
+    assert basis.shape == (spec.n_space // 2, spec.n_time, 2)
+    assert not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0, 0, 0] = 1.0
 
 def test_projection_removes_all_emission(lat, currents):
     projected = project_light_tight(currents[0], lat)

@@ -331,7 +331,9 @@ def test_run_shares_kernel_sums_matrix_builds_and_norms(monkeypatch):
     calls, one bra and one ket per time ordering; 04b makes one per
     mode, 3), 10c one on-shell
     transform for its 100 currents (the other is 10d's), and 10f one
-    correlation per ordered pair of its three currents (9 of the 29)."""
+    correlation per ordered pair of its three currents (9 of the 13; 10a
+    and 10b take one each over all nine pairs, and 10e one per identity
+    on its one pair)."""
     counts = {"kernel_values": 0, "operator_matrix": 0, "matrix_norm": 0,
               "hilbert_schmidt_norm": 0, "time_ordered_vev_detail": 0, "apply": 0,
               "_onshell_transform": 0, "_correlation": 0}
@@ -356,7 +358,7 @@ def test_run_shares_kernel_sums_matrix_builds_and_norms(monkeypatch):
     assert all_passed(run_all_checks(LatticeSpec(), seed=42))
     assert counts == {"kernel_values": 6, "operator_matrix": 25, "matrix_norm": 16,
                       "hilbert_schmidt_norm": 3, "time_ordered_vev_detail": 1,
-                      "apply": 153, "_onshell_transform": 2, "_correlation": 29}
+                      "apply": 153, "_onshell_transform": 2, "_correlation": 13}
 
 
 def test_frequency_plane_work_per_run(monkeypatch):
