@@ -17,11 +17,14 @@ Prints three tables:
    after one untimed warm-up run.  Each of the N rounds calls a row
    ``ROW_CALLS`` times in a row and keeps the best, so a row's time is the
    best of N * ``ROW_CALLS`` calls: sub-millisecond rows then repeat
-   between runs of the script.  The rows and their sum print in ms to
-   three decimals.  With a baseline the rows are those of both trees in
-   table order, so a row merged or renamed between them is timed on the
-   tree that has it, and each "sum of rows" covers its tree's whole
-   table.
+   between runs of the script.  Every call gets a fresh spec, its mass
+   nudged by a relative 1e-9 per call, as each benchmark operation draws
+   a fresh mass, so no per-spec cache of a row is warm when it is timed;
+   the call's lattice is built before its timer starts.  The rows and
+   their sum print in ms to three decimals.  With a baseline the rows are
+   those of both trees in table order, so a row merged or renamed between
+   them is timed on the tree that has it, and each "sum of rows" covers
+   its tree's whole table.
 
 Each fresh-interpreter row of tables 1 and 2 also prints the least peak
 resident set size of its N runs, in MB (MiB, as the benchmark's
@@ -97,25 +100,27 @@ COUNT_SCIPY = (
 ROW_CALLS = 20
 # Runs in a child interpreter per tree: one warm-up run_all_checks, then
 # the best of ROW_CALLS (argv[1]) timed calls of the row named by each
-# line read from stdin.
+# line read from stdin, each call on a spec of its own.
 CHECK_WORKER = """
 import json, sys, time
 from boxqft import suite
 from boxqft.lattice import LatticeSpec, build_lattice
-spec, seed = LatticeSpec(), 42
+seed = 42
 start = time.perf_counter()
-suite.run_all_checks(spec, seed)
+suite.run_all_checks(LatticeSpec(), seed)
 first = time.perf_counter() - start
-lattice = build_lattice(spec)
 rows = {row[0].__name__: row for row in suite._CHECK_TABLE}
 print(json.dumps({"first": first, "rows": [
     [name, [check.name for check in checks]] for name, (_, *checks) in rows.items()
 ]}), flush=True)
-calls = int(sys.argv[1])
+calls, nudges = int(sys.argv[1]), 0
 for line in sys.stdin:
     row = rows[line.strip()][0]
     best = float("inf")
     for _ in range(calls):
+        nudges += 1
+        spec = LatticeSpec(mass=1.0 + 1e-9 * nudges)
+        lattice = build_lattice(spec)
         start = time.perf_counter()
         row(spec, lattice, seed)
         best = min(best, time.perf_counter() - start)

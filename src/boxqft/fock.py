@@ -93,8 +93,8 @@ class ModeSpec:
     """Finite ordered mode set with per-mode occupation ceiling.
 
     ``momenta[i]`` and ``frequencies[i]`` describe mode ``i``; both
-    sectors (quanta and antiquanta) exist for every mode.  Hashable so
-    derived artifacts can be cached.
+    sectors (quanta and antiquanta) exist for every mode.  Equality is by
+    value: ``FockState.inner`` requires both states to have equal specs.
     """
 
     momenta: tuple[float, ...]
@@ -206,8 +206,15 @@ class FockState:
     amplitudes: Mapping[tuple[tuple[int, ...], tuple[int, ...]], complex]
     truncation_events: int = 0
 
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
+    def norm(self) -> float | np.ndarray:
+        """sqrt(<self|self>), an array for a batch whose entries are summed
+        in Python scalars, as one state is, so each has its state's bits."""
+        values = list(self.amplitudes.values())
+        shape = np.broadcast_shapes(*map(np.shape, values))
+        if not shape:
+            return math.sqrt(sum(abs(a) ** 2 for a in values))
+        entries = zip(*(np.broadcast_to(a, shape).ravel().tolist() for a in values))
+        return np.reshape([math.sqrt(sum(abs(a) ** 2 for a in e)) for e in entries], shape)
 
     def inner(self, other: "FockState") -> complex | np.ndarray:
         """Hermitian inner product <self|other>, an array for a batch (0j if

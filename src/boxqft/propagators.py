@@ -272,7 +272,9 @@ def verify_decomposition(lattice: Lattice, t, x) -> float:
     sum, so the residual tests the coefficient table and the step masks
     (it reads 0.0 at the defaults); it is not an independent route to the
     kernels.  Check 03 (the Fock-space vacuum expectation) and the
-    50-digit D+ oracle are.  Times must avoid t = 0 (step-function kinds).
+    50-digit D+ oracle are.  At t = 0 the step-function kinds read their
+    continuous extension, where Feynman is the Hadamard value and
+    TimeSymmetric vanishes.
     """
     f, dbar, dp, dm = eval_kernel_grid(
         lattice,
@@ -280,6 +282,7 @@ def verify_decomposition(lattice: Lattice, t, x) -> float:
          KernelKind.WIGHTMAN_PLUS, KernelKind.WIGHTMAN_MINUS),
         t,
         x,
+        step_at_zero=True,
     )
     return float(np.max(np.abs(f - dbar - 0.5 * (dp - dm)), initial=0.0))
 

@@ -82,30 +82,17 @@ _T_RANGE = 2.0
 
 
 def sample_points(
-    rng: np.random.Generator, box_length: float, n: int, min_abs_t: float = 0.0
+    rng: np.random.Generator, box_length: float, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """n seeded points as arrays (t, x), t in [-2, 2] and x in [0, L), each
+    """n seeded points as arrays (t, x), t in [-2, 2) and x in [0, L), each
     t drawn just before its x.  Every check and ``fock-vev`` draws its
     points here, so ``_T_RANGE`` (2) is the one time range of the package;
-    check 07 halves its t.  A t below ``min_abs_t`` in magnitude is
-    redrawn before its x is.  Values are drawn in blocks of the fewest the
-    missing points need, so draws and end state match one draw at a time.
-    A ``min_abs_t`` no t can reach, 2 or more, or NaN raises a validation
-    error before any draw."""
-    if not min_abs_t < _T_RANGE:
-        raise ValidationError(f"min_abs_t must be below {_T_RANGE}, got {min_abs_t}")
-    ts, xs = [], []
-    t = None
-    while len(xs) < n:
-        # a uniform draw on [low, high) is low + (high - low) * rng.random()
-        for u in rng.random(2 * (n - len(xs)) - (t is not None)).tolist():
-            if t is not None:
-                ts.append(t)
-                xs.append(box_length * u)
-                t = None
-            elif abs(drawn := -_T_RANGE + 2.0 * _T_RANGE * u) >= min_abs_t:
-                t = drawn
-    return np.array(ts), np.array(xs)
+    check 07 halves its t.  One ``rng.random(2 * n)`` block gives the
+    values, the even entries the times and the odd ones the positions, so
+    draws and end state match one uniform draw at a time."""
+    # a uniform draw on [low, high) is low + (high - low) * rng.random()
+    u = rng.random(2 * n)
+    return -_T_RANGE + 2.0 * _T_RANGE * u[0::2], box_length * u[1::2]
 
 
 def compare_vev_to_feynman(
@@ -172,7 +159,7 @@ def _dminus_conjugate_vs_mode_sum(lattice: Lattice, t, x) -> float:
 
 def _check_decomposition(spec: LatticeSpec, lattice: Lattice, seed: int) -> tuple[float]:
     rng = _rng(seed, 2)
-    t, x = sample_points(rng, lattice.spec.box_length, 1000, min_abs_t=0.05)
+    t, x = sample_points(rng, lattice.spec.box_length, 1000)
     return (propagators.verify_decomposition(lattice, t, x),)
 
 

@@ -123,6 +123,22 @@ def test_vacuum_is_normalized(spec3):
     assert vacuum(spec3).norm() == 1.0
 
 
+def test_batch_norm_matches_one_point_norms_bitwise():
+    """norm() of a batch of field states Psi(t, x)|0> is an array of the
+    batch's shape whose entries carry the bits of each one-point state's
+    float norm."""
+    spec = make_mode_spec([-TWO_PI_OVER_L, 0.0, TWO_PI_OVER_L], 1.3, L, 2)
+    t = np.array([[0.1, -1.7, 0.0], [2.0, 0.35, -0.6]])
+    x = np.array([[1.0, 2.0, 9.9], [0.0, -3.5, 4.25]])
+    got = apply(field_operator(spec, t, x), vacuum(spec)).norm()
+    assert isinstance(got, np.ndarray) and got.shape == t.shape
+    for index in np.ndindex(t.shape):
+        one = apply(field_operator(spec, float(t[index]), float(x[index])), vacuum(spec))
+        want = one.norm()
+        assert type(want) is float
+        assert float(got[index]).hex() == want.hex()
+
+
 def test_inner_product_is_hermitian(spec3):
     vac = vacuum(spec3)
     s1 = apply(a_dag(0) + 0.5j * b_dag(1), vac)

@@ -47,8 +47,17 @@ def test_antisymmetry_of_wightman_pair(lattice64, rng):
 
 
 def test_feynman_decomposition(lattice64, rng):
-    t, x = sample_points(rng, L, 100, min_abs_t=0.05)
+    t, x = sample_points(rng, L, 100)
     assert verify_decomposition(lattice64, t, x) <= 1e-12
+
+
+def test_feynman_decomposition_admits_equal_times(lattice64):
+    """At t = 0, of either sign, the step kinds read their continuous
+    extension, Feynman = Hadamard and TimeSymmetric = 0, so the identity
+    holds there exactly, as it does at the nonzero times beside them."""
+    t = np.array([0.0, -0.0, 0.0, -0.0, 0.7, -1.3])
+    x = np.array([0.0, 0.0, 2.5, -4.0, 0.0, 9.5])
+    assert verify_decomposition(lattice64, t, x) == 0.0
 
 
 def _reference_kernels(n_space, mass, t, x):

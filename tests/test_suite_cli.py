@@ -841,61 +841,45 @@ def test_check_07_halved_draw_equals_uniform_draws(box_length):
         assert float(x[0]).hex() == want_x.hex()
 
 
-def _scalar_sample_points(rng, box_length, n, min_abs_t):
-    """Oracle: one rng.uniform call per value, a rejected t redrawn
-    before its x is drawn."""
+def _scalar_sample_points(rng, box_length, n):
+    """Oracle: one rng.uniform call per value, each t drawn just before
+    its x."""
     ts, xs = [], []
-    while len(ts) < n:
-        t = float(rng.uniform(-2.0, 2.0))
-        if abs(t) < min_abs_t:
-            continue
-        ts.append(t)
+    for _ in range(n):
+        ts.append(float(rng.uniform(-2.0, 2.0)))
         xs.append(float(rng.uniform(0.0, box_length)))
     return np.array(ts), np.array(xs)
 
 
-@pytest.mark.parametrize("min_abs_t", [0.0, 0.05, 0.5, 1.9])
 @pytest.mark.parametrize("n", [0, 1, 7, 1000])
-def test_block_sampler_matches_scalar_draws(min_abs_t, n):
-    """The block draws of sample_points equal the scalar loop's values and
-    leave the generator in the same state, with no t rejected (the
-    default, which checks 01, 06 and 07b draw) or some."""
+def test_block_sampler_matches_scalar_draws(n):
+    """The block draw of sample_points equals the scalar loop's values,
+    dtypes included, and leaves the generator in the same state."""
     for seed in range(30):
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sample_points(fast, 10.0, n, min_abs_t=min_abs_t)
-        want = _scalar_sample_points(slow, 10.0, n, min_abs_t)
+        got = sample_points(fast, 10.0, n)
+        want = _scalar_sample_points(slow, 10.0, n)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
             assert g.dtype == w.dtype
         assert fast.bit_generator.state == slow.bit_generator.state
 
 
-@pytest.mark.parametrize("min_abs_t", [2.0, 2.5, math.nan])
-def test_sampler_rejects_unreachable_min_abs_t(min_abs_t):
-    """No t in [-2, 2) reaches |t| >= 2, so the rejection loop would never
-    end: the sampler refuses before drawing anything."""
-    rng = np.random.default_rng(0)
-    before = rng.bit_generator.state
-    with pytest.raises(ValidationError, match="min_abs_t"):
-        sample_points(rng, 10.0, 3, min_abs_t=min_abs_t)
-    assert rng.bit_generator.state == before
-
-
 def test_sampler_draws_are_pinned():
     """The first draws at fixed seeds, as literals: a change in draw order
-    (t before its x, a rejected t redrawn before its x, a VEV pair's two
-    x-points before the y-points) moves the samples of checks 01-03."""
+    (t before its x, a VEV pair's two x-points before the y-points) moves
+    the samples of checks 01-03."""
     t, x = sample_points(np.random.default_rng([42, 1]), 10.0, 3)
     np.testing.assert_array_equal(t, [1.1740107495691512, -0.3822946642338838,
                                       1.2647768220888622])
     np.testing.assert_array_equal(x, [2.45958657341405, 6.327551812452089,
                                       5.774497720210826])
-    # three of the first five times fall below 1.5 in magnitude and are redrawn
-    t, x = sample_points(np.random.default_rng([42, 2]), 10.0, 3, min_abs_t=1.5)
-    np.testing.assert_array_equal(t, [1.8079868544605096, 1.6425336461555848,
-                                      1.6608062597486217])
-    np.testing.assert_array_equal(x, [0.9304438213630473, 1.1017222380033886,
-                                      6.5887733935041])
+    # check 02's first three points
+    t, x = sample_points(np.random.default_rng([42, 2]), 10.0, 3)
+    np.testing.assert_array_equal(t, [-0.8419641691985431, -1.627822471454781,
+                                      -0.5372821763596591])
+    np.testing.assert_array_equal(x, [9.519967136151275, 3.2107591722952455,
+                                      9.106334115388963])
     # check 03's first three pairs: its y-points follow all 100 x-points
     tx, xx, ty, xy = (a[:3] for a in _vev_pairs(np.random.default_rng([42, 3]), 10.0, 100))
     np.testing.assert_array_equal(tx, [-1.1235346377139752, 1.438838689163684,
