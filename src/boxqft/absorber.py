@@ -158,7 +158,8 @@ def _difference_table(spec: LatticeSpec, kind: KernelKind) -> np.ndarray:
 
     Row r holds time difference t = (r - (n_time - 1)) * dt; column c
     holds space difference c * dx (differences reduced modulo the box).
-    The equal-time row uses the kernels' continuous extension.
+    The equal-time row takes the t >= 0 weights, the kernels' continuous
+    value at t = 0.
 
     Every kind is w+(t) D+ + w-(t) D- with the weights of
     propagators.wightman_weights, and both sums carry the spatial phase
@@ -171,8 +172,7 @@ def _difference_table(spec: LatticeSpec, kind: KernelKind) -> np.ndarray:
     n_t, n_x = spec.n_time, spec.n_space
     L = spec.box_length
     dts = np.arange(-(n_t - 1), n_t) * spec.dt
-    row_kind = np.select([dts > 0.0, dts < 0.0], [0, 1], 2)
-    weights = np.asarray(wightman_weights(kind))[row_kind]      # (2 n_t - 1, 2)
+    weights = np.asarray(wightman_weights(kind))[(dts < 0.0).astype(int)]  # (2 n_t - 1, 2)
     frequencies = np.asarray(lattice.frequencies)
     phases = np.exp(-1j * np.multiply.outer(dts, frequencies))
     coefficients = (

@@ -192,6 +192,17 @@ def mode_spec_from_lattice(
     )
 
 
+def _product(a, b):
+    """a * b in real arithmetic, as CPython forms a complex product, so a
+    batch entry has its one-state bits: numpy's vectorised product may fuse."""
+    re, im = a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
+    if isinstance(re, float):
+        return complex(re, im)
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 @dataclass(frozen=True)
 class FockState:
     """Sparse state: map (quanta occupations, antiquanta occupations) -> amplitude.
@@ -218,16 +229,14 @@ class FockState:
 
     def inner(self, other: "FockState") -> complex | np.ndarray:
         """Hermitian inner product <self|other>, an array for a batch (0j if
-        no component is shared).  Each conj(a) b is formed in real arithmetic,
-        as a scalar product rounds it: numpy's vectorised one may fuse ops."""
+        no component is shared).  Each conj(a) b is formed by _product."""
         if self.spec != other.spec:
             raise ValidationError("inner product requires matching mode specs")
         mine, theirs = self.amplitudes, other.amplitudes
         keys = mine.keys() if len(mine) <= len(theirs) else theirs.keys()
         total = 0
         for a, b in [(mine[key], theirs[key]) for key in keys if key in mine and key in theirs]:
-            total = total + ((a.real * b.real + a.imag * b.imag)
-                             + 1j * (a.real * b.imag - a.imag * b.real))
+            total = total + _product(a.conjugate(), b)
         return total if isinstance(total, np.ndarray) else complex(total)
 
 
@@ -365,29 +374,22 @@ def apply(op: ModeOperator, state: FockState) -> FockState:
         if coeff == 0 if isinstance(coeff, complex) else not np.any(coeff):
             continue
         for (na, nb), amplitude in state.amplitudes.items():
-            amp = amplitude * coeff
+            amp = _product(amplitude, coeff)
             occ = list(na) + list(nb)
-            dead = False
             for sector, mode, dagger in reversed(factors):
                 slot = mode if sector == "a" else n_modes + mode
                 n = occ[slot]
-                if dagger:
-                    if n >= ceiling:
+                step = 1 if dagger else -1
+                # The new occupation must lie in 0 .. ceiling.
+                if not 0 <= n + step <= ceiling:
+                    if dagger:
                         truncations += 1 if isinstance(amp, complex) else np.size(amp)
-                        dead = True
-                        break
-                    amp *= math.sqrt(n + 1)
-                    occ[slot] = n + 1
-                else:
-                    if n == 0:
-                        dead = True
-                        break
-                    amp *= math.sqrt(n)
-                    occ[slot] = n - 1
-            if dead:
-                continue
-            key = (tuple(occ[:n_modes]), tuple(occ[n_modes:]))
-            out[key] = out.get(key, 0.0 + 0.0j) + amp
+                    break
+                amp *= math.sqrt(n + 1 if dagger else n)
+                occ[slot] = n + step
+            else:
+                key = (tuple(occ[:n_modes]), tuple(occ[n_modes:]))
+                out[key] = out.get(key, 0.0 + 0.0j) + amp
     cleaned = {key: amp for key, amp in out.items()
                if (amp != 0 if isinstance(amp, complex) else np.any(amp))}
     return FockState(spec, cleaned, state.truncation_events + truncations)

@@ -32,12 +32,12 @@ Notes on the conventions:
   Commutator kernel is purely imaginary and the Hadamard kernel is purely
   real, and DF equals the time-ordered vacuum two-point function computed
   in the Fock module with no extra prefactor.
-* Step-function kinds are undefined at t = 0 and are rejected there
-  unless the continuous extension is requested (``step_at_zero``).
+* Every kind is continuous at t = 0 (see ``_COEFFICIENTS``); the step
+  kinds reject t = 0 unless that value is requested (``step_at_zero``).
 
 Evaluation path.  Every kind is one entry of a coefficient table
-(``_COEFFICIENTS``): the weights of D+ and D- for t > 0, for t < 0 and
-for the t = 0 extension, e.g. Feynman is (1, 0), (0, -1), (1/2, -1/2).
+(``_COEFFICIENTS``): the weights of D+ and D- for t >= 0 and for t < 0,
+e.g. Feynman is (1, 0), (0, -1).
 kernel_values takes one kind or a tuple of kinds, sums D+ once per call
 at every point of the broadcast (t, x) shape, reads D- there as
 -conj(D+) and combines the two region by region with each kind's
@@ -135,32 +135,31 @@ def _dplus(momenta, frequencies, box_length, t, x):
     return np.divide(sums, box_length, out=sums)
 
 
-# Per kind, the (D+, D-) weights for t > 0, for t < 0 and for the
-# continuous t = 0 extension, which a step kind takes only on request
-# (step_at_zero): the equal-time Commutator vanishes, so Retarded,
-# Advanced and TimeSymmetric go to 0, and Feynman goes to the Hadamard
-# value.
+# Per kind, the (D+, D-) weights for t >= 0 and for t < 0.  D+(0, x) is
+# real, so D- = -conj(D+) is -D+ there and the Commutator vanishes: both
+# pairs of a kind read the same bits at t = +-0.0 (Retarded, Advanced and
+# TimeSymmetric 0, Feynman the Hadamard value), and t = 0 joins t > 0.
 _COEFFICIENTS = {
-    KernelKind.WIGHTMAN_PLUS: ((1.0, 0.0),) * 3,
-    KernelKind.WIGHTMAN_MINUS: ((0.0, 1.0),) * 3,
-    KernelKind.COMMUTATOR: ((1.0, 1.0),) * 3,
-    KernelKind.HADAMARD: ((0.5, -0.5),) * 3,
-    KernelKind.RETARDED: ((1.0, 1.0), (0.0, 0.0), (0.0, 0.0)),
-    KernelKind.ADVANCED: ((0.0, 0.0), (-1.0, -1.0), (0.0, 0.0)),
-    KernelKind.TIME_SYMMETRIC: ((0.5, 0.5), (-0.5, -0.5), (0.0, 0.0)),
-    KernelKind.FEYNMAN: ((1.0, 0.0), (0.0, -1.0), (0.5, -0.5)),
+    KernelKind.WIGHTMAN_PLUS: ((1.0, 0.0),) * 2,
+    KernelKind.WIGHTMAN_MINUS: ((0.0, 1.0),) * 2,
+    KernelKind.COMMUTATOR: ((1.0, 1.0),) * 2,
+    KernelKind.HADAMARD: ((0.5, -0.5),) * 2,
+    KernelKind.RETARDED: ((1.0, 1.0), (0.0, 0.0)),
+    KernelKind.ADVANCED: ((0.0, 0.0), (-1.0, -1.0)),
+    KernelKind.TIME_SYMMETRIC: ((0.5, 0.5), (-0.5, -0.5)),
+    KernelKind.FEYNMAN: ((1.0, 0.0), (0.0, -1.0)),
 }
 
-#: The kinds with a step factor: their t > 0 and t < 0 weights differ, so
-#: they are undefined at t = 0 unless the extension is requested.
+#: The kinds with a step factor: their two weight pairs differ, so they
+#: reject t = 0 unless its continuous value is requested.
 STEP_FUNCTION_KINDS = frozenset(
-    kind for kind, (later, earlier, _) in _COEFFICIENTS.items() if later != earlier
+    kind for kind, (later, earlier) in _COEFFICIENTS.items() if later != earlier
 )
 
 
 def wightman_weights(kind: KernelKind):
-    """The kind's (D+, D-) weights for t > 0, for t < 0 and for the
-    continuous t = 0 extension, as kernel_values combines them."""
+    """The kind's (D+, D-) weights for t >= 0 and for t < 0, as
+    kernel_values combines them."""
     return _COEFFICIENTS[kind]
 
 
@@ -179,17 +178,15 @@ def kernel_values(
 
     One pass for any number of kinds: D+ is summed once, at every point
     of the broadcast shape, and D- is read there as -conj(D+).  Each kind
-    is three scalar (D+, D-) weight pairs, one per region t > 0, t < 0 and
-    t = 0, added to a zero start, so a region whose weights vanish reads
-    +0.0 in both parts.  D+ at a point does not depend on the other
-    points of the sum, so each kind reads the same bits as in a call of
-    its own.  A single kind returns its array; a tuple of kinds returns a
-    tuple with one array per kind, in order.  The identity D- = -conj(D+)
-    and the folding of +-k partner modes in the D+ sum need a
-    mirror-ordered grid (momenta == -momenta[::-1], frequencies ==
-    frequencies[::-1]), which is checked here, as is every kind.  With ``step_at_zero`` the
-    step-function kinds take their continuous t = 0 extension (see
-    ``_COEFFICIENTS``), which the absorber double sums use on their
+    adds its two (D+, D-) weight pairs, one per region t >= 0 and t < 0,
+    to a zero start, so a region whose weights vanish reads +0.0 in both
+    parts, and each kind of a tuple reads the bits of a call of its own.
+    A single kind returns its array; a tuple of kinds returns one array
+    per kind, in order.  D- = -conj(D+) and the folding of +-k partner
+    modes need a mirror-ordered grid (momenta == -momenta[::-1],
+    frequencies == frequencies[::-1]), which is checked here, as is
+    every kind.  With ``step_at_zero`` the step-function kinds take their
+    continuous t = 0 value, as the absorber double sums do on their
     equal-time pairs; without it they reject t = 0.
     """
     kinds = kind if isinstance(kind, tuple) else (kind,)
@@ -205,9 +202,9 @@ def kernel_values(
         )
     t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
     shape = np.broadcast_shapes(t.shape, x.shape)
-    regions = [np.broadcast_to(mask, shape) for mask in (t > 0.0, t < 0.0, t == 0.0)]
+    regions = [np.broadcast_to(mask, shape) for mask in (t >= 0.0, t < 0.0)]
     steps = [each for each in kinds if each in STEP_FUNCTION_KINDS]
-    if steps and not step_at_zero and np.any(regions[2]):
+    if steps and not step_at_zero and np.any(np.broadcast_to(t == 0.0, shape)):
         raise ValidationError(f"t must be nonzero for step-function kernel kind {steps[0].value!r}")
     dplus = _dplus(momenta, frequencies, box_length, t, x)
     dminus = -np.conj(dplus)
@@ -229,7 +226,7 @@ def eval_kernel_grid(
     positions.
 
     The validating entry to the kernel core: rejects non-finite times or
-    positions (nan would fall into none of the t > 0, t < 0, t = 0
+    positions (nan would fall into neither of the t >= 0 and t < 0
     weight regions and read 0), times whose phase |t| * max w overflows
     (the sums would read nan) and, through kernel_values, a kind that is
     not a KernelKind, momentum grids that are not mirror-ordered and, for
@@ -273,7 +270,7 @@ def verify_decomposition(lattice: Lattice, t, x) -> float:
     (it reads 0.0 at the defaults); it is not an independent route to the
     kernels.  Check 03 (the Fock-space vacuum expectation) and the
     50-digit D+ oracle are.  At t = 0 the step-function kinds read their
-    continuous extension, where Feynman is the Hadamard value and
+    continuous value, where Feynman is the Hadamard value and
     TimeSymmetric vanishes.
     """
     f, dbar, dp, dm = eval_kernel_grid(

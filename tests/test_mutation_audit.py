@@ -17,8 +17,8 @@ from functools import wraps
 import numpy as np
 import pytest
 
-from boxqft import absorber, dirac, fock, frequency, propagators
-from boxqft.lattice import LatticeSpec
+from boxqft import absorber, dirac, fock, frequency, propagators, suite
+from boxqft.lattice import LatticeSpec, build_lattice
 from boxqft.propagators import KernelKind
 from boxqft.suite import run_all_checks
 
@@ -170,26 +170,22 @@ def _rest_frame_flipped(monkeypatch):
 
 
 # (row id, planting function, failing checks by number).  The weight rows
-# give a kind's (D+, D-) weights for t > 0, t < 0 and the t = 0 extension.
+# give a kind's (D+, D-) weights for t >= 0 and for t < 0.
 AUDIT = [
     # Known gaps: the three kernel-weight mutants below pass every named
     # check, because every check that reads RETARDED, ADVANCED or
     # COMMUTATOR takes both of its routes from the same weight table.
     # ROADMAP item 14 (each kind as a frequency contour) closes them.
     ("retarded-t>0-(1,-1)",
-     _weights(KernelKind.RETARDED, ((1.0, -1.0), (0.0, 0.0), (0.0, 0.0))), set()),
+     _weights(KernelKind.RETARDED, ((1.0, -1.0), (0.0, 0.0))), set()),
     ("advanced-t<0-(1,1)",
-     _weights(KernelKind.ADVANCED, ((0.0, 0.0), (1.0, 1.0), (0.0, 0.0))), set()),
-    ("commutator-(1,-1)", _weights(KernelKind.COMMUTATOR, ((1.0, -1.0),) * 3), set()),
+     _weights(KernelKind.ADVANCED, ((0.0, 0.0), (1.0, 1.0))), set()),
+    ("commutator-(1,-1)", _weights(KernelKind.COMMUTATOR, ((1.0, -1.0),) * 2), set()),
     ("time-symmetric-t>0-(1/2,-1/2)",
-     _weights(KernelKind.TIME_SYMMETRIC, ((0.5, -0.5), (-0.5, -0.5), (0.0, 0.0))), {"02"}),
+     _weights(KernelKind.TIME_SYMMETRIC, ((0.5, -0.5), (-0.5, -0.5))), {"02"}),
     ("feynman-t<0-(0,1)",
-     _weights(KernelKind.FEYNMAN, ((1.0, 0.0), (0.0, 1.0), (0.5, -0.5))), {"02", "03"}),
-    ("hadamard-(1/2,1/2)", _weights(KernelKind.HADAMARD, ((0.5, 0.5),) * 3), {"10a"}),
-    # Equivalent: D-(0, x) = -D+(0, x) on this grid, so the Feynman t = 0
-    # extension (1, 0) reads the same values as (1/2, -1/2).
-    ("feynman-t=0-(1,0)",
-     _weights(KernelKind.FEYNMAN, ((1.0, 0.0), (0.0, -1.0), (1.0, 0.0))), set()),
+     _weights(KernelKind.FEYNMAN, ((1.0, 0.0), (0.0, 1.0))), {"02", "03"}),
+    ("hadamard-(1/2,1/2)", _weights(KernelKind.HADAMARD, ((0.5, 0.5),) * 2), {"10a"}),
     ("field-operator-bdag-phase-conjugated", _conjugated_bdag_phase,
      {"03", "06", "07", "07c"}),
     ("projection-leaks-1e-6", _leaky_projection, {"10h"}),
@@ -241,3 +237,43 @@ def test_mutant_fails_its_pinned_checks(plant, expected, monkeypatch, fresh_tabl
     results = run_all_checks(LatticeSpec(), seed=42)
     assert {r.name.split("_")[0] for r in results if not r.passed} == expected
 
+
+# The rows of the check table that read kernel values: 01/01b, 02, 03/03b
+# and 10a-10h.
+_KERNEL_ROWS = (suite._check_antisymmetry, suite._check_decomposition,
+                suite._check_vev_oracle, suite._check_absorber)
+
+
+def _kernel_rows_pass(spec, lattice):
+    for computation, *checks in suite._CHECK_TABLE:
+        if computation in _KERNEL_ROWS:
+            for check, residual in zip(checks, computation(spec, lattice, 42), strict=True):
+                tol = check.tolerance
+                if not (residual > tol if check.exceed else residual <= tol):
+                    return False
+    return True
+
+
+def test_weight_table_survivors_are_pinned(monkeypatch, fresh_tables):
+    """One mutant per entry of the weight table, v -> v - 1 where v > 0
+    and v + 1/2 otherwise, run on the check rows that read kernels.  The
+    survivors are exactly the twelve entries of the kinds whose checks
+    take both routes from this table (the three gaps pinned above);
+    every other entry is killed.  scripts/mutation_sweep.py runs the
+    full sweep."""
+    spec = LatticeSpec()
+    lattice = build_lattice(spec)
+    assert _kernel_rows_pass(spec, lattice)
+    survivors = set()
+    for kind, pairs in list(propagators._COEFFICIENTS.items()):
+        for side, column in np.ndindex(2, 2):
+            mutated = [list(pair) for pair in pairs]
+            weight = mutated[side][column]
+            mutated[side][column] = weight - 1.0 if weight > 0 else weight + 0.5
+            monkeypatch.setitem(propagators._COEFFICIENTS, kind, tuple(map(tuple, mutated)))
+            absorber._difference_table.cache_clear()
+            if _kernel_rows_pass(spec, lattice):
+                survivors.add((kind, side, column))
+        monkeypatch.setitem(propagators._COEFFICIENTS, kind, pairs)
+    gaps = (KernelKind.RETARDED, KernelKind.ADVANCED, KernelKind.COMMUTATOR)
+    assert survivors == {(kind, *entry) for kind in gaps for entry in np.ndindex(2, 2)}

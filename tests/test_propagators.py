@@ -266,7 +266,7 @@ def _two_sum_kernel(momenta, frequencies, box_length, kind, t, x):
     """Oracle for kernel_values: D+ and D- each by its own per-term sum
     where the kind weights it, combined through the coefficient table."""
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
-    regions = (t > 0.0, t < 0.0, t == 0.0)
+    regions = (t >= 0.0, t < 0.0)
     out = np.zeros(t.shape, dtype=complex)
     for column, sign in enumerate((1.0, -1.0)):
         weights = np.zeros(t.shape)
@@ -479,6 +479,31 @@ def test_continuous_extension_at_time_zero(lattice64):
     fey = eval_kernel_grid(lattice64, KernelKind.FEYNMAN, ts, xs, step_at_zero=True)
     had = eval_kernel_grid(lattice64, KernelKind.HADAMARD, ts, xs)
     np.testing.assert_array_equal(fey, had)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [LatticeSpec(), LatticeSpec(n_space=16, mass=0.63),
+     LatticeSpec(box_length=0.185, mass=0.0105, dt=0.616, n_space=30)],
+    ids=["default", "n16-m0.63", "small-mL"],
+)
+def test_both_weight_pairs_agree_at_time_zero_bitwise(spec, monkeypatch):
+    """Every kind is continuous at t = 0: its t < 0 weight pair, applied
+    to D+(0, x) and D-(0, x), reads the bits its t >= 0 pair reads at
+    t = +-0.0, signed zeros included, so t = 0 may join either side and
+    needs no weights of its own."""
+    lattice = build_lattice(spec)
+    box = spec.box_length
+    ts = np.array([-0.0, 0.0])[:, None]
+    xs = canonical_x(np.concatenate([[-0.0, 0.0, 0.5 * box],
+                                     np.random.default_rng(17).uniform(-box, 2 * box, 20)]), box)
+    args = (lattice.momenta, lattice.frequencies, box)
+    for kind in KernelKind:
+        later, earlier = propagators.wightman_weights(kind)
+        want = kernel_values(*args, kind, ts, xs[None, :], step_at_zero=True)
+        monkeypatch.setitem(propagators._COEFFICIENTS, kind, (earlier, earlier))
+        got = kernel_values(*args, kind, ts, xs[None, :], step_at_zero=True)
+        _assert_same_bits(got, want, kind.value)
 
 
 def test_spatial_periodicity(lattice64):

@@ -78,3 +78,20 @@ def test_spec_sweep_runs_one_spec(monkeypatch, capsys):
     specs = module.draw_specs(np.random.default_rng(2026), 3)
     assert [(s.n_space, s.n_time) for s in specs] == [(10, 29), (48, 18), (48, 60)]
     assert module.failing_checks(specs[2], 2) == ["10f_interaction_fft_vs_direct"]
+
+
+def test_mutation_sweep_counts_mutants_and_restores_the_table(monkeypatch):
+    """Four values per entry of the 32-entry weight table; a survivor
+    (retarded's t < 0 D+ weight) and a kill (feynman's t < 0 D- weight
+    flipped, which check 02 fails) read as such, and the table is left
+    as it was."""
+    from boxqft import propagators
+    from boxqft.propagators import KernelKind
+
+    module = _load(next(p for p in SCRIPTS if p.name == "mutation_sweep.py"), monkeypatch)
+    table = propagators._COEFFICIENTS
+    before = dict(table)
+    assert len(module.mutants(table)) == 128
+    assert module.survives((KernelKind.RETARDED, 1, 0, 0.5), LatticeSpec(), 42)
+    assert not module.survives((KernelKind.FEYNMAN, 1, 1, 1.0), LatticeSpec(), 42)
+    assert table == before
